@@ -29,10 +29,9 @@ from .errors import (DegenerateGeometryError, DegenerateKernelError,
                      ResolutionError, ScenarioValidationError,
                      UnequalPathError, WaveCorrError)
 from .grid import ComplexField, Grid, OpticsContext, make_grid
-from .interferometer import (CorrelationImage, CorrelationResult,
-                             InterferometerSpec, PortIntensities,
-                             background_intensity, correlation_analytic,
-                             correlation_analytic_2d,
+from .interferometer import (CorrelationResult, InterferometerSpec,
+                             PortIntensities, background_intensity,
+                             correlation_analytic, correlation_analytic_2d,
                              correlation_brute_force, detector_ports)
 from .propagation import fresnel_kernel, kernel_scale, propagate
 from .scenario import (OutputBundle, ScenarioConfig, builtin_scenarios,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexField",
-    "CorrelationImage",
     "CorrelationResult",
     "DEFAULT_COHERENCE_TOLERANCE",
     "DegenerateGeometryError",

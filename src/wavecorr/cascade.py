@@ -9,7 +9,6 @@ what makes lensless imaging possible. Negative indices are allowed so a
 negatively refracting segment can cancel a positive one directly.
 """
 
-import math
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,8 +113,7 @@ def cascade_propagate(ctx, field, chain, method="auto"):
                 raise InvalidArgumentError(
                     "cascade_propagate handles 1D transmittances only")
             values = out.values * el.sample(out.grid.coordinates())
-            out = ComplexField(out.grid, values, out.role,
-                               tuple(out.warnings))
+            out = ComplexField(out.grid, values, tuple(out.warnings))
     if pending != PathLedger.zero():
         out = propagate(ctx, out, pending.optical_path,
                         pending.diffraction_length, method)
@@ -127,6 +125,27 @@ class ImagingPositions(NamedTuple):
     z_o2_img: float
 
 
+def equal_path_mismatch(arm_path, ledger_ref,
+                        coherence_tolerance=DEFAULT_COHERENCE_TOLERANCE):
+    """Object-arm path minus the reference optical path Z (meters).
+
+    Raises UnequalPathError beyond the coherence tolerance and emits an
+    EqualPathWarning for a nonzero mismatch within it.
+    """
+    Z = ledger_ref.optical_path
+    mismatch = arm_path - Z
+    if abs(mismatch) > coherence_tolerance:
+        raise UnequalPathError(
+            f"object arm path {arm_path} differs from the reference optical "
+            f"path {Z} by {mismatch:+.3g} m, beyond the coherence tolerance "
+            f"{coherence_tolerance:g} m (equal-optical-path condition)")
+    if mismatch != 0:
+        _warnings.warn(
+            f"arm paths differ by {mismatch:+.3g} m, within tolerance",
+            EqualPathWarning, stacklevel=3)
+    return mismatch
+
+
 def imaging_positions(ledger_ref, z_o,
                       coherence_tolerance=DEFAULT_COHERENCE_TOLERANCE):
     """Object/detector distances at which the two-arm cascade images.
@@ -135,18 +154,9 @@ def imaging_positions(ledger_ref, z_o,
     path Z within the coherence tolerance. The object must sit at
     z_o1 = Zbar; the remaining distance to the detector is Z - Zbar.
     """
+    equal_path_mismatch(z_o, ledger_ref, coherence_tolerance)
     Z = ledger_ref.optical_path
     Zbar = ledger_ref.diffraction_length
-    mismatch = z_o - Z
-    if abs(mismatch) > coherence_tolerance:
-        raise UnequalPathError(
-            f"object arm path {z_o} differs from reference optical path {Z} "
-            f"by {mismatch:+.3g} m, beyond the coherence tolerance "
-            f"{coherence_tolerance:g} m (equal-optical-path condition)")
-    if mismatch != 0:
-        _warnings.warn(
-            f"arm paths differ by {mismatch:+.3g} m, within tolerance",
-            EqualPathWarning, stacklevel=2)
     if Z < Zbar:
         raise InvalidArgumentError(
             "imaging requires Z >= Zbar for the reference arm")
@@ -158,25 +168,14 @@ def effective_diffraction_length(z_o1, z_o2, ledger_ref,
     """Single equivalent Fresnel distance of the two-arm diffraction.
 
     1/Z_eff = 1/z_o2 + 1/(z_o1 - Zbar). Returns exactly 0.0 at the
-    imaging point z_o1 == Zbar. Under exact equal optical path the
-    result is cross-checked against the equivalent closed form
-    z_o2 * (1 - z_o2 / z_o2_img).
+    imaging point z_o1 == Zbar. Near that point z_o1 - Zbar is computed
+    exactly, so this direct form stays within a few ulp of the true
+    value however close the object sits.
     """
-    Z = ledger_ref.optical_path
-    Zbar = ledger_ref.diffraction_length
     if z_o2 == 0:
         raise DegenerateGeometryError("object at the detector plane (z_o2 == 0)")
-    mismatch = z_o1 + z_o2 - Z
-    if abs(mismatch) > coherence_tolerance:
-        raise UnequalPathError(
-            f"z_o1 + z_o2 = {z_o1 + z_o2} differs from the reference optical "
-            f"path {Z} by {mismatch:+.3g} m, beyond the coherence tolerance "
-            f"{coherence_tolerance:g} m (equal-optical-path condition)")
-    if mismatch != 0:
-        _warnings.warn(
-            f"arm paths differ by {mismatch:+.3g} m, within tolerance",
-            EqualPathWarning, stacklevel=2)
-    delta = z_o1 - Zbar
+    equal_path_mismatch(z_o1 + z_o2, ledger_ref, coherence_tolerance)
+    delta = z_o1 - ledger_ref.diffraction_length
     if delta == 0:
         return 0.0
     s = 1.0 / z_o2 + 1.0 / delta
@@ -184,12 +183,4 @@ def effective_diffraction_length(z_o1, z_o2, ledger_ref,
         raise DegenerateGeometryError(
             "both arms share one diffraction configuration; the effective "
             "diffraction length diverges")
-    z_eff = 1.0 / s
-    if mismatch == 0:
-        z_o2_img = Z - Zbar
-        if z_o2_img != 0:
-            alt = z_o2 * (1.0 - z_o2 / z_o2_img)
-            if not math.isclose(alt, z_eff, rel_tol=1e-12, abs_tol=1e-300):
-                raise AssertionError(
-                    f"effective-length forms disagree: {z_eff} vs {alt}")
-    return z_eff
+    return 1.0 / s

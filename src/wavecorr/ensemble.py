@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .grid import ComplexField, Grid
-from .interferometer import _object_nodes, _source_nodes
+from .interferometer import _object_nodes
 from .propagation import fresnel_kernel, propagate
 
 _BATCH = 128  # fixed batch width; part of the determinism contract
@@ -89,8 +89,7 @@ def sample_source(config, realization_index):
             f"realization index {realization_index} outside "
             f"[0, {config.n_realizations})")
     return ComplexField(config.source_grid,
-                        _draw_values(config, realization_index),
-                        role="source")
+                        _draw_values(config, realization_index))
 
 
 class PropagationMatrices(NamedTuple):
@@ -196,15 +195,14 @@ def run_coherent(spec, grid, source="plane_wave", pinhole_width=None,
         values = (np.abs(x) <= pinhole_width / 2).astype(np.complex128)
     else:
         raise InvalidArgumentError(f"unknown coherent source {source!r}")
-    e_in = ComplexField(grid, values, role="source")
+    e_in = ComplexField(grid, values)
 
     led = spec.reference_ledger
     if block == "object":
         e_o = np.zeros(grid.n_samples, dtype=np.complex128)
     else:
         at_obj = propagate(spec.ctx, e_in, spec.z_o1, spec.z_o1)
-        masked = ComplexField(grid, at_obj.values * spec.object.sample(x),
-                              role="object_arm")
+        masked = ComplexField(grid, at_obj.values * spec.object.sample(x))
         e_o = propagate(spec.ctx, masked, spec.z_o2, spec.z_o2).values
     if block == "reference":
         e_r = np.zeros(grid.n_samples, dtype=np.complex128)

@@ -6,13 +6,11 @@ never sit on the interval edges and a Riemann sum over them is the
 midpoint rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-FIELD_ROLES = ("source", "object_arm", "reference_arm", "generic")
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class ComplexField:
 
     grid: Grid
     values: np.ndarray
-    role: str = "generic"
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -82,8 +79,6 @@ class ComplexField:
                 "values length must equal grid.n_samples")
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("field values must be finite")
-        if self.role not in FIELD_ROLES:
-            raise InvalidArgumentError(f"unknown role {self.role!r}")
 
     def power(self):
         """Discrete energy sum(|E|^2) * spacing."""

@@ -25,18 +25,19 @@ the finite-source double integral as an independent oracle.
 """
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .cascade import (DEFAULT_COHERENCE_TOLERANCE,
-                      effective_diffraction_length, ledger)
+                      effective_diffraction_length, equal_path_mismatch,
+                      ledger)
 from .errors import (EqualPathWarning, InvalidArgumentError,
-                     NegativeIntensityError, ResolutionError,
-                     UnequalPathError)
+                     NegativeIntensityError, ResolutionError)
 from .grid import Grid
-from .propagation import chirp_nodes, fresnel_kernel, kernel_scale
+from .propagation import (chirp_nodes, fresnel_kernel, kernel_scale,
+                          midpoint_lattice)
 
 # quadrature oversampling relative to the fastest integrand period
 _NODE_OVERSAMPLE = 4
@@ -49,7 +50,8 @@ class InterferometerSpec:
     The object arm is z_o1 of vacuum, the transmittance object, then
     z_o2 of vacuum to the detector; the reference arm is the given
     segment chain. z_o1 + z_o2 must match the reference optical path
-    within the coherence tolerance.
+    within the coherence tolerance; the remaining difference is kept as
+    path_mismatch.
     """
 
     ctx: object
@@ -60,6 +62,7 @@ class InterferometerSpec:
     source_width: float
     source_intensity: float = 1.0
     coherence_tolerance: float = DEFAULT_COHERENCE_TOLERANCE
+    path_mismatch: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reference_segments",
@@ -70,15 +73,12 @@ class InterferometerSpec:
             raise InvalidArgumentError("source_width must be positive")
         if not (self.source_intensity > 0):
             raise InvalidArgumentError("source_intensity must be positive")
-        led = ledger(self.reference_segments)
-        mismatch = self.z_o1 + self.z_o2 - led.optical_path
-        if abs(mismatch) > self.coherence_tolerance:
-            raise UnequalPathError(
-                f"z_o1 + z_o2 = {self.z_o1 + self.z_o2} differs from the "
-                f"reference optical path {led.optical_path} by "
-                f"{mismatch:+.3g} m, beyond the coherence tolerance "
-                f"{self.coherence_tolerance:g} m (equal-optical-path "
-                "condition)")
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", EqualPathWarning)
+            mismatch = equal_path_mismatch(
+                self.z_o1 + self.z_o2, ledger(self.reference_segments),
+                self.coherence_tolerance)
+        object.__setattr__(self, "path_mismatch", mismatch)
 
     @property
     def reference_ledger(self):
@@ -104,19 +104,9 @@ class CorrelationResult:
 
     correlation == prefactor * pattern, where the pattern is the unit
     Fresnel integral of the object (the object itself at Z_eff == 0).
+    A 2D result holds correlation[row, col] = C(y, x), y ascending by
+    row index, on the same grid along both axes.
     """
-
-    grid: Grid
-    correlation: np.ndarray
-    z_eff: float
-    prefactor: complex
-    warnings: tuple = ()
-
-
-@dataclass(frozen=True)
-class CorrelationImage:
-    """2D variant of CorrelationResult; correlation[row, col] = C(y, x)
-    with y ascending by row index."""
 
     grid: Grid
     correlation: np.ndarray
@@ -141,12 +131,6 @@ class PortIntensities:
 
     def port_sum(self):
         return self.i_plus + self.i_minus
-
-
-def _geometry(spec):
-    led = spec.reference_ledger
-    z_arg = spec.z_o1 + spec.z_o2 - led.optical_path
-    return led, spec.z_eff, z_arg
 
 
 def _prefactor(spec, z_eff):
@@ -182,7 +166,7 @@ def correlation_analytic(spec, grid):
         raise InvalidArgumentError(
             "2D objects are handled by correlation_analytic_2d")
     warnings = _resolution_guard(spec, grid)
-    led, z_eff, z_arg = _geometry(spec)
+    z_eff, z_arg = spec.z_eff, spec.path_mismatch
     k0 = spec.ctx.k0
     x = grid.coordinates()
     pref = _prefactor(spec, z_eff)
@@ -212,7 +196,7 @@ def correlation_analytic_2d(spec, grid):
     if obj.ndim != 2:
         raise InvalidArgumentError("correlation_analytic_2d needs a 2D object")
     warnings = _resolution_guard(spec, grid)
-    led, z_eff, z_arg = _geometry(spec)
+    z_eff, z_arg = spec.z_eff, spec.path_mismatch
     k0 = spec.ctx.k0
     x = grid.coordinates()
 
@@ -220,7 +204,7 @@ def correlation_analytic_2d(spec, grid):
         pref = spec.source_intensity * (k0 / (2j * np.pi * spec.z_o2))
         pattern = np.exp(1j * k0 * z_arg) * obj.sample2d(x, x)
     else:
-        delta = spec.z_o1 - led.diffraction_length
+        delta = spec.z_o1 - spec.reference_ledger.diffraction_length
         pref = spec.source_intensity * (
             k0 * z_eff / (2j * np.pi * spec.z_o2 * delta))
         lam = spec.ctx.wavelength
@@ -233,7 +217,7 @@ def correlation_analytic_2d(spec, grid):
         kx = fresnel_kernel(spec.ctx, x[:, None], nx[None, :], z_arg, z_eff) * wx
         ky = fresnel_kernel(spec.ctx, x[:, None], ny[None, :], 0.0, z_eff) * wy
         pattern = ky @ t2d @ kx.T
-    return CorrelationImage(grid, pref * pattern, z_eff, pref, warnings)
+    return CorrelationResult(grid, pref * pattern, z_eff, pref, warnings)
 
 
 def _source_nodes(spec, x_max, obj_extent):
@@ -245,12 +229,8 @@ def _source_nodes(spec, x_max, obj_extent):
     slope = (k0 * (x_max + w2) / abs(led.diffraction_length)
              + k0 * (obj_extent + w2) / spec.z_o1)
     spacing = (2 * np.pi / slope) / _NODE_OVERSAMPLE
-    m = max(int(np.ceil(spec.source_width / spacing)), 16)
-    if m > 2 ** 21:
-        raise InvalidArgumentError(
-            f"source quadrature would need {m} nodes; reduce the extents")
-    w = spec.source_width / m
-    return -w2 + (np.arange(m) + 0.5) * w, w
+    nodes, weights = midpoint_lattice([(-w2, w2)], spacing, 16)
+    return nodes, weights[0]
 
 
 def _object_nodes(spec, x_max, grid):
@@ -268,14 +248,7 @@ def _object_nodes(spec, x_max, grid):
     feature = spec.object.min_feature()
     if feature is not None:
         spacing = min(spacing, feature / 4)
-    nodes = []
-    weights = []
-    for lo, hi in support:
-        m = max(int(np.ceil((hi - lo) / spacing)), 8)
-        w = (hi - lo) / m
-        nodes.append(lo + (np.arange(m) + 0.5) * w)
-        weights.append(np.full(m, w))
-    return np.concatenate(nodes), np.concatenate(weights), obj_extent
+    return (*midpoint_lattice(support, spacing, 8), obj_extent)
 
 
 def _object_arm_response(spec, grid):

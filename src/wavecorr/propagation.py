@@ -35,6 +35,9 @@ _ALIAS_BAND = (0.5, 2.0)
 # chirp phase advance per quadrature node <= 2*pi / _CHIRP_OVERSAMPLE
 _CHIRP_OVERSAMPLE = 8
 
+#: most nodes any quadrature lattice may hold
+MAX_NODES = 2 ** 21
+
 
 def kernel_scale(ctx, Z, Zbar):
     """sqrt(k0/(i 2 pi Zbar)) * exp(i k0 Z), the x-independent kernel factor."""
@@ -67,7 +70,7 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
 
     if Zbar == 0:
         out = values * np.exp(1j * ctx.k0 * Z)
-        return ComplexField(grid, out, field.role, warnings)
+        return ComplexField(grid, out, warnings)
 
     if method == "auto":
         method = "fft"
@@ -78,7 +81,7 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
         alpha = ctx.k0 / (2.0 * Zbar)
         out = kernel_scale(ctx, Z, Zbar) * _kernels.chirp_sum(
             x, x, coeffs, alpha)
-        return ComplexField(grid, out, field.role, warnings)
+        return ComplexField(grid, out, warnings)
 
     if method != "fft":
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -101,11 +104,32 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
         offsets = np.fft.fftfreq(n, 1.0 / n) * dx
         h = fresnel_kernel(ctx, offsets, 0.0, Z, Zbar)
         out = np.fft.ifft(spectrum * np.fft.fft(h)) * dx
-    return ComplexField(grid, out, field.role, warnings)
+    return ComplexField(grid, out, warnings)
 
 
-def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max,
-                max_nodes=2 ** 21):
+def midpoint_lattice(intervals, step, min_count):
+    """Midpoint nodes over (lo, hi) intervals, at most `step` apart.
+
+    Each interval gets m = max(ceil((hi - lo) / step), min_count) cells
+    of width (hi - lo) / m. Returns (nodes, weights); weights are the
+    per-node cell widths. Raises if the lattice would exceed MAX_NODES.
+    """
+    counts = [max(int(np.ceil((hi - lo) / step)), min_count)
+              for lo, hi in intervals]
+    if sum(counts) > MAX_NODES:
+        raise InvalidArgumentError(
+            f"quadrature would need {sum(counts)} nodes (cap {MAX_NODES}); "
+            "reduce the extents")
+    nodes = []
+    weights = []
+    for (lo, hi), m in zip(intervals, counts):
+        w = (hi - lo) / m
+        nodes.append(lo + (np.arange(m) + 0.5) * w)
+        weights.append(np.full(m, w))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max):
     """Midpoint quadrature nodes over support intervals for a chirp integral.
 
     Node spacing resolves both the object (min_feature / 4) and the
@@ -124,22 +148,6 @@ def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max,
         steps.append(wavelength * abs(zbar) / (_CHIRP_OVERSAMPLE * u_max))
     if not steps:
         raise InvalidArgumentError("cannot choose a node spacing")
-    target = min(steps)
-
-    total = sum(hi - lo for lo, hi in intervals)
-    if total <= 0:
+    if sum(hi - lo for lo, hi in intervals) <= 0:
         return np.empty(0), np.empty(0)
-    n_needed = int(np.ceil(total / target))
-    if n_needed > max_nodes:
-        raise InvalidArgumentError(
-            f"quadrature would need {n_needed} nodes (cap {max_nodes}); "
-            "reduce the grid extent or the defocus")
-
-    nodes = []
-    weights = []
-    for lo, hi in intervals:
-        m = max(int(np.ceil((hi - lo) / target)), 8)
-        w = (hi - lo) / m
-        nodes.append(lo + (np.arange(m) + 0.5) * w)
-        weights.append(np.full(m, w))
-    return np.concatenate(nodes), np.concatenate(weights)
+    return midpoint_lattice(intervals, min(steps), 8)

@@ -13,19 +13,19 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import MediumSegment, imaging_positions, ledger
+from .cascade import MediumSegment, imaging_positions
 from .ensemble import EnsembleConfig, run_coherent, run_ensemble
-from .errors import (ScenarioValidationError, UnequalPathError,
-                     WaveCorrError)
-from .grid import Grid, OpticsContext, make_grid
-from .interferometer import (CorrelationImage, CorrelationResult,
-                             InterferometerSpec, PortIntensities,
-                             background_intensity, correlation_analytic,
-                             correlation_analytic_2d, detector_ports)
+from .errors import (InvalidArgumentError, ScenarioValidationError,
+                     UnequalPathError)
+from .grid import OpticsContext, make_grid
+from .interferometer import (CorrelationResult, InterferometerSpec,
+                             PortIntensities, background_intensity,
+                             correlation_analytic, correlation_analytic_2d,
+                             detector_ports)
 from .transmittance import (double_slit, phase_holes, raster_to_transmittance,
                             read_pgm, uniform)
 
@@ -103,6 +103,12 @@ def _want(d, key, path, types, required=True, default=None):
     return value
 
 
+def _reject_unknown(d, allowed, path):
+    for key in d:
+        if key not in allowed:
+            raise ScenarioValidationError(f"{path}{key}", "unknown field")
+
+
 def _positive(value, path):
     if not value > 0:
         raise ScenarioValidationError(path, "must be positive")
@@ -119,9 +125,7 @@ def _validate_object(d):
     }
     if kind not in known:
         raise ScenarioValidationError("object.kind", f"unknown kind {kind!r}")
-    for key in d:
-        if key not in known[kind]:
-            raise ScenarioValidationError(f"object.{key}", "unknown field")
+    _reject_unknown(d, known[kind], "object.")
     if kind == "double_slit":
         _positive(_want(d, "b", "object.", float), "object.b")
         _positive(_want(d, "d", "object.", float), "object.d")
@@ -169,9 +173,7 @@ def config_from_dict(raw):
     allowed = {"name", "mode", "wavelength", "z_o1", "z_o2",
                "reference_segments", "object", "grid", "source",
                "ensemble", "coherent", "outputs"}
-    for key in raw:
-        if key not in allowed:
-            raise ScenarioValidationError(key, "unknown field")
+    _reject_unknown(raw, allowed, "")
 
     name = _want(raw, "name", "", str)
     if not name:
@@ -195,17 +197,13 @@ def config_from_dict(raw):
         index = _want(seg, "index", path, float)
         if index == 0:
             raise ScenarioValidationError(path + "index", "must be nonzero")
-        for key in seg:
-            if key not in ("length", "index"):
-                raise ScenarioValidationError(path + key, "unknown field")
+        _reject_unknown(seg, ("length", "index"), path)
         segments.append((length, index))
 
     obj = _validate_object(_want(raw, "object", "", dict))
 
     grid_d = _want(raw, "grid", "", dict)
-    for key in grid_d:
-        if key not in ("half_width", "n_samples", "center"):
-            raise ScenarioValidationError(f"grid.{key}", "unknown field")
+    _reject_unknown(grid_d, ("half_width", "n_samples", "center"), "grid.")
     half_width = _positive(_want(grid_d, "half_width", "grid.", float),
                            "grid.half_width")
     n_samples = _want(grid_d, "n_samples", "grid.", int)
@@ -215,9 +213,7 @@ def config_from_dict(raw):
                    default=0.0)
 
     source_d = _want(raw, "source", "", dict)
-    for key in source_d:
-        if key not in ("intensity", "width"):
-            raise ScenarioValidationError(f"source.{key}", "unknown field")
+    _reject_unknown(source_d, ("intensity", "width"), "source.")
     intensity = _positive(_want(source_d, "intensity", "source.", float),
                           "source.intensity")
     width = _positive(_want(source_d, "width", "source.", float),
@@ -226,9 +222,7 @@ def config_from_dict(raw):
     ens = None
     if mode == "ensemble":
         ens_d = _want(raw, "ensemble", "", dict)
-        for key in ens_d:
-            if key not in ("n_realizations", "seed"):
-                raise ScenarioValidationError(f"ensemble.{key}", "unknown field")
+        _reject_unknown(ens_d, ("n_realizations", "seed"), "ensemble.")
         n_real = _want(ens_d, "n_realizations", "ensemble.", int)
         if n_real < 1:
             raise ScenarioValidationError("ensemble.n_realizations",
@@ -246,9 +240,7 @@ def config_from_dict(raw):
     if mode == "coherent":
         coh_d = _want(raw, "coherent", "", dict, required=False,
                       default={"source": "plane_wave"})
-        for key in coh_d:
-            if key not in ("source", "pinhole_width"):
-                raise ScenarioValidationError(f"coherent.{key}", "unknown field")
+        _reject_unknown(coh_d, ("source", "pinhole_width"), "coherent.")
         src = _want(coh_d, "source", "coherent.", str, required=False,
                     default="plane_wave")
         if src not in ("plane_wave", "pinhole"):
@@ -279,9 +271,7 @@ def config_from_dict(raw):
         path = f"outputs[{i}]."
         if not isinstance(out, dict):
             raise ScenarioValidationError(path[:-1], "must be an object")
-        for key in out:
-            if key not in ("kind", "path"):
-                raise ScenarioValidationError(path + key, "unknown field")
+        _reject_unknown(out, ("kind", "path"), path)
         kind = _want(out, "kind", path, str)
         if kind not in _OUTPUT_KINDS:
             raise ScenarioValidationError(
@@ -318,10 +308,11 @@ def _build_object(descriptor, base_dir):
         if "pixels" in descriptor:
             pixels = descriptor["pixels"]
         else:
-            path = descriptor["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            pixels = read_pgm(path)
+            path = os.path.join(base_dir, descriptor["path"])
+            try:
+                pixels = read_pgm(path)
+            except (OSError, InvalidArgumentError) as exc:
+                raise ScenarioValidationError("object.path", str(exc)) from exc
         return raster_to_transmittance(pixels, descriptor["pitch"])
     value = descriptor.get("value", 1.0)
     if isinstance(value, list):
@@ -477,15 +468,8 @@ def run_scenario(config, out_dir=None, echo=print):
         corr = CorrelationResult(grid, est.correlation_mean, z_eff,
                                  prefactor=None, warnings=est.warnings)
         results["correlation"] = corr
-        results["ports"] = PortIntensities(
-            grid=grid,
-            i_plus=(est.intensity_o + est.intensity_r) / 2
-            + est.correlation_mean.real,
-            i_minus=(est.intensity_o + est.intensity_r) / 2
-            - est.correlation_mean.real,
-            diff=2 * est.correlation_mean.real,
-            background=est.intensity_o + est.intensity_r,
-        )
+        results["ports"] = detector_ports(
+            corr, est.intensity_o + est.intensity_r)
     else:
         results["ports"] = _coherent_ports(spec, grid,
                                            config.coherent_settings)
@@ -510,7 +494,8 @@ def run_scenario(config, out_dir=None, echo=print):
         else:
             res = results.get("correlation", results.get("ports"))
             export(res, kind, path)
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         files.append((path, digest))
         echo(f"wrote {path} sha256={digest}")
 

@@ -203,7 +203,10 @@ def raster_to_transmittance(pixels, pitch):
 
 
 def read_pgm(path):
-    """Read a binary PGM (P5, maxval 255) into a uint8 array [rows, cols]."""
+    """Read a binary PGM (P5, maxval 255) into a uint8 array [rows, cols].
+
+    Any malformed header or short pixel data raises InvalidArgumentError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     fields = []
@@ -221,7 +224,12 @@ def read_pgm(path):
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise InvalidArgumentError("not a binary PGM (P5) file")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise InvalidArgumentError(
+            "PGM header needs numeric width, height and maxval")
     cols, rows, maxval = (int(f) for f in fields[1:])
+    if rows == 0 or cols == 0:
+        raise InvalidArgumentError("PGM width and height must be positive")
     if maxval != 255:
         raise InvalidArgumentError("only maxval 255 PGM is supported")
     pos += 1  # single whitespace after maxval

@@ -1,6 +1,7 @@
 """Path ledgers, cascade composition, and the two-arm geometry helpers."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ def test_effective_length_closed_form_sweep():
         alt = z_o2 * (1.0 - z_o2 / (Z - Zbar))
         assert z_eff == pytest.approx(direct, rel=1e-12)
         assert z_eff == pytest.approx(alt, rel=1e-12)
+
+
+@given(st.sampled_from((-1.0, 1.0)), st.floats(min_value=-12, max_value=-1))
+def test_effective_length_is_exact_near_the_imaging_point(sign, exponent):
+    # the object 1e-12 m to 0.1 m from Zbar on either side: no raise, and
+    # the float result tracks exact rational arithmetic on the same inputs
+    zbar = REF.diffraction_length
+    z_o1 = zbar + sign * 10.0 ** exponent
+    z_o2 = REF.optical_path - z_o1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EqualPathWarning)
+        z_eff = effective_diffraction_length(z_o1, z_o2, REF)
+    exact = 1 / (1 / Fraction(z_o2) + 1 / (Fraction(z_o1) - Fraction(zbar)))
+    assert abs(Fraction(z_eff) - exact) <= Fraction(1e-15) * abs(exact)
 
 
 def test_effective_length_rejects_detector_plane_object():

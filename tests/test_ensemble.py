@@ -61,7 +61,6 @@ def test_sample_source_frozen_draw_convention():
     config = make_config(n=8, seed=424242,
                          source_grid=make_grid(0.0, 0.005, 8))
     got = sample_source(config, 3)
-    assert got.role == "source"
     bitgen = np.random.Philox(key=424242, counter=3 << 64)
     a = np.random.Generator(bitgen).standard_normal((2, 8))
     sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))

@@ -57,8 +57,6 @@ def test_field_coerces_and_validates():
         ComplexField(g, [1, 2, 3])
     with pytest.raises(InvalidArgumentError):
         ComplexField(g, [1, 2, np.nan, 4])
-    with pytest.raises(InvalidArgumentError):
-        ComplexField(g, [1, 2, 3, 4], role="detector")
 
 
 def test_field_power_is_midpoint_riemann_sum():

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from wavecorr import (CorrelationImage, CorrelationResult, PortIntensities,
+from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
 from wavecorr.errors import ScenarioValidationError
@@ -208,7 +208,7 @@ def test_pgm_export_normalization_and_orientation(tmp_path):
     data = np.array([[0.0, 0.0, 0.0],
                      [1.0, 1.0, 1.0],
                      [2.0, 2.0, 2.0]])
-    res = CorrelationImage(grid, data.astype(complex), 0.0, 1.0)
+    res = CorrelationResult(grid, data.astype(complex), 0.0, 1.0)
     path = tmp_path / "img.pgm"
     export(res, "image_pgm", str(path))
     img = read_pgm(path)
