@@ -16,7 +16,6 @@ Monte-Carlo chaotic light (`ensemble`), and runnable scenario configs
 """
 
 from . import errors
-from ._kernels import BACKEND as kernel_backend
 from .cascade import (DEFAULT_COHERENCE_TOLERANCE, ElementChain,
                       ImagingPositions, MediumSegment, PathLedger,
                       cascade_propagate, effective_diffraction_length,
@@ -41,6 +40,9 @@ from .transmittance import (DoubleSlit, PhaseHoles, Raster, Transmittance,
                             raster_to_transmittance, read_pgm, uniform)
 
 __version__ = "0.1.0"
+
+#: name of the chirp_sum implementation, recorded by benchmark runs
+kernel_backend = "numpy"
 
 __all__ = [
     "ComplexField",

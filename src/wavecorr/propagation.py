@@ -14,7 +14,7 @@ so phase-reversed diffraction needs no special casing.
 Two numerical routes are provided and kept deliberately independent:
 
 * method="direct": midpoint Riemann quadrature of the kernel integral
-  (the oracle; O(N*M), accelerated by the compiled chirp kernel).
+  (the oracle; O(N*M), evaluated blockwise by _kernels.chirp_sum).
 * method="fft": chirp convolution via discrete Fourier transforms,
   using the frequency-domain (transfer function) chirp when
   n_samples * dx^2 >= lambda * |Zbar| and the space-domain sampled

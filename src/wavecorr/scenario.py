@@ -90,9 +90,7 @@ def _want(d, key, path, types, required=True, default=None):
         return default
     value = d[key]
     if types is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioValidationError(f"{path}{key}", "must be a number")
-        return float(value)
+        return _finite(value, f"{path}{key}")
     if types is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ScenarioValidationError(f"{path}{key}", "must be an integer")
@@ -101,6 +99,18 @@ def _want(d, key, path, types, required=True, default=None):
         raise ScenarioValidationError(
             f"{path}{key}", f"must be of type {types}")
     return value
+
+
+def _finite(value, path):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioValidationError(path, "must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ScenarioValidationError(path, "must be finite")
+    return float(value)
 
 
 def _reject_unknown(d, allowed, path):
@@ -158,8 +168,10 @@ def _validate_object(d):
             if len(value) != 2:
                 raise ScenarioValidationError(
                     "object.value", "complex value must be [re, im]")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioValidationError("object.value", "must be a number")
+            for part in value:
+                _finite(part, "object.value")
+        else:
+            _finite(value, "object.value")
     return dict(d)
 
 
@@ -324,7 +336,13 @@ def _build_spec(config, base_dir):
     ctx = OpticsContext(config.wavelength)
     segments = tuple(MediumSegment(l, n)
                      for l, n in config.reference_segments)
-    obj = _build_object(config.object_descriptor, base_dir)
+    descriptor = config.object_descriptor
+    try:
+        obj = _build_object(descriptor, base_dir)
+    except InvalidArgumentError as exc:
+        field = {"raster": "object.pixels",
+                 "uniform": "object.value"}.get(descriptor["kind"], "object")
+        raise ScenarioValidationError(field, str(exc)) from exc
     try:
         return InterferometerSpec(
             ctx=ctx, z_o1=config.z_o1, z_o2=config.z_o2,

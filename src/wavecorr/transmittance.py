@@ -101,7 +101,7 @@ class Uniform(Transmittance):
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
-        if abs(self.value) > 1 + 1e-12:
+        if not abs(self.value) <= 1 + 1e-12:
             raise InvalidArgumentError("|value| must not exceed 1")
 
     def sample(self, x):
@@ -132,7 +132,7 @@ class Raster(Transmittance):
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.size == 0:
             raise InvalidArgumentError("raster must be a non-empty 2D map")
-        if px.min() < 0 or px.max() > 1 + 1e-12:
+        if not (px.min() >= 0 and px.max() <= 1 + 1e-12):
             raise InvalidArgumentError("raster amplitudes must lie in [0, 1]")
         if not (self.pitch > 0):
             raise InvalidArgumentError("pitch must be positive")
@@ -194,10 +194,14 @@ def uniform(value=1.0):
 
 def raster_to_transmittance(pixels, pitch):
     """Grayscale map (values 0..255) to an amplitude mask, pixel/255."""
-    px = np.asarray(pixels, dtype=float)
+    try:
+        px = np.asarray(pixels, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            "pixels must be a rectangular map of numbers") from exc
     if px.size == 0:
         raise InvalidArgumentError("raster must be non-empty")
-    if px.min() < 0 or px.max() > 255:
+    if not (px.min() >= 0 and px.max() <= 255):  # NaN fails too
         raise InvalidArgumentError("pixel values must lie in [0, 255]")
     return Raster(px / 255.0, float(pitch))
 

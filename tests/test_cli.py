@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -187,6 +188,53 @@ def test_malformed_pgm_is_exit_3(tmp_path, capsys, data):
         outputs=[{"kind": "image_pgm", "path": "out.pgm"}])))
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
     assert "object.path" in capsys.readouterr().err
+
+
+IMAGE_OUT = [{"kind": "image_pgm", "path": "out.pgm"}]
+
+
+@pytest.mark.parametrize("over,field", [
+    pytest.param({"wavelength": math.inf}, "wavelength", id="inf-wavelength"),
+    pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 128,
+                           "center": math.nan}},
+                 "grid.center", id="nan-grid-center"),
+    pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 128,
+                           "center": math.inf}},
+                 "grid.center", id="inf-grid-center"),
+    pytest.param({"reference_segments": [{"length": 0.183, "index": 1.0},
+                                         {"length": 0.155,
+                                          "index": math.nan}]},
+                 "reference_segments[1].index", id="nan-segment-index"),
+    pytest.param({"object": {"kind": "phase_holes", "hole_width": 2e-4,
+                             "separation": 5e-4, "phase_shift": math.nan}},
+                 "object.phase_shift", id="nan-phase-shift"),
+    pytest.param({"object": {"kind": "double_slit", "b": 125e-6,
+                             "d": math.inf}},
+                 "object.d", id="inf-slit-spacing"),
+    pytest.param({"object": {"kind": "uniform", "value": ["a", "b"]}},
+                 "object.value", id="text-complex-value"),
+    pytest.param({"object": {"kind": "uniform", "value": 2}},
+                 "object.value", id="value-above-one"),
+    pytest.param({"object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [[0, 255], [255]]},
+                  "outputs": IMAGE_OUT},
+                 "object.pixels", id="ragged-pixels"),
+    pytest.param({"object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [["dark", "light"]]},
+                  "outputs": IMAGE_OUT},
+                 "object.pixels", id="text-pixels"),
+    pytest.param({"object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [[300]]},
+                  "outputs": IMAGE_OUT},
+                 "object.pixels", id="pixel-above-255"),
+])
+def test_bad_number_or_object_is_exit_3(tmp_path, capsys, over, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config_dict(**over)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid config: {field}:" in err
+    assert "Traceback" not in err
 
 
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):

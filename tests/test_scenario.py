@@ -135,6 +135,31 @@ REJECTIONS = [
     (base_dict(outputs=[{"kind": "correlation_csv", "path": ""}]),
      "outputs[0].path"),
     ("not a dict", "<root>"),
+    # non-finite numbers (JSON parsers accept NaN and Infinity) and
+    # non-numeric parts of a complex value
+    (base_dict(wavelength=math.inf), "wavelength"),
+    (base_dict(wavelength=math.nan), "wavelength"),
+    (base_dict(z_o1=10 ** 400), "z_o1"),
+    (base_dict(reference_segments=[{"length": 0.1, "index": 1.0},
+                                   {"length": 0.1, "index": math.nan}]),
+     "reference_segments[1].index"),
+    (base_dict(object={"kind": "phase_holes", "hole_width": 2e-4,
+                       "separation": 5e-4, "phase_shift": math.nan}),
+     "object.phase_shift"),
+    (base_dict(object={"kind": "double_slit", "b": 1e-4, "d": math.inf}),
+     "object.d"),
+    (base_dict(object={"kind": "uniform", "value": -math.inf}),
+     "object.value"),
+    (base_dict(object={"kind": "uniform", "value": [math.nan, 0.0]}),
+     "object.value"),
+    (base_dict(object={"kind": "uniform", "value": ["a", "b"]}),
+     "object.value"),
+    (base_dict(grid={"half_width": 1e-3, "n_samples": 64,
+                     "center": math.nan}), "grid.center"),
+    (base_dict(grid={"half_width": 1e-3, "n_samples": 64,
+                     "center": math.inf}), "grid.center"),
+    (base_dict(source={"intensity": math.inf, "width": 0.01}),
+     "source.intensity"),
 ]
 
 
