@@ -14,7 +14,9 @@ so phase-reversed diffraction needs no special casing.
 Two numerical routes are provided and kept deliberately independent:
 
 * method="direct": midpoint Riemann quadrature of the kernel integral
-  (the oracle; O(N*M), evaluated blockwise by _kernels.chirp_sum).
+  (the oracle), summed by _kernels.chirp_sum: on a uniform grid that is
+  one chirp-z FFT convolution, O(N log N); other point sets take the
+  O(N*M) blocked loop.
 * method="fft": chirp convolution via discrete Fourier transforms,
   using the frequency-domain (transfer function) chirp when
   n_samples * dx^2 >= lambda * |Zbar| and the space-domain sampled

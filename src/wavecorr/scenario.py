@@ -26,6 +26,7 @@ from .interferometer import (CorrelationResult, InterferometerSpec,
                              PortIntensities, background_intensity,
                              correlation_analytic, correlation_analytic_2d,
                              detector_ports)
+from .propagation import MAX_NODES
 from .transmittance import (double_slit, phase_holes, raster_to_transmittance,
                             read_pgm, uniform)
 
@@ -162,6 +163,11 @@ def _validate_object(d):
             if not px or not all(isinstance(r, list) and r for r in px):
                 raise ScenarioValidationError(
                     "object.pixels", "must be a non-empty list of rows")
+            try:
+                raster_to_transmittance(px, d["pitch"])
+            except InvalidArgumentError as exc:
+                raise ScenarioValidationError("object.pixels",
+                                              str(exc)) from exc
     else:
         value = d.get("value", 1.0)
         if isinstance(value, list):
@@ -221,6 +227,14 @@ def config_from_dict(raw):
     n_samples = _want(grid_d, "n_samples", "grid.", int)
     if n_samples < 2:
         raise ScenarioValidationError("grid.n_samples", "must be >= 2")
+    # checked before anything is allocated: n points for a 1D object,
+    # an n x n image for a raster
+    points = n_samples ** 2 if obj["kind"] == "raster" else n_samples
+    if points > MAX_NODES:
+        raise ScenarioValidationError(
+            "grid.n_samples",
+            f"detector array of {points} points exceeds the cap of "
+            f"{MAX_NODES}")
     center = _want(grid_d, "center", "grid.", float, required=False,
                    default=0.0)
 

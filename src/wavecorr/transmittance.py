@@ -5,6 +5,7 @@ propagation engines can build adequate quadrature grids. |T| <= 1
 everywhere by construction.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +194,21 @@ def uniform(value=1.0):
 
 
 def raster_to_transmittance(pixels, pitch):
-    """Grayscale map (values 0..255) to an amplitude mask, pixel/255."""
+    """Grayscale map (values 0..255) to an amplitude mask, pixel/255.
+
+    Every entry must be a real number: strings (numeric ones too) and
+    booleans are rejected, not converted.
+    """
     try:
-        px = np.asarray(pixels, dtype=float)
-    except (TypeError, ValueError) as exc:
+        if isinstance(pixels, np.ndarray) and pixels.dtype.kind in "iuf":
+            px = pixels.astype(float)
+        else:
+            leaves = np.asarray(pixels, dtype=object)
+            if not all(isinstance(v, numbers.Real) and not isinstance(
+                    v, (bool, np.bool_)) for v in leaves.flat):
+                raise TypeError("non-numeric pixel")
+            px = leaves.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(
             "pixels must be a rectangular map of numbers") from exc
     if px.size == 0:

@@ -237,6 +237,27 @@ def test_bad_number_or_object_is_exit_3(tmp_path, capsys, over, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("over", [
+    pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 10 ** 15}},
+                 id="1d-1e15"),
+    pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 2 ** 21 + 1}},
+                 id="1d-above-cap"),
+    pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 1449},
+                  "object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [[0, 255]]},
+                  "outputs": IMAGE_OUT},
+                 id="raster-above-cap"),
+])
+def test_oversized_grid_is_exit_3(tmp_path, capsys, over):
+    # rejected while validating, before any array is allocated
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(config_dict(**over)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid config: grid.n_samples:" in err
+    assert "Traceback" not in err
+
+
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
     # 0.1 um from Zbar: Z_eff ~ 1e-7 m, far too fine a chirp for the node
     # cap, so this is a clean runtime failure rather than a traceback.

@@ -4,8 +4,10 @@
 InvalidArgumentError. `wavecorr run` on a small config with some leaves
 replaced by odd JSON values (NaN, +-Infinity, strings, booleans, null,
 lists, objects) returns one of the documented exit codes 0, 2, 3, 4 and
-never lets an exception escape. Sizes are not fuzzed: the drawn values
-contain no finite numbers, so no grid or ensemble grows.
+never lets an exception escape. The swapped-in values contain no finite
+numbers, so no grid or ensemble grows; `grid.n_samples` is also drawn
+from far above the node cap, and such a config must exit 3 at
+validation, before anything is allocated.
 """
 
 import contextlib
@@ -101,12 +103,17 @@ def fuzzed_configs(draw):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = draw(JSON_VALUES)
-    return cfg
+    oversized = draw(st.booleans())
+    if oversized:
+        cfg["grid"]["n_samples"] = draw(st.integers(10 ** 7, 10 ** 18))
+    return cfg, oversized
 
 
-@settings(deadline=None, max_examples=200, derandomize=True)
+# about half the draws are oversized, so 300 keeps ~150 that can run
+@settings(deadline=None, max_examples=300, derandomize=True)
 @given(fuzzed_configs())
-def test_fuzzed_config_exits_with_a_documented_code(cfg):
+def test_fuzzed_config_exits_with_a_documented_code(case):
+    cfg, oversized = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "fuzz.json")
         with open(cfg_path, "w") as fh:
@@ -115,7 +122,7 @@ def test_fuzzed_config_exits_with_a_documented_code(cfg):
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
             code = main(["run", cfg_path, "--out", os.path.join(tmp, "out")])
-    assert code in (0, 2, 3, 4), sink.getvalue()
+    assert code in ((3,) if oversized else (0, 2, 3, 4)), sink.getvalue()
 
 
 _PGM_PREFIXES = st.sampled_from([

@@ -8,6 +8,8 @@ aperture; outside that region the infinite-source closed form and the
 finite source genuinely part ways.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -160,6 +162,50 @@ def test_negative_z_eff_conjugates_the_forward_integral():
     normalized = res.correlation / res.prefactor
     scale = np.abs(forward).max()
     assert np.abs(normalized - np.conj(forward)).max() <= 1e-12 * scale
+
+
+def _spec_at_z_eff(z_eff):
+    # the object position on the equal-path line with this Z_eff, on the
+    # root nearer Zbar: Z_eff = delta (L - delta) / L, delta = z_o1 - Zbar
+    length = REF.optical_path - REF.diffraction_length
+    delta = (length - math.sqrt(length * length - 4 * length * z_eff)) / 2
+    return make_spec(REF.diffraction_length + delta, SLIT)
+
+
+def test_near_focus_matches_the_explicit_midpoint_sum():
+    # the defocus_sweep geometry next to the imaging point: 4096 detector
+    # points over +-2 mm and about 9.4k quadrature nodes at |Z_eff| = 0.8 mm
+    grid = make_grid(0.0, 2e-3, 4096)
+    x = grid.coordinates()
+    support = SLIT.support()
+    u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
+    idx = np.arange(0, 4096, 64)
+    patterns = {}
+    for z in (0.8e-3, -0.8e-3):
+        spec = _spec_at_z_eff(z)
+        assert spec.z_eff == pytest.approx(z, rel=1e-9)
+        res = correlation_analytic(spec, grid)
+        nodes, weights = chirp_nodes(support, SLIT.min_feature(),
+                                     CTX.wavelength, spec.z_eff, u_max)
+        assert 9000 < nodes.size < 10000
+        coeffs = SLIT.sample(nodes) * weights
+        alpha = CTX.k0 / (2 * spec.z_eff)
+        want = kernel_scale(CTX, spec.path_mismatch, spec.z_eff) * np.array(
+            [np.sum(coeffs * np.exp(1j * alpha * (xi - nodes) ** 2))
+             for xi in x[idx]])
+        pattern = res.correlation / res.prefactor
+        scale = np.abs(pattern).max()
+        assert np.abs(pattern[idx] - want).max() <= 1e-10 * scale
+        patterns[z] = (spec, nodes, coeffs, pattern)
+
+    # the phase-reversed side is the conjugate of the forward quadrature
+    # at +|Z_eff| over the same nodes
+    spec, nodes, coeffs, pattern = patterns[-0.8e-3]
+    ze = abs(spec.z_eff)
+    forward = kernel_scale(CTX, -spec.path_mismatch, ze) * chirp_sum(
+        x, nodes, coeffs, CTX.k0 / (2 * ze))
+    scale = np.abs(forward).max()
+    assert np.abs(pattern - np.conj(forward)).max() <= 1e-12 * scale
 
 
 BRUTE_CONFIGS = [

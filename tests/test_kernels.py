@@ -1,11 +1,18 @@
 """Checks for the chirp quadrature core.
 
 chirp_sum must match its definition to rounding, be deterministic, and
-handle empty input, single points and negative curvature.
+handle empty input, single points and negative curvature. On lattice
+inputs (a uniform x_out, x_in made of uniform runs) it takes the FFT
+route, which must match the same definition.
 """
 
-import numpy as np
+import math
+from fractions import Fraction
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from wavecorr import _kernels
 from wavecorr._kernels import chirp_sum
 
 
@@ -40,6 +47,11 @@ def test_empty_input_gives_zeros():
     assert np.all(out == 0)
 
 
+def test_empty_output_gives_empty():
+    out = chirp_sum(np.empty(0), np.linspace(0, 1, 5), np.ones(5, complex), 1.0)
+    assert out.shape == (0,)
+
+
 def test_negative_alpha_conjugates():
     x_out, x_in, coeffs, alpha = _case(64, 48, seed=3)
     plus = chirp_sum(x_out, x_in, coeffs, alpha)
@@ -52,3 +64,99 @@ def test_single_point_matches_closed_form():
     want = 2.0 * np.exp(1j * 3.0 * 0.0625)
     assert out.shape == (1,)
     assert abs(out[0] - want) < 1e-14
+
+
+def _explicit(x_out, x_in, coeffs, alpha):
+    return np.array([np.sum(coeffs * np.exp(1j * alpha * (xo - x_in) ** 2))
+                     for xo in x_out])
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(n=st.integers(2, 4096),
+       runs=st.lists(st.tuples(st.integers(16, 5000),
+                               st.floats(0.01, 100.0),
+                               st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=3),
+       phase=st.floats(1.0, 1e4),
+       sign=st.sampled_from([1.0, -1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4096, runs=[(5000, 100.0, 0.0)], phase=1e4, sign=1.0, seed=0)
+@example(n=4096, runs=[(5000, 0.01, 0.3), (4000, 0.01, -0.3)], phase=1e4,
+         sign=-1.0, seed=1)
+@example(n=4096, runs=[(4700, 0.11, -0.5), (4700, 0.11, 0.5)], phase=3e4,
+         sign=1.0, seed=2)
+def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
+    # detector-like output lattice (1 um pitch around a center) and
+    # midpoint runs with step ratio d/w, placed by `offset` across it
+    rng = np.random.default_rng(seed)
+    w = 1e-6
+    x_out = 0.3e-3 + (np.arange(n) - (n - 1) / 2) * w
+    span = n * w
+    x_in = []
+    for m, ratio, offset in runs:
+        d = ratio * w
+        lo = offset * span - m * d / 2
+        x_in.append(lo + (np.arange(m) + 0.5) * d)
+    x_in = np.concatenate(x_in)
+    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
+    u_max = max(abs(x_out[-1] - x_in.min()), abs(x_in.max() - x_out[0]))
+    alpha = sign * phase / u_max ** 2
+    got = chirp_sum(x_out, x_in, coeffs, alpha)
+    idx = np.unique(np.linspace(0, n - 1, 48).astype(int))
+    want = _explicit(x_out[idx], x_in, coeffs, alpha)
+    assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
+
+
+def test_lattice_inputs_with_1e5_nodes_match_the_definition(monkeypatch):
+    # two slits of 50k nodes each on a 4096-point detector, Z_eff ~ 0.1 mm;
+    # the N*M loop would take tens of seconds here, so it must not run
+    def no_loop(*args):
+        raise AssertionError("lattice input fell back to the blocked loop")
+
+    monkeypatch.setattr(_kernels, "_blocked_sum", no_loop)
+    x_out = (np.arange(4096) + 0.5) * 1e-6 - 2.048e-3
+    runs = [(lo + (np.arange(50_000) + 0.5) * 2.5e-9)
+            for lo in (-0.2125e-3, 0.0875e-3)]
+    x_in = np.concatenate(runs)
+    coeffs = np.full(x_in.size, 2.5e-9 + 0j)
+    alpha = 2 * np.pi / 589.3e-9 / (2 * 1e-4)
+    got = chirp_sum(x_out, x_in, coeffs, alpha)
+    idx = np.arange(0, 4096, 64)
+    want = _explicit(x_out[idx], x_in, coeffs, alpha)
+    assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
+
+
+def test_inputs_just_off_a_lattice_match_the_definition():
+    # 1e-15 m of jitter, or lattices 5 m from the origin, whose float
+    # coordinates round by about that much: evaluated on a fitted lattice,
+    # either would be off by 2e-10 to 2e-9 relative, so the loop must run
+    rng = np.random.default_rng(5)
+    x_out = (np.arange(2048) + 0.5) * 1e-6 - 1.024e-3
+    x_in = (np.arange(3000) + 0.5) * 1e-7 - 0.15e-3
+    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
+    alpha = 1e4 / 1.2e-3 ** 2
+    idx = np.arange(0, 2048, 32)
+    cases = [
+        (x_out + 1e-15 * rng.normal(size=x_out.size), x_in),
+        (x_out, x_in + 1e-15 * rng.normal(size=x_in.size)),
+        (x_out + 5.0, x_in + 5.0),
+    ]
+    for xo, xi in cases:
+        got = chirp_sum(xo, xi, coeffs, alpha)
+        want = _explicit(xo[idx], xi, coeffs, alpha)
+        assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
+
+
+def test_large_chirp_phases_keep_their_rounding_error():
+    # beta k^2 ~ 1e8 rad, where a float product is off by up to 7e-9 rad;
+    # against exact rational arithmetic reduced modulo 2 pi
+    beta = 0.123456789012345
+    k = np.arange(28_000, 28_200)
+    got = _kernels._chirp(0.0, beta, k)
+    two_pi = Fraction("6.283185307179586476925286766559005768394")
+    want = []
+    for kk in k.tolist():
+        t = Fraction(beta) * kk * kk
+        t -= two_pi * math.floor(t / two_pi)
+        want.append(np.exp(1j * float(t)))
+    assert np.abs(got - np.array(want)).max() <= 1e-12

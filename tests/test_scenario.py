@@ -160,6 +160,14 @@ REJECTIONS = [
                      "center": math.inf}), "grid.center"),
     (base_dict(source={"intensity": math.inf, "width": 0.01}),
      "source.intensity"),
+    # numeric strings are not numbers; detector arrays beyond the node cap
+    (base_dict(object={"kind": "raster", "pitch": 6e-5,
+                       "pixels": [["0", "255"]]}), "object.pixels"),
+    (base_dict(grid={"half_width": 1e-3, "n_samples": 2 ** 21 + 1}),
+     "grid.n_samples"),
+    (base_dict(object={"kind": "raster", "pitch": 6e-5, "pixels": [[255]]},
+               grid={"half_width": 1e-3, "n_samples": 1449}),
+     "grid.n_samples"),
 ]
 
 
@@ -169,6 +177,17 @@ def test_config_rejections_carry_field_paths(raw, field):
         config_from_dict(raw)
     assert exc.value.field == field
     assert field in str(exc.value)
+
+
+def test_grid_at_the_node_cap_is_accepted():
+    # 2**21 points in 1D; 1448**2 <= 2**21 < 1449**2 for a raster image
+    line = base_dict(grid={"half_width": 1e-3, "n_samples": 2 ** 21})
+    assert config_from_dict(line).grid_n_samples == 2 ** 21
+    raster = base_dict(
+        object={"kind": "raster", "pitch": 6e-5, "pixels": [[255]]},
+        grid={"half_width": 1e-3, "n_samples": 1448},
+        outputs=[{"kind": "image_pgm", "path": "i.pgm"}])
+    assert config_from_dict(raster).grid_n_samples == 1448
 
 
 def test_coherent_block_defaults_to_plane_wave():

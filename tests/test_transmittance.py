@@ -111,6 +111,20 @@ def test_raster_rejects_bad_amplitudes():
         raster_to_transmittance(np.zeros((0, 3)), pitch=1e-3)
 
 
+@pytest.mark.parametrize("pixels", [
+    [["0", "255"]], [[0, "255"]], [[True, 255]], [[None]], [[0, 255], [255]],
+    np.array([["0", "255"]]),
+])
+def test_raster_rejects_non_numeric_pixels(pixels):
+    with pytest.raises(InvalidArgumentError):
+        raster_to_transmittance(pixels, pitch=1e-3)
+
+
+def test_raster_accepts_numbers_of_any_real_type():
+    t = raster_to_transmittance([[0, 127.5, np.uint8(255)]], pitch=1e-3)
+    assert np.array_equal(t.pixels, [[0.0, 0.5, 1.0]])
+
+
 def test_read_pgm_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n1 1\n255\n0")
