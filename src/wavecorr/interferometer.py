@@ -190,7 +190,19 @@ def correlation_analytic_2d(spec, grid):
     """<E_r* E_o> image of a 2D raster object; same grid on both axes.
 
     The kernel factorizes, so the 2D integral is two passes of the 1D
-    quadrature; the optical-path phase is applied once (on the x pass).
+    midpoint quadrature; the optical-path phase is applied once. The
+    raster is constant on each pixel, so on the node lattice it factors
+    exactly as T(nx, ny) = R_y @ pixels @ R_x.T, with R_x (R_y) the 0/1
+    map of each node to its pixel column (row). Each pass therefore
+    needs only its kernel summed per pixel,
+
+        A_x[n, c] = sum over x nodes in column c of w * H(x_n - node),
+
+        pattern = A_y @ pixels @ A_x.T,
+
+    with A_x N x cols and A_y N x rows: O(N * (M_x + M_y)) exponentials
+    and O(N^2 * min(rows, cols)) for the products, and no array of
+    nodes x nodes or nodes x pixels.
     """
     obj = spec.object
     if obj.ndim != 2:
@@ -213,10 +225,14 @@ def correlation_analytic_2d(spec, grid):
         u_y = max(abs(x[0] - sup_y[-1][1]), abs(x[-1] - sup_y[0][0]))
         nx, wx = chirp_nodes(sup_x, obj.min_feature(), lam, z_eff, u_x)
         ny, wy = chirp_nodes(sup_y, obj.min_feature(), lam, z_eff, u_y)
-        t2d = obj.sample2d(nx, ny)  # [len(ny), len(nx)]
-        kx = fresnel_kernel(spec.ctx, x[:, None], nx[None, :], z_arg, z_eff) * wx
-        ky = fresnel_kernel(spec.ctx, x[:, None], ny[None, :], 0.0, z_eff) * wy
-        pattern = ky @ t2d @ kx.T
+        col, row = obj.pixel_index(nx, ny)
+        rows, cols = obj.pixels.shape
+        alpha = k0 / (2.0 * z_eff)
+        a_x = _kernels.chirp_segment_sums(x, nx, wx, col, cols, alpha)
+        a_y = _kernels.chirp_segment_sums(x, ny, wy, row, rows, alpha)
+        scale = kernel_scale(spec.ctx, z_arg, z_eff) * kernel_scale(
+            spec.ctx, 0.0, z_eff)
+        pattern = scale * np.linalg.multi_dot([a_y, obj.pixels, a_x.T])
     return CorrelationResult(grid, pref * pattern, z_eff, pref, warnings)
 
 

@@ -34,6 +34,9 @@ _MODES = ("analytic", "ensemble", "coherent")
 _OUTPUT_KINDS = ("correlation_csv", "ports_csv", "image_pgm")
 #: source-grid sampling used for ensemble scenarios
 _SOURCE_SAMPLES = 512
+#: most realizations an ensemble scenario may ask for; fig3_incoherent
+#: draws 2000, and 2**20 at its size is several minutes of work
+MAX_REALIZATIONS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -250,9 +253,10 @@ def config_from_dict(raw):
         ens_d = _want(raw, "ensemble", "", dict)
         _reject_unknown(ens_d, ("n_realizations", "seed"), "ensemble.")
         n_real = _want(ens_d, "n_realizations", "ensemble.", int)
-        if n_real < 1:
-            raise ScenarioValidationError("ensemble.n_realizations",
-                                          "must be >= 1")
+        if not 1 <= n_real <= MAX_REALIZATIONS:
+            raise ScenarioValidationError(
+                "ensemble.n_realizations",
+                f"must be between 1 and {MAX_REALIZATIONS}")
         seed = _want(ens_d, "seed", "ensemble.", int)
         if not 0 <= seed < 2 ** 64:
             raise ScenarioValidationError("ensemble.seed",

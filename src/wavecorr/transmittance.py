@@ -150,20 +150,28 @@ class Raster(Transmittance):
         """1D sample along the horizontal mid-line (y = 0)."""
         return self.sample2d(x, np.zeros(1))[0]
 
-    def sample2d(self, x, y):
-        """T on the outer product of coordinates; returns [len(y), len(x)]."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def pixel_index(self, x, y):
+        """Pixel column of each x and pixel row of each y, -1 outside.
+
+        The nearest-neighbor rule of sample2d: T(x, y) is
+        pixels[row(y), col(x)] where both are >= 0, else 0.
+        """
         rows, cols = self.pixels.shape
         w, h = self.extent
-        ix = np.floor((x + w / 2) / self.pitch).astype(int)
-        iy = np.floor((h / 2 - y) / self.pitch).astype(int)
-        okx = (ix >= 0) & (ix < cols)
-        oky = (iy >= 0) & (iy < rows)
-        out = np.zeros((y.size, x.size), dtype=np.complex128)
+        col = np.floor((np.asarray(x, dtype=float) + w / 2) / self.pitch)
+        row = np.floor((h / 2 - np.asarray(y, dtype=float)) / self.pitch)
+        col = np.where((col >= 0) & (col < cols), col, -1).astype(int)
+        row = np.where((row >= 0) & (row < rows), row, -1).astype(int)
+        return col, row
+
+    def sample2d(self, x, y):
+        """T on the outer product of coordinates; returns [len(y), len(x)]."""
+        col, row = self.pixel_index(x, y)
+        out = np.zeros((row.size, col.size), dtype=np.complex128)
+        okx, oky = col >= 0, row >= 0
         if okx.any() and oky.any():
-            sub = self.pixels[np.clip(iy, 0, rows - 1)[:, None],
-                              np.clip(ix, 0, cols - 1)[None, :]]
+            # -1 picks the last row or column; the mask zeroes it
+            sub = self.pixels[row[:, None], col[None, :]]
             out = np.where(oky[:, None] & okx[None, :], sub, 0.0)
         return out.astype(np.complex128)
 

@@ -6,8 +6,9 @@ replaced by odd JSON values (NaN, +-Infinity, strings, booleans, null,
 lists, objects) returns one of the documented exit codes 0, 2, 3, 4 and
 never lets an exception escape. The swapped-in values contain no finite
 numbers, so no grid or ensemble grows; `grid.n_samples` is also drawn
-from far above the node cap, and such a config must exit 3 at
-validation, before anything is allocated.
+from far above the node cap, or `ensemble.n_realizations` from far above
+its cap, and such a config must exit 3 at validation, before anything is
+allocated or drawn.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from wavecorr import read_pgm
 from wavecorr.cli import main
 from wavecorr.errors import InvalidArgumentError
+from wavecorr.scenario import MAX_REALIZATIONS
 
 IMAGING_Z_O1 = 0.183 + 0.155 / 1.5163
 TOTAL_Z = 0.183 + 1.5163 * 0.155
@@ -94,7 +96,11 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def fuzzed_configs(draw):
-    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    oversized = draw(st.sampled_from([None, None, "grid", "ensemble"]))
+    # an oversized ensemble goes into the ensemble base, where the cap
+    # is the rule it meets
+    cfg = copy.deepcopy(BASES[-1] if oversized == "ensemble"
+                        else draw(st.sampled_from(BASES)))
     paths = list(_leaf_paths(cfg))
     chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3,
                            unique=True))
@@ -103,10 +109,12 @@ def fuzzed_configs(draw):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = draw(JSON_VALUES)
-    oversized = draw(st.booleans())
-    if oversized:
+    if oversized == "grid":
         cfg["grid"]["n_samples"] = draw(st.integers(10 ** 7, 10 ** 18))
-    return cfg, oversized
+    elif oversized == "ensemble":
+        cfg["ensemble"]["n_realizations"] = draw(
+            st.integers(MAX_REALIZATIONS + 1, 10 ** 18))
+    return cfg, oversized is not None
 
 
 # about half the draws are oversized, so 300 keeps ~150 that can run

@@ -9,6 +9,7 @@ finite source genuinely part ways.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
 from wavecorr._kernels import chirp_sum
 from wavecorr.errors import (InvalidArgumentError, NegativeIntensityError,
                              ResolutionError, UnequalPathError)
-from wavecorr.propagation import chirp_nodes, kernel_scale
-from wavecorr.transmittance import Transmittance
+from wavecorr.propagation import chirp_nodes, fresnel_kernel, kernel_scale
+from wavecorr.transmittance import Raster, Transmittance
 
 CTX = OpticsContext(589.3e-9)
 REF_SEGMENTS = (MediumSegment(0.155, 1.5163), vacuum(0.183))
@@ -164,12 +165,12 @@ def test_negative_z_eff_conjugates_the_forward_integral():
     assert np.abs(normalized - np.conj(forward)).max() <= 1e-12 * scale
 
 
-def _spec_at_z_eff(z_eff):
+def _spec_at_z_eff(z_eff, obj=SLIT):
     # the object position on the equal-path line with this Z_eff, on the
     # root nearer Zbar: Z_eff = delta (L - delta) / L, delta = z_o1 - Zbar
     length = REF.optical_path - REF.diffraction_length
     delta = (length - math.sqrt(length * length - 4 * length * z_eff)) / 2
-    return make_spec(REF.diffraction_length + delta, SLIT)
+    return make_spec(REF.diffraction_length + delta, obj)
 
 
 def test_near_focus_matches_the_explicit_midpoint_sum():
@@ -423,3 +424,86 @@ def test_2d_defocus_factorizes_for_separable_masks():
     const = res2[r0, i0] / res1[i0]
     assert np.abs(res2[r0] - const * res1).max() <= \
         1e-10 * np.abs(res2[r0]).max()
+
+
+def _dense_2d_pattern(spec, grid):
+    """The pattern as dense kernel matrices times the raster sampled on
+    the node lattice: the engine's former route, kept as its oracle."""
+    obj = spec.object
+    x = grid.coordinates()
+    sup_x, sup_y = obj.support(), obj.support_y()
+    u_x = max(abs(x[0] - sup_x[-1][1]), abs(x[-1] - sup_x[0][0]))
+    u_y = max(abs(x[0] - sup_y[-1][1]), abs(x[-1] - sup_y[0][0]))
+    nx, wx = chirp_nodes(sup_x, obj.min_feature(), CTX.wavelength,
+                         spec.z_eff, u_x)
+    ny, wy = chirp_nodes(sup_y, obj.min_feature(), CTX.wavelength,
+                         spec.z_eff, u_y)
+    kx = fresnel_kernel(CTX, x[:, None], nx[None, :], spec.path_mismatch,
+                        spec.z_eff) * wx
+    ky = fresnel_kernel(CTX, x[:, None], ny[None, :], 0.0, spec.z_eff) * wy
+    # ky @ sample2d(nx, ny) @ kx.T, with the image sampled in blocks of
+    # rows of at most 2**20 points
+    ky_t = np.zeros((x.size, nx.size), dtype=complex)
+    step = max(1, 2 ** 20 // nx.size)
+    for s in range(0, ny.size, step):
+        ky_t += ky[:, s:s + step] @ obj.sample2d(nx, ny[s:s + step])
+    return ky_t @ kx.T
+
+
+@st.composite
+def _defocused_rasters(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 26))
+    pixels = np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=rows * cols, max_size=rows * cols)))
+    pitch = draw(st.floats(40e-6, 120e-6))
+    # Z_eff <= 33 mm on this reference arm
+    z_eff = draw(st.floats(20e-3, 30e-3)) * draw(st.sampled_from([1, -1]))
+    n = draw(st.integers(16, 128))
+    # a quarter pitch or finer (the resolution guard), within +-0.4 mm
+    half = min(n * pitch / 8, 0.4e-3) * draw(st.floats(0.5, 1.0))
+    center = draw(st.floats(20e-6, 200e-6)) * draw(st.sampled_from([1, -1]))
+    # an optical-path mismatch inside the coherence tolerance: a global
+    # phase of up to 5e3 rad
+    mismatch = draw(st.floats(-0.5e-3, 0.5e-3))
+    raster = Raster(pixels.reshape(rows, cols), pitch)
+    spec = _spec_at_z_eff(z_eff, raster)
+    spec = make_spec(spec.z_o1, raster, z_o2=spec.z_o2 + mismatch)
+    return spec, make_grid(center, half, n)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(_defocused_rasters())
+def test_2d_defocus_matches_the_dense_kernel_formula(case):
+    spec, grid = case
+    res = correlation_analytic_2d(spec, grid)
+    want = _dense_2d_pattern(spec, grid)
+    got = res.correlation / res.prefactor
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_2d_defocus_at_1_mm_fits_in_memory():
+    # the glyph footprint at |Z_eff| = 1 mm: about 42k x 15k nodes, whose
+    # node-lattice image alone would take 9.5 GiB
+    row = (np.random.default_rng(1).random(26) < 0.5) * 255.0
+    mask = raster_to_transmittance(np.tile(row, (12, 1)), 60e-6)
+    grid = make_grid(0.0, 1.2e-3, 256)
+    for z in (1e-3, -1e-3):
+        spec = _spec_at_z_eff(z, mask)
+        tracemalloc.start()
+        try:
+            res = correlation_analytic_2d(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
+        image = res.correlation
+        assert np.isfinite(image).all()
+        # identical rows: each image row is the 1D pattern of that row,
+        # which the 1D engine sums by chirp-z convolution
+        centre = image[grid.n_samples // 2]
+        line = correlation_analytic(_spec_at_z_eff(z, _RowObject(mask)),
+                                    grid).correlation
+        i0 = int(np.argmax(np.abs(line)))
+        const = centre[i0] / line[i0]
+        assert np.abs(centre - const * line).max() <= \
+            1e-10 * np.abs(centre).max()

@@ -160,3 +160,21 @@ def test_large_chirp_phases_keep_their_rounding_error():
         t -= two_pi * math.floor(t / two_pi)
         want.append(np.exp(1j * float(t)))
     assert np.abs(got - np.array(want)).max() <= 1e-12
+
+
+def test_segment_sums_match_the_definition_per_segment():
+    # unordered segments, a dropped input (-1), an empty segment (2), and
+    # enough inputs for several output blocks
+    x_out, x_in, coeffs, alpha = _case(37, 20001, seed=5)
+    segment = np.random.default_rng(3).choice([-1, 0, 1, 3], x_in.size)
+    got = _kernels.chirp_segment_sums(x_out, x_in, coeffs, segment, 4, alpha)
+    assert got.shape == (37, 4)
+    assert not got[:, 2].any()
+    for s in range(4):
+        pick = segment == s
+        want = np.array([np.sum(coeffs[pick] * np.exp(
+            1j * alpha * (xo - x_in[pick]) ** 2)) for xo in x_out])
+        assert np.abs(got[:, s] - want).max() <= 1e-13 * np.abs(coeffs).sum()
+    none = _kernels.chirp_segment_sums(x_out, x_in, coeffs,
+                                       np.full(x_in.size, -1), 2, alpha)
+    assert none.shape == (37, 2) and not none.any()

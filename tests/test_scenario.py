@@ -13,6 +13,7 @@ from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
 from wavecorr.errors import ScenarioValidationError
+from wavecorr.scenario import MAX_REALIZATIONS
 
 BUILTIN_NAMES = ["fig2_amplitude", "fig2_phase", "fig3_incoherent",
                  "fig3_coherent", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e"]
@@ -168,6 +169,10 @@ REJECTIONS = [
     (base_dict(object={"kind": "raster", "pitch": 6e-5, "pixels": [[255]]},
                grid={"half_width": 1e-3, "n_samples": 1449}),
      "grid.n_samples"),
+    # more realizations than the ensemble cap
+    (base_dict(mode="ensemble",
+               ensemble={"n_realizations": 2 ** 20 + 1, "seed": 1}),
+     "ensemble.n_realizations"),
 ]
 
 
@@ -188,6 +193,12 @@ def test_grid_at_the_node_cap_is_accepted():
         grid={"half_width": 1e-3, "n_samples": 1448},
         outputs=[{"kind": "image_pgm", "path": "i.pgm"}])
     assert config_from_dict(raster).grid_n_samples == 1448
+
+
+def test_ensemble_at_the_realization_cap_is_accepted():
+    raw = base_dict(mode="ensemble",
+                    ensemble={"n_realizations": MAX_REALIZATIONS, "seed": 1})
+    assert config_from_dict(raw).ensemble_settings == (MAX_REALIZATIONS, 1)
 
 
 def test_coherent_block_defaults_to_plane_wave():

@@ -95,6 +95,20 @@ def test_raster_sample2d_orientation():
     assert t.sample2d(np.array([5e-3]), np.array([0.0]))[0, 0] == 0.0
 
 
+def test_raster_pixel_index_is_the_sampling_rule():
+    # 3 rows x 2 columns at 1 mm pitch: x in [-1, 1) mm, y in (-1.5, 1.5]
+    pixels = np.arange(6, dtype=np.uint8).reshape(3, 2) * 40
+    t = raster_to_transmittance(pixels, pitch=1e-3)
+    x = np.array([-1.5e-3, -0.5e-3, 0.5e-3, 1.5e-3])
+    y = np.array([-2e-3, -1e-3, 0.0, 1e-3, 2e-3])
+    col, row = t.pixel_index(x, y)
+    assert col.tolist() == [-1, 0, 1, -1]
+    assert row.tolist() == [-1, 2, 1, 0, -1]
+    want = np.where((row[:, None] >= 0) & (col[None, :] >= 0),
+                    t.pixels[row[:, None], col[None, :]], 0.0)
+    assert np.array_equal(t.sample2d(x, y), want)
+
+
 def test_raster_1d_slice_matches_midline():
     pixels = np.array([[255, 0], [0, 255]], dtype=np.uint8)
     t = raster_to_transmittance(pixels, pitch=1e-3)
