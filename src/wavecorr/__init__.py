@@ -22,8 +22,9 @@ from .cascade import (DEFAULT_COHERENCE_TOLERANCE, ElementChain,
                       imaging_positions, ledger, vacuum)
 from .ensemble import (EnsembleConfig, EnsembleEstimate, run_coherent,
                        run_ensemble, sample_source)
-from .errors import (DegenerateGeometryError, DegenerateKernelError,
-                     EqualPathWarning, InvalidArgumentError,
+from .errors import (ConfigParseError, DegenerateGeometryError,
+                     DegenerateKernelError, EqualPathWarning,
+                     InvalidArgumentError,
                      NegativeIntensityError, OverlappingApertureError,
                      ResolutionError, ScenarioValidationError,
                      UnequalPathError, WaveCorrError)
@@ -46,6 +47,7 @@ kernel_backend = "numpy"
 
 __all__ = [
     "ComplexField",
+    "ConfigParseError",
     "CorrelationResult",
     "DEFAULT_COHERENCE_TOLERANCE",
     "DegenerateGeometryError",

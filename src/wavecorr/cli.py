@@ -1,8 +1,10 @@
 """Command-line front end for scenario runs.
 
-Exit codes: 0 success (warnings go to stderr), 2 malformed JSON,
-3 invalid configuration (the message names the offending field),
-4 a numerical or runtime failure during execution.
+Exit codes: 0 success (warnings go to stderr), 2 a config file that is
+not JSON (malformed, not UTF-8, or nested too deeply), 3 invalid
+configuration (the message names the offending field) or a config or
+output path that cannot be read or written, 4 a numerical or runtime
+failure during execution.
 """
 
 import argparse
@@ -10,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import ScenarioValidationError, WaveCorrError
+from .errors import ConfigParseError, ScenarioValidationError, WaveCorrError
 from .scenario import builtin_scenarios, run_scenario
 
 
@@ -77,14 +79,10 @@ def main(argv=None):
         if getattr(args, "out", None):
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
+    except ConfigParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioValidationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ScenarioValidationError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 3
     except WaveCorrError as exc:

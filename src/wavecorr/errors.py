@@ -43,5 +43,10 @@ class ScenarioValidationError(WaveCorrError):
         super().__init__(f"{field}: {message}")
 
 
+class ConfigParseError(WaveCorrError):
+    """A scenario config file is not JSON text: malformed, not UTF-8, or
+    nested deeper than the parser follows."""
+
+
 class EqualPathWarning(UserWarning):
     """Arm paths differ, but within the coherence tolerance."""

@@ -7,36 +7,188 @@ standard sodium-lamp setup: reference arm of 18.3 cm air plus 15.5 cm
 glass (n = 1.5163), a 125/300 um double slit, a two-glyph amplitude
 mask, a pi-stepped phase-hole pair, and the five object positions that
 sweep the effective diffraction length through zero.
+
+One schema describes a config: `FIELDS`, with `OBJECT_KINDS` for the
+object and `OUTPUT_KINDS` for the outputs. `config_from_dict` checks a
+document against it and `ScenarioConfig.to_dict` writes one from it.
 """
 
 import hashlib
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import MediumSegment, imaging_positions
 from .ensemble import EnsembleConfig, run_coherent, run_ensemble
-from .errors import (InvalidArgumentError, ScenarioValidationError,
-                     UnequalPathError)
+from .errors import (ConfigParseError, InvalidArgumentError,
+                     ScenarioValidationError, UnequalPathError)
 from .grid import OpticsContext, make_grid
 from .interferometer import (CorrelationResult, InterferometerSpec,
                              PortIntensities, background_intensity,
                              correlation_analytic, correlation_analytic_2d,
                              detector_ports)
 from .propagation import MAX_NODES
-from .transmittance import (double_slit, phase_holes, raster_to_transmittance,
-                            read_pgm, uniform)
+from .transmittance import (Transmittance, double_slit, phase_holes,
+                            raster_to_transmittance, read_pgm, uniform)
 
-_MODES = ("analytic", "ensemble", "coherent")
-_OUTPUT_KINDS = ("correlation_csv", "ports_csv", "image_pgm")
 #: source-grid sampling used for ensemble scenarios
 _SOURCE_SAMPLES = 512
 #: most realizations an ensemble scenario may ask for; fig3_incoherent
 #: draws 2000, and 2**20 at its size is several minutes of work
 MAX_REALIZATIONS = 2 ** 20
+#: the results a run of each mode makes; an analytic run on a raster
+#: makes only the 2D correlation, "image"
+_MODE_RESULTS = {"analytic": ("correlation", "ports"),
+                 "ensemble": ("correlation", "ports"),
+                 "coherent": ("ports",)}
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One entry of the config schema: a key of a JSON object; its type,
+    float (finite), int, complex (a number or [re, im]), str, list, dict
+    or Transmittance (an object descriptor, see OBJECT_KINDS); a (test,
+    message) rule; a default (none: the key must be given); the fields
+    of a dict, or of each item of a list; and, at the top level, the
+    ScenarioConfig attribute it fills (default: the key), or the
+    attributes a block's values spread over."""
+
+    key: str
+    type: type
+    rule: tuple = None
+    default: object = _REQUIRED
+    fields: tuple = ()
+    attr: object = None
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONZERO = (lambda v: v != 0, "must be nonzero")
+_NONEMPTY = (lambda v: len(v) > 0, "must be non-empty")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {tuple(choices)}")
+
+
+def _between(lo, hi):
+    return (lambda v: lo <= v <= hi, f"must be between {lo} and {hi}")
+
+
+#: an object kind: the constructor its fields' values are passed to, in
+#: order, and the field a constructor InvalidArgumentError is reported on
+ObjectKind = namedtuple("ObjectKind", "build fields reported")
+
+
+OBJECT_KINDS = {
+    "double_slit": ObjectKind(
+        double_slit, (Field("b", float), Field("d", float)), "b"),
+    "phase_holes": ObjectKind(
+        phase_holes, (Field("hole_width", float), Field("separation", float),
+                      Field("phase_shift", float)), "hole_width"),
+    # inline pixels, or a PGM path read at run time next to the config
+    # file; so pitch is checked here, before the raster can be built
+    "raster": ObjectKind(
+        raster_to_transmittance, (Field("pixels", list, default=None),
+                                  Field("pitch", float, _POSITIVE),
+                                  Field("path", str, default=None)), "pixels"),
+    "uniform": ObjectKind(uniform, (Field("value", complex, default=1.0),),
+                          "value"),
+}
+_KIND = Field("kind", str, _one_of(OBJECT_KINDS))
+
+
+def _write_correlation_csv(result, path):
+    x = result.grid.coordinates()
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,re,im,abs2\n")
+        for xi, ci in zip(x, result.correlation):
+            re, im = ci.real, ci.imag
+            fh.write(f"{xi:.17g},{re:.17g},{im:.17g},"
+                     f"{re * re + im * im:.17g}\n")
+
+
+def _write_ports_csv(result, path):
+    x = result.grid.coordinates()
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,i_plus,i_minus,diff,sum\n")
+        for xi, p, m, df in zip(x, result.i_plus, result.i_minus,
+                                result.diff):
+            fh.write(f"{xi:.17g},{p:.17g},{m:.17g},{df:.17g},"
+                     f"{p + m:.17g}\n")
+
+
+def _write_image_pgm(result, path):
+    if hasattr(result, "correlation"):
+        data = np.abs(result.correlation)
+    elif hasattr(result, "i_plus"):
+        data = result.i_plus
+    else:
+        data = result
+    data = np.asarray(data, dtype=float)
+    lo, hi = data.min(), data.max()
+    if hi == lo:
+        scaled = np.zeros(data.shape)
+    else:
+        scaled = (data - lo) / (hi - lo) * 255.0
+    img = np.rint(scaled).astype(np.uint8)
+    img = img[None, :] if img.ndim == 1 else img[::-1, :]
+    rows, cols = img.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+
+#: an output kind: the results it can write (it writes the first one a
+#: run makes) and its writer
+OutputKind = namedtuple("OutputKind", "reads write")
+
+
+OUTPUT_KINDS = {
+    "correlation_csv": OutputKind(("correlation",), _write_correlation_csv),
+    "ports_csv": OutputKind(("ports",), _write_ports_csv),
+    "image_pgm": OutputKind(("image", "correlation", "ports"),
+                            _write_image_pgm),
+}
+
+FIELDS = (
+    Field("name", str, _NONEMPTY),
+    Field("mode", str, _one_of(_MODE_RESULTS)),
+    Field("wavelength", float, _POSITIVE),
+    Field("z_o1", float, _POSITIVE),
+    Field("z_o2", float, _POSITIVE),
+    Field("reference_segments", list, _NONEMPTY, fields=(
+        Field("length", float, _POSITIVE),
+        Field("index", float, _NONZERO))),
+    Field("object", Transmittance, attr="object_descriptor"),
+    Field("grid", dict, fields=(
+        Field("half_width", float, _POSITIVE),
+        # n points for a 1D object; a raster's n x n image is capped too
+        Field("n_samples", int, _between(2, MAX_NODES)),
+        Field("center", float, default=0.0)),
+        attr=("grid_half_width", "grid_n_samples", "grid_center")),
+    Field("source", dict, fields=(
+        Field("intensity", float, _POSITIVE),
+        Field("width", float, _POSITIVE)),
+        attr=("source_intensity", "source_width")),
+    Field("ensemble", dict, default=None, fields=(
+        Field("n_realizations", int, _between(1, MAX_REALIZATIONS)),
+        Field("seed", int, _between(0, 2 ** 64 - 1))),
+        attr="ensemble_settings"),
+    Field("coherent", dict, default=None, fields=(
+        Field("source", str, _one_of(("plane_wave", "pinhole")),
+              default="plane_wave"),
+        Field("pinhole_width", float, _POSITIVE, default=None)),
+        attr="coherent_settings"),
+    Field("outputs", list, fields=(
+        Field("kind", str, _one_of(OUTPUT_KINDS)),
+        Field("path", str, _NONEMPTY))),
+)
 
 
 @dataclass(frozen=True)
@@ -60,49 +212,27 @@ class ScenarioConfig:
     coherent_settings: tuple = None  # (source, pinhole_width or None)
 
     def to_dict(self):
-        d = {
-            "name": self.name,
-            "mode": self.mode,
-            "wavelength": self.wavelength,
-            "z_o1": self.z_o1,
-            "z_o2": self.z_o2,
-            "reference_segments": [
-                {"length": l, "index": n} for l, n in self.reference_segments],
-            "object": dict(self.object_descriptor),
-            "grid": {"half_width": self.grid_half_width,
-                     "n_samples": self.grid_n_samples,
-                     "center": self.grid_center},
-            "source": {"intensity": self.source_intensity,
-                       "width": self.source_width},
-        }
-        if self.ensemble_settings is not None:
-            d["ensemble"] = {"n_realizations": self.ensemble_settings[0],
-                             "seed": self.ensemble_settings[1]}
-        if self.coherent_settings is not None:
-            c = {"source": self.coherent_settings[0]}
-            if self.coherent_settings[1] is not None:
-                c["pinhole_width"] = self.coherent_settings[1]
-            d["coherent"] = c
-        d["outputs"] = [{"kind": k, "path": p} for k, p in self.outputs]
-        return d
+        """The JSON document of this config, in FIELDS order; a value of
+        None (a block or optional field not in use) is left out."""
+        doc = {}
+        for field in FIELDS:
+            if isinstance(field.attr, tuple):
+                value = tuple(getattr(self, a) for a in field.attr)
+            else:
+                value = getattr(self, field.attr or field.key)
+            if value is not None:
+                doc[field.key] = _dump(field, value)
+        return doc
 
 
-def _want(d, key, path, types, required=True, default=None):
-    if key not in d:
-        if required:
-            raise ScenarioValidationError(f"{path}{key}", "missing field")
-        return default
-    value = d[key]
-    if types is float:
-        return _finite(value, f"{path}{key}")
-    if types is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ScenarioValidationError(f"{path}{key}", "must be an integer")
-        return value
-    if not isinstance(value, types):
-        raise ScenarioValidationError(
-            f"{path}{key}", f"must be of type {types}")
-    return value
+def _dump(field, value):
+    """The JSON form of a value that _read returned for field."""
+    def block(values):
+        return {f.key: v for f, v in zip(field.fields, values)
+                if v is not None}
+    if not field.fields:
+        return dict(value) if field.type is Transmittance else value
+    return [block(v) for v in value] if field.type is list else block(value)
 
 
 def _finite(value, path):
@@ -117,258 +247,147 @@ def _finite(value, path):
     return float(value)
 
 
-def _reject_unknown(d, allowed, path):
-    for key in d:
-        if key not in allowed:
-            raise ScenarioValidationError(f"{path}{key}", "unknown field")
-
-
-def _positive(value, path):
-    if not value > 0:
-        raise ScenarioValidationError(path, "must be positive")
+def _typed(value, type_, path):
+    """value as the schema type names it: a float, an int, a complex
+    number, or the checked copy of an object descriptor."""
+    if type_ is float:
+        return _finite(value, path)
+    if type_ is complex:
+        if not isinstance(value, list):
+            return _finite(value, path)
+        if len(value) != 2:
+            raise ScenarioValidationError(path,
+                                          "complex value must be [re, im]")
+        return complex(*(_finite(part, path) for part in value))
+    if type_ is Transmittance:
+        kind = _read(_KIND, _typed(value, dict, path), path + ".kind")
+        _block((_KIND,) + OBJECT_KINDS[kind].fields, value, path)
+        return dict(value)
+    if not isinstance(value, type_) or isinstance(value, bool):
+        raise ScenarioValidationError(path,
+                                      f"must be of type {type_.__name__}")
     return value
 
 
-def _validate_object(d):
-    kind = _want(d, "kind", "object.", str)
-    known = {
-        "double_slit": {"kind", "b", "d"},
-        "phase_holes": {"kind", "hole_width", "separation", "phase_shift"},
-        "raster": {"kind", "pitch", "path", "pixels"},
-        "uniform": {"kind", "value"},
-    }
-    if kind not in known:
-        raise ScenarioValidationError("object.kind", f"unknown kind {kind!r}")
-    _reject_unknown(d, known[kind], "object.")
-    if kind == "double_slit":
-        _positive(_want(d, "b", "object.", float), "object.b")
-        _positive(_want(d, "d", "object.", float), "object.d")
-        if d["b"] >= d["d"]:
-            raise ScenarioValidationError("object.b", "slits overlap (b >= d)")
-    elif kind == "phase_holes":
-        _positive(_want(d, "hole_width", "object.", float), "object.hole_width")
-        _positive(_want(d, "separation", "object.", float), "object.separation")
-        _want(d, "phase_shift", "object.", float)
-        if d["hole_width"] >= d["separation"]:
-            raise ScenarioValidationError("object.hole_width",
-                                          "holes overlap")
-    elif kind == "raster":
-        _positive(_want(d, "pitch", "object.", float), "object.pitch")
-        has_path = "path" in d
-        has_pixels = "pixels" in d
-        if has_path == has_pixels:
-            raise ScenarioValidationError(
-                "object.path", "raster needs exactly one of path or pixels")
-        if has_path:
-            _want(d, "path", "object.", str)
-        else:
-            px = _want(d, "pixels", "object.", list)
-            if not px or not all(isinstance(r, list) and r for r in px):
-                raise ScenarioValidationError(
-                    "object.pixels", "must be a non-empty list of rows")
-            try:
-                raster_to_transmittance(px, d["pitch"])
-            except InvalidArgumentError as exc:
-                raise ScenarioValidationError("object.pixels",
-                                              str(exc)) from exc
-    else:
-        value = d.get("value", 1.0)
-        if isinstance(value, list):
-            if len(value) != 2:
-                raise ScenarioValidationError(
-                    "object.value", "complex value must be [re, im]")
-            for part in value:
-                _finite(part, "object.value")
-        else:
-            _finite(value, "object.value")
-    return dict(d)
+def _read(field, d, path):
+    """The checked value of field in the JSON object d, or its default;
+    a block reads as the tuple of its fields' values, a list of blocks
+    as a tuple of those."""
+    if field.key not in d:
+        if field.default is _REQUIRED:
+            raise ScenarioValidationError(path, "missing field")
+        return field.default
+    value = _typed(d[field.key], field.type, path)
+    if field.rule is not None and not field.rule[0](value):
+        raise ScenarioValidationError(path, field.rule[1])
+    if not field.fields:
+        return value
+    if field.type is list:
+        return tuple(_block(field.fields, item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    return _block(field.fields, value, path)
+
+
+def _block(fields, d, path):
+    """The checked values of the fields of JSON object d, in table order;
+    a key that no field names is rejected."""
+    if not isinstance(d, dict):
+        raise ScenarioValidationError(path, "must be an object")
+    prefix = path + "." if path else ""
+    keys = [f.key for f in fields]
+    for key in d:
+        if key not in keys:
+            raise ScenarioValidationError(prefix + key, "unknown field")
+    return tuple(_read(f, d, prefix + f.key) for f in fields)
+
+
+def _source(kind, mode, is_2d):
+    """The result an output kind writes in a run of this mode on a 1D or
+    a 2D object, or None when the run makes none it can write."""
+    made = ("image",) if mode == "analytic" and is_2d \
+        else _MODE_RESULTS[mode]
+    return next((r for r in OUTPUT_KINDS[kind].reads if r in made), None)
 
 
 def config_from_dict(raw):
     """Validate a parsed JSON document into a ScenarioConfig.
 
-    Raises ScenarioValidationError carrying the offending field path.
+    Every field is checked against FIELDS, then the rules that tie
+    fields together. Raises ScenarioValidationError carrying the
+    offending field path.
     """
     if not isinstance(raw, dict):
         raise ScenarioValidationError("<root>", "config must be a JSON object")
-    allowed = {"name", "mode", "wavelength", "z_o1", "z_o2",
-               "reference_segments", "object", "grid", "source",
-               "ensemble", "coherent", "outputs"}
-    _reject_unknown(raw, allowed, "")
-
-    name = _want(raw, "name", "", str)
-    if not name:
-        raise ScenarioValidationError("name", "must be non-empty")
-    mode = _want(raw, "mode", "", str)
-    if mode not in _MODES:
-        raise ScenarioValidationError("mode", f"must be one of {_MODES}")
-    wavelength = _positive(_want(raw, "wavelength", "", float), "wavelength")
-    z_o1 = _positive(_want(raw, "z_o1", "", float), "z_o1")
-    z_o2 = _positive(_want(raw, "z_o2", "", float), "z_o2")
-
-    segs = _want(raw, "reference_segments", "", list)
-    if not segs:
-        raise ScenarioValidationError("reference_segments", "must be non-empty")
-    segments = []
-    for i, seg in enumerate(segs):
-        path = f"reference_segments[{i}]."
-        if not isinstance(seg, dict):
-            raise ScenarioValidationError(path[:-1], "must be an object")
-        length = _positive(_want(seg, "length", path, float), path + "length")
-        index = _want(seg, "index", path, float)
-        if index == 0:
-            raise ScenarioValidationError(path + "index", "must be nonzero")
-        _reject_unknown(seg, ("length", "index"), path)
-        segments.append((length, index))
-
-    obj = _validate_object(_want(raw, "object", "", dict))
-
-    grid_d = _want(raw, "grid", "", dict)
-    _reject_unknown(grid_d, ("half_width", "n_samples", "center"), "grid.")
-    half_width = _positive(_want(grid_d, "half_width", "grid.", float),
-                           "grid.half_width")
-    n_samples = _want(grid_d, "n_samples", "grid.", int)
-    if n_samples < 2:
-        raise ScenarioValidationError("grid.n_samples", "must be >= 2")
-    # checked before anything is allocated: n points for a 1D object,
-    # an n x n image for a raster
-    points = n_samples ** 2 if obj["kind"] == "raster" else n_samples
-    if points > MAX_NODES:
-        raise ScenarioValidationError(
-            "grid.n_samples",
-            f"detector array of {points} points exceeds the cap of "
-            f"{MAX_NODES}")
-    center = _want(grid_d, "center", "grid.", float, required=False,
-                   default=0.0)
-
-    source_d = _want(raw, "source", "", dict)
-    _reject_unknown(source_d, ("intensity", "width"), "source.")
-    intensity = _positive(_want(source_d, "intensity", "source.", float),
-                          "source.intensity")
-    width = _positive(_want(source_d, "width", "source.", float),
-                      "source.width")
-
-    ens = None
-    if mode == "ensemble":
-        ens_d = _want(raw, "ensemble", "", dict)
-        _reject_unknown(ens_d, ("n_realizations", "seed"), "ensemble.")
-        n_real = _want(ens_d, "n_realizations", "ensemble.", int)
-        if not 1 <= n_real <= MAX_REALIZATIONS:
-            raise ScenarioValidationError(
-                "ensemble.n_realizations",
-                f"must be between 1 and {MAX_REALIZATIONS}")
-        seed = _want(ens_d, "seed", "ensemble.", int)
-        if not 0 <= seed < 2 ** 64:
-            raise ScenarioValidationError("ensemble.seed",
-                                          "must fit in 64 bits")
-        ens = (n_real, seed)
-    elif "ensemble" in raw:
-        raise ScenarioValidationError(
-            "ensemble", "only applies to ensemble mode")
-
-    coh = None
-    if mode == "coherent":
-        coh_d = _want(raw, "coherent", "", dict, required=False,
-                      default={"source": "plane_wave"})
-        _reject_unknown(coh_d, ("source", "pinhole_width"), "coherent.")
-        src = _want(coh_d, "source", "coherent.", str, required=False,
-                    default="plane_wave")
-        if src not in ("plane_wave", "pinhole"):
-            raise ScenarioValidationError(
-                "coherent.source", "must be plane_wave or pinhole")
-        pw = None
-        if src == "pinhole":
-            pw = _positive(_want(coh_d, "pinhole_width", "coherent.", float),
-                           "coherent.pinhole_width")
-        elif "pinhole_width" in coh_d:
-            raise ScenarioValidationError("coherent.pinhole_width",
-                                          "only applies to pinhole source")
-        coh = (src, pw)
-    elif "coherent" in raw:
-        raise ScenarioValidationError(
-            "coherent", "only applies to coherent mode")
-
-    outs = _want(raw, "outputs", "", list)
-    is_2d = obj["kind"] == "raster"
-    allowed_kinds = {
-        "analytic": ("image_pgm",) if is_2d
-        else ("correlation_csv", "ports_csv", "image_pgm"),
-        "ensemble": ("correlation_csv", "ports_csv", "image_pgm"),
-        "coherent": ("ports_csv", "image_pgm"),
-    }[mode]
-    outputs = []
-    for i, out in enumerate(outs):
-        path = f"outputs[{i}]."
-        if not isinstance(out, dict):
-            raise ScenarioValidationError(path[:-1], "must be an object")
-        _reject_unknown(out, ("kind", "path"), path)
-        kind = _want(out, "kind", path, str)
-        if kind not in _OUTPUT_KINDS:
-            raise ScenarioValidationError(
-                path + "kind", f"must be one of {_OUTPUT_KINDS}")
-        if kind not in allowed_kinds:
-            raise ScenarioValidationError(
-                path + "kind",
-                f"{kind} is not available for this mode/object "
-                f"(allowed: {allowed_kinds})")
-        fpath = _want(out, "path", path, str)
-        if not fpath:
-            raise ScenarioValidationError(path + "path", "must be non-empty")
-        outputs.append((kind, fpath))
-    if mode == "ensemble" and ens is None:
-        raise ScenarioValidationError("ensemble", "missing field")
-
-    return ScenarioConfig(
-        name=name, mode=mode, wavelength=wavelength, z_o1=z_o1, z_o2=z_o2,
-        reference_segments=tuple(segments), object_descriptor=obj,
-        grid_half_width=half_width, grid_n_samples=n_samples,
-        grid_center=center, source_intensity=intensity, source_width=width,
-        ensemble_settings=ens, coherent_settings=coh,
-        outputs=tuple(outputs))
-
-
-def _build_object(descriptor, base_dir):
-    kind = descriptor["kind"]
-    if kind == "double_slit":
-        return double_slit(descriptor["b"], descriptor["d"])
-    if kind == "phase_holes":
-        return phase_holes(descriptor["hole_width"], descriptor["separation"],
-                           descriptor["phase_shift"])
-    if kind == "raster":
-        if "pixels" in descriptor:
-            pixels = descriptor["pixels"]
+    if raw.get("mode") == "coherent":
+        # every coherent field has a default, so the block may be left out
+        raw = {"coherent": {}, **raw}
+    values = {}
+    for field, value in zip(FIELDS, _block(FIELDS, raw, "")):
+        if isinstance(field.attr, tuple):
+            values.update(zip(field.attr, value))
         else:
-            path = os.path.join(base_dir, descriptor["path"])
-            try:
-                pixels = read_pgm(path)
-            except (OSError, InvalidArgumentError) as exc:
-                raise ScenarioValidationError("object.path", str(exc)) from exc
-        return raster_to_transmittance(pixels, descriptor["pitch"])
-    value = descriptor.get("value", 1.0)
-    if isinstance(value, list):
-        value = complex(value[0], value[1])
-    return uniform(value)
+            values[field.attr or field.key] = value
+    mode, obj = values["mode"], values["object_descriptor"]
+    is_2d = obj["kind"] == "raster"
+
+    if is_2d and ("path" in obj) == ("pixels" in obj):
+        raise ScenarioValidationError(
+            "object.path", "raster needs exactly one of path or pixels")
+    _build_object(obj)
+    n = values["grid_n_samples"]
+    if is_2d and n * n > MAX_NODES:
+        raise ScenarioValidationError(
+            "grid.n_samples", f"detector image of {n}**2 points exceeds "
+            f"the cap of {MAX_NODES}")
+    # the ensemble and coherent blocks belong to the mode of that name
+    for block in ("ensemble", "coherent"):
+        if (block in raw) != (mode == block):
+            raise ScenarioValidationError(
+                block, "missing field" if mode == block
+                else f"only applies to {block} mode")
+    if mode == "coherent":
+        source, pinhole_width = values["coherent_settings"]
+        if (source == "pinhole") != (pinhole_width is not None):
+            raise ScenarioValidationError(
+                "coherent.pinhole_width",
+                "is given for a pinhole source, and only for one")
+    targets = set()
+    for i, (kind, path) in enumerate(values["outputs"]):
+        if _source(kind, mode, is_2d) is None:
+            raise ScenarioValidationError(
+                f"outputs[{i}].kind",
+                f"{kind} is not available for this mode/object")
+        target = os.path.normpath(path)
+        if target in targets:
+            raise ScenarioValidationError(f"outputs[{i}].path",
+                                          "written by an earlier output")
+        targets.add(target)
+    return ScenarioConfig(**values)
 
 
-def _build_spec(config, base_dir):
-    ctx = OpticsContext(config.wavelength)
-    segments = tuple(MediumSegment(l, n)
-                     for l, n in config.reference_segments)
-    descriptor = config.object_descriptor
+def _build_object(descriptor, base_dir=None):
+    """The Transmittance a checked object descriptor names.
+
+    A raster given by path is read from base_dir; without base_dir it is
+    not built and None is returned. A constructor's InvalidArgumentError
+    is reported on the kind's field.
+    """
+    kind = OBJECT_KINDS[descriptor["kind"]]
+    args = {f.key: _read(f, descriptor, "object." + f.key)
+            for f in kind.fields}
+    path = args.pop("path", None)
+    if path is not None:
+        if base_dir is None:
+            return None
+        try:
+            args["pixels"] = read_pgm(os.path.join(base_dir, path))
+        except (OSError, InvalidArgumentError) as exc:
+            raise ScenarioValidationError("object.path", str(exc)) from exc
     try:
-        obj = _build_object(descriptor, base_dir)
+        return kind.build(*args.values())
     except InvalidArgumentError as exc:
-        field = {"raster": "object.pixels",
-                 "uniform": "object.value"}.get(descriptor["kind"], "object")
-        raise ScenarioValidationError(field, str(exc)) from exc
-    try:
-        return InterferometerSpec(
-            ctx=ctx, z_o1=config.z_o1, z_o2=config.z_o2,
-            reference_segments=segments, object=obj,
-            source_width=config.source_width,
-            source_intensity=config.source_intensity)
-    except UnequalPathError as exc:
-        raise ScenarioValidationError("z_o1", str(exc)) from exc
+        raise ScenarioValidationError("object." + kind.reported,
+                                      str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -382,16 +401,6 @@ class OutputBundle:
     z_o2_img: float
 
 
-def _normalize_to_bytes(a):
-    a = np.asarray(a, dtype=float)
-    lo, hi = a.min(), a.max()
-    if hi == lo:
-        scaled = np.zeros(a.shape)
-    else:
-        scaled = (a - lo) / (hi - lo) * 255.0
-    return np.rint(scaled).astype(np.uint8)
-
-
 def export(result, kind, path):
     """Write one result file; returns the path written.
 
@@ -401,38 +410,9 @@ def export(result, kind, path):
     written top row first (descending y); constant data maps to zeros.
     All numbers use 17 significant digits.
     """
-    if kind == "correlation_csv":
-        x = result.grid.coordinates()
-        with open(path, "w", newline="") as fh:
-            fh.write("x_m,re,im,abs2\n")
-            for xi, ci in zip(x, result.correlation):
-                re, im = ci.real, ci.imag
-                fh.write(f"{xi:.17g},{re:.17g},{im:.17g},{re * re + im * im:.17g}\n")
-    elif kind == "ports_csv":
-        x = result.grid.coordinates()
-        with open(path, "w", newline="") as fh:
-            fh.write("x_m,i_plus,i_minus,diff,sum\n")
-            for xi, p, m, df in zip(x, result.i_plus, result.i_minus,
-                                    result.diff):
-                fh.write(f"{xi:.17g},{p:.17g},{m:.17g},{df:.17g},"
-                         f"{p + m:.17g}\n")
-    elif kind == "image_pgm":
-        if hasattr(result, "correlation"):
-            data = np.abs(result.correlation)
-        elif hasattr(result, "i_plus"):
-            data = result.i_plus
-        else:
-            data = np.asarray(result, dtype=float)
-        if data.ndim == 1:
-            img = _normalize_to_bytes(data)[None, :]
-        else:
-            img = _normalize_to_bytes(data)[::-1, :]
-        rows, cols = img.shape
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-            fh.write(img.tobytes())
-    else:
+    if kind not in OUTPUT_KINDS:
         raise ScenarioValidationError("outputs.kind", f"unknown kind {kind}")
+    OUTPUT_KINDS[kind].write(result, path)
     return path
 
 
@@ -463,11 +443,29 @@ def run_scenario(config, out_dir=None, echo=print):
     if not isinstance(config, ScenarioConfig):
         config_path = os.fspath(config)
         base_dir = os.path.dirname(os.path.abspath(config_path))
-        with open(config_path) as fh:
-            config = config_from_dict(json.load(fh))
+        with open(config_path, encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigParseError(
+                    f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+                ) from exc
+            except (UnicodeDecodeError, RecursionError) as exc:
+                raise ConfigParseError(str(exc)) from exc
+        config = config_from_dict(raw)
     out_dir = out_dir or os.getcwd()
 
-    spec = _build_spec(config, base_dir)
+    segments = tuple(MediumSegment(l, n)
+                     for l, n in config.reference_segments)
+    obj = _build_object(config.object_descriptor, base_dir)
+    try:
+        spec = InterferometerSpec(
+            ctx=OpticsContext(config.wavelength), z_o1=config.z_o1,
+            z_o2=config.z_o2, reference_segments=segments, object=obj,
+            source_width=config.source_width,
+            source_intensity=config.source_intensity)
+    except UnequalPathError as exc:
+        raise ScenarioValidationError("z_o1", str(exc)) from exc
     led = spec.reference_ledger
     z_eff = spec.z_eff
     imaging = imaging_positions(led, config.z_o1 + config.z_o2)
@@ -483,15 +481,14 @@ def run_scenario(config, out_dir=None, echo=print):
 
     grid = make_grid(config.grid_center, config.grid_half_width,
                      config.grid_n_samples)
+    is_2d = spec.object.ndim == 2
+    sources = [_source(kind, config.mode, is_2d) for kind, _ in config.outputs]
     results = {}
-    needed = {kind for kind, _ in config.outputs}
-    if config.mode == "analytic":
-        if spec.object.ndim == 2:
-            corr = correlation_analytic_2d(spec, grid)
-        else:
-            corr = correlation_analytic(spec, grid)
-        results["correlation"] = corr
-        if "ports_csv" in needed:
+    if config.mode == "analytic" and is_2d:
+        results["image"] = correlation_analytic_2d(spec, grid)
+    elif config.mode == "analytic":
+        corr = results["correlation"] = correlation_analytic(spec, grid)
+        if "ports" in sources:
             bg = background_intensity(spec, grid)
             results["ports"] = detector_ports(corr, bg)
     elif config.mode == "ensemble":
@@ -510,26 +507,18 @@ def run_scenario(config, out_dir=None, echo=print):
         results["ports"] = _coherent_ports(spec, grid,
                                            config.coherent_settings)
 
-    for source_key in ("correlation", "ports"):
-        res = results.get(source_key)
-        if res is not None and getattr(res, "warnings", ()):
-            for w in res.warnings:
-                echo(f"warning: {w}")
+    for res in results.values():
+        for w in getattr(res, "warnings", ()):
+            echo(f"warning: {w}")
 
     files = []
-    for kind, rel_path in config.outputs:
+    for (kind, rel_path), source in zip(config.outputs, sources):
         path = rel_path if os.path.isabs(rel_path) else os.path.join(
             out_dir, rel_path)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        if kind == "correlation_csv":
-            export(results["correlation"], kind, path)
-        elif kind == "ports_csv":
-            export(results["ports"], kind, path)
-        else:
-            res = results.get("correlation", results.get("ports"))
-            export(res, kind, path)
+        export(results[source], kind, path)
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         files.append((path, digest))

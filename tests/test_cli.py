@@ -258,6 +258,37 @@ def test_oversized_grid_is_exit_3(tmp_path, capsys, over):
     assert "Traceback" not in err
 
 
+def _file(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(lambda tmp: ["run", str(tmp)], 3,
+                 id="config-is-a-directory"),
+    pytest.param(lambda tmp: ["run", _file(
+        tmp / "c.json", json.dumps(config_dict(name="caf\xe9"),
+                                   ensure_ascii=False).encode("latin-1"))],
+                 2, id="config-not-utf8"),
+    pytest.param(lambda tmp: ["run", _file(
+        tmp / "c.json", "[" * 100_000 + "]" * 100_000)],
+                 2, id="config-nested-100k-deep"),
+    pytest.param(lambda tmp: ["run", _file(
+        tmp / "c.json", json.dumps(config_dict())),
+        "--out", _file(tmp / "out", "")], 3, id="out-is-a-file"),
+    pytest.param(lambda tmp: ["run", _file(tmp / "c.json", json.dumps(
+        config_dict(outputs=[{"kind": "correlation_csv",
+                              "path": str(tmp)}])))],
+                 3, id="output-is-a-directory"),
+])
+def test_unreadable_config_or_unwritable_output_exits_cleanly(
+        tmp_path, capsys, argv, code):
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:" if code == 2 else "invalid config:")
+    assert "Traceback" not in err
+
+
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
     # 0.1 um from Zbar: Z_eff ~ 1e-7 m, far too fine a chirp for the node
     # cap, so this is a clean runtime failure rather than a traceback.

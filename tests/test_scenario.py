@@ -1,10 +1,12 @@
 """Scenario configs, builtin catalog, exporters, and end-to-end runs."""
 
+import copy
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
 from wavecorr.errors import ScenarioValidationError
-from wavecorr.scenario import MAX_REALIZATIONS
+from wavecorr.scenario import (FIELDS, MAX_REALIZATIONS, OBJECT_KINDS,
+                               Transmittance)
 
 BUILTIN_NAMES = ["fig2_amplitude", "fig2_phase", "fig3_incoherent",
                  "fig3_coherent", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e"]
@@ -173,6 +176,11 @@ REJECTIONS = [
     (base_dict(mode="ensemble",
                ensemble={"n_realizations": 2 ** 20 + 1, "seed": 1}),
      "ensemble.n_realizations"),
+    # two outputs writing one file; a uniform value of modulus above 1
+    (base_dict(outputs=[{"kind": "correlation_csv", "path": "same.csv"},
+                        {"kind": "image_pgm", "path": "./same.csv"}]),
+     "outputs[1].path"),
+    (base_dict(object={"kind": "uniform", "value": 2}), "object.value"),
 ]
 
 
@@ -182,6 +190,99 @@ def test_config_rejections_carry_field_paths(raw, field):
         config_from_dict(raw)
     assert exc.value.field == field
     assert field in str(exc.value)
+
+
+def schema_leaves(fields=FIELDS, prefix=""):
+    """(path, type) of each leaf of the config schema; list items at [0]."""
+    for f in fields:
+        path = prefix + f.key
+        if f.type is Transmittance:
+            yield path + ".kind", str
+            for kind in OBJECT_KINDS.values():
+                yield from schema_leaves(kind.fields, path + ".")
+        elif f.fields:
+            yield from schema_leaves(
+                f.fields, path + ("[0]." if f.type is list else "."))
+        else:
+            yield path, f.type
+
+
+# between them these hold every schema leaf: each object kind (a raster
+# both inline and by path) and the ensemble and coherent blocks
+IMAGE_OUT = [{"kind": "image_pgm", "path": "i.pgm"}]
+SCHEMA_BASES = [
+    base_dict(grid={"half_width": 0.5e-3, "n_samples": 128, "center": 0.0}),
+    base_dict(object={"kind": "phase_holes", "hole_width": 2e-4,
+                      "separation": 5e-4, "phase_shift": 1.0}),
+    base_dict(object={"kind": "raster", "pitch": 6e-5, "pixels": [[255]]},
+              outputs=IMAGE_OUT),
+    base_dict(object={"kind": "raster", "pitch": 6e-5, "path": "m.pgm"},
+              outputs=IMAGE_OUT),
+    base_dict(object={"kind": "uniform", "value": 1.0}),
+    base_dict(mode="ensemble", ensemble={"n_realizations": 4, "seed": 1}),
+    base_dict(mode="coherent",
+              coherent={"source": "pinhole", "pinhole_width": 5e-5},
+              outputs=[{"kind": "ports_csv", "path": "p.csv"}]),
+]
+
+
+def _keys(path):
+    return [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+
+
+def _holds(doc, path):
+    try:
+        for key in _keys(path):
+            doc = doc[key]
+    except (KeyError, IndexError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path,type_", sorted(dict(schema_leaves()).items()))
+def test_wrong_type_at_each_schema_leaf_names_that_leaf(path, type_):
+    raw = copy.deepcopy(next(b for b in SCHEMA_BASES if _holds(b, path)))
+    config_from_dict(raw)
+    *parents, last = _keys(path)
+    node = raw
+    for key in parents:
+        node = node[key]
+    # a number for a string, a string for anything else
+    node[last] = 1 if type_ is str else "1"
+    with pytest.raises(ScenarioValidationError) as exc:
+        config_from_dict(raw)
+    assert exc.value.field == path
+
+
+# sha256 of json.dumps(cfg.to_dict(), indent=2), the text show-builtin
+# prints, for each builtin
+BUILTIN_DOCUMENT_SHA256 = {
+    "fig2_amplitude":
+        "3e8dc81fad1465c32a0d4f1b634896fa5f360173e706828f8cd78cba7ef94d27",
+    "fig2_phase":
+        "93b93bbccdb2df89a643bb0a17b4baa4b0c28268af259ade43de93f07f12b508",
+    "fig3_incoherent":
+        "6cb5187469e182a7af420d95095b8f3ea99e17981c1fa41d3038703da43805e3",
+    "fig3_coherent":
+        "36995f17044cec8b8325a59c3a87b356ede43b926aa885d078a51c234d2040ca",
+    "fig4a":
+        "5dba01f6d958ef4daca44650f50a86ff0515707465b7f953cc23bb38f14ef904",
+    "fig4b":
+        "818d13fc119e41caaca0e2364dc620acb47fb3eaa2872594115cd6e5e309dd21",
+    "fig4c":
+        "c6f0b23bec16390a96848c6eb5658f5125f4b5beab4517ccd1b3834aef3331c3",
+    "fig4d":
+        "302e40b5d40d3249078db373987f05fbb3a4ae7249fc15b02b21b48834034276",
+    "fig4e":
+        "efcfa6fbe87774a138e8e73b6f14520a1d29637811d2b905ae1905c5cb94dadc",
+}
+
+
+def test_builtin_documents_are_pinned():
+    got = {c.name: hashlib.sha256(
+        json.dumps(c.to_dict(), indent=2).encode()).hexdigest()
+        for c in builtin_scenarios()}
+    assert got == BUILTIN_DOCUMENT_SHA256
 
 
 def test_grid_at_the_node_cap_is_accepted():
