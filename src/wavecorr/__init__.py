@@ -26,8 +26,9 @@ from .errors import (ConfigParseError, DegenerateGeometryError,
                      DegenerateKernelError, EqualPathWarning,
                      InvalidArgumentError,
                      NegativeIntensityError, OverlappingApertureError,
-                     ResolutionError, ScenarioValidationError,
-                     UnequalPathError, WaveCorrError)
+                     ResolutionError, ResolutionWarning, SamplingWarning,
+                     ScenarioValidationError, StatisticsWarning,
+                     UnequalPathError, WaveCorrError, WaveCorrWarning)
 from .grid import ComplexField, Grid, OpticsContext, make_grid
 from .interferometer import (CorrelationResult, InterferometerSpec,
                              PortIntensities, background_intensity,
@@ -71,12 +72,16 @@ __all__ = [
     "PortIntensities",
     "Raster",
     "ResolutionError",
+    "ResolutionWarning",
+    "SamplingWarning",
     "ScenarioConfig",
     "ScenarioValidationError",
+    "StatisticsWarning",
     "Transmittance",
     "UnequalPathError",
     "Uniform",
     "WaveCorrError",
+    "WaveCorrWarning",
     "background_intensity",
     "builtin_scenarios",
     "cascade_propagate",

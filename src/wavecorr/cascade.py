@@ -112,8 +112,8 @@ def cascade_propagate(ctx, field, chain, method="auto"):
             if el.ndim != 1:
                 raise InvalidArgumentError(
                     "cascade_propagate handles 1D transmittances only")
-            values = out.values * el.sample(out.grid.coordinates())
-            out = ComplexField(out.grid, values, tuple(out.warnings))
+            out = ComplexField(out.grid,
+                               out.values * el.sample(out.grid.coordinates()))
     if pending != PathLedger.zero():
         out = propagate(ctx, out, pending.optical_path,
                         pending.diffraction_length, method)

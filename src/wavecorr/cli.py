@@ -1,18 +1,24 @@
 """Command-line front end for scenario runs.
 
-Exit codes: 0 success (warnings go to stderr), 2 a config file that is
-not JSON (malformed, not UTF-8, or nested too deeply), 3 invalid
-configuration (the message names the offending field) or a config or
-output path that cannot be read or written, 4 a numerical or runtime
-failure during execution.
+Exit codes: 0 success, 2 a config file that is not JSON (malformed, not
+UTF-8, or nested too deeply), 3 invalid configuration (the message names
+the offending field) or a config or output path that cannot be read or
+written, 4 a numerical or runtime failure during execution.
+
+stdout holds the scenario and ledger lines and one `wrote` line per
+file. Every warning a run raises, whichever the exit code, goes to
+stderr as `warning: <Code>: <message>`; the code of a wavecorr notice
+is its WaveCorrWarning subclass.
 """
 
 import argparse
 import json
 import os
 import sys
+import warnings
 
-from .errors import ConfigParseError, ScenarioValidationError, WaveCorrError
+from .errors import (ConfigParseError, ScenarioValidationError,
+                     WaveCorrError, WaveCorrWarning)
 from .scenario import builtin_scenarios, run_scenario
 
 
@@ -75,19 +81,25 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        if getattr(args, "out", None):
-            os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (ScenarioValidationError, OSError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 3
-    except WaveCorrError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings(record=True) as notices:
+        warnings.simplefilter("always", WaveCorrWarning)
+        try:
+            if getattr(args, "out", None):
+                os.makedirs(args.out, exist_ok=True)
+            return args.func(args)
+        except ConfigParseError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+        except (ScenarioValidationError, OSError) as exc:
+            print(f"invalid config: {exc}", file=sys.stderr)
+            return 3
+        except WaveCorrError as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return 4
+        finally:
+            for notice in notices:
+                print(f"warning: {notice.category.__name__}: "
+                      f"{notice.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

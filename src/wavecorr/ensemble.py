@@ -19,14 +19,15 @@ run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, StatisticsWarning
 from .grid import ComplexField, Grid
-from .interferometer import _object_nodes
+from .interferometer import PortIntensities, _object_nodes
 from .propagation import fresnel_kernel, propagate
 
 _BATCH = 128  # fixed batch width; part of the determinism contract
@@ -62,7 +63,6 @@ class EnsembleEstimate:
     intensity_r: np.ndarray
     standard_error: np.ndarray
     n_used: int
-    warnings: tuple = ()
 
     def ghost_image(self):
         """|<E_r* E_o>|^2, the quantity a two-detector coincidence
@@ -165,27 +165,24 @@ def run_ensemble(config):
         std_err = np.sqrt(variance / n)
     else:
         std_err = np.full(n_det, np.inf)
-    warnings = ()
     if np.all(std_err > np.sqrt(mean_abs2)):
-        warnings += (
+        warnings.warn(
             f"standard error exceeds |mean| everywhere at n = {n}; "
-            "increase n_realizations",)
-    return EnsembleEstimate(mean, io_sum / n, ir_sum / n, std_err, n,
-                            warnings)
+            "increase n_realizations", StatisticsWarning, stacklevel=2)
+    return EnsembleEstimate(mean, io_sum / n, ir_sum / n, std_err, n)
 
 
-def run_coherent(spec, grid, source="plane_wave", pinhole_width=None,
-                 block=None):
-    """Detector intensity |E_o + E_r|^2 for one deterministic field.
+def run_coherent(spec, grid, source="plane_wave", pinhole_width=None):
+    """Beamsplitter ports of one deterministic field through both arms.
 
     The input is a unit-amplitude wave on the grid ("plane_wave"), or
-    the same truncated to |x| <= pinhole_width/2 ("pinhole"). `block`
-    zeroes one arm ("object" or "reference") for single-arm intensity.
-    There is no ensemble and no statistical averaging: with coherent
-    illumination the arms interfere fringe by fringe.
+    the same truncated to |x| <= pinhole_width/2 ("pinhole"). Each arm
+    is propagated once; with total = |E_o + E_r|^2 and background =
+    |E_o|^2 + |E_r|^2, the ports are i_plus = total/2, i_minus =
+    background - total/2 and diff = total - background. There is no
+    ensemble and no statistical averaging: with coherent illumination
+    the arms interfere fringe by fringe.
     """
-    if block not in (None, "object", "reference"):
-        raise InvalidArgumentError("block must be None, 'object', or 'reference'")
     x = grid.coordinates()
     if source == "plane_wave":
         values = np.ones(grid.n_samples, dtype=np.complex128)
@@ -198,16 +195,14 @@ def run_coherent(spec, grid, source="plane_wave", pinhole_width=None,
     e_in = ComplexField(grid, values)
 
     led = spec.reference_ledger
-    if block == "object":
-        e_o = np.zeros(grid.n_samples, dtype=np.complex128)
-    else:
-        at_obj = propagate(spec.ctx, e_in, spec.z_o1, spec.z_o1)
-        masked = ComplexField(grid, at_obj.values * spec.object.sample(x))
-        e_o = propagate(spec.ctx, masked, spec.z_o2, spec.z_o2).values
-    if block == "reference":
-        e_r = np.zeros(grid.n_samples, dtype=np.complex128)
-    else:
-        e_r = propagate(spec.ctx, e_in, led.optical_path,
-                        led.diffraction_length).values
-    total = e_o + e_r
-    return total.real ** 2 + total.imag ** 2
+    at_obj = propagate(spec.ctx, e_in, spec.z_o1, spec.z_o1)
+    masked = ComplexField(grid, at_obj.values * spec.object.sample(x))
+    e_o = propagate(spec.ctx, masked, spec.z_o2, spec.z_o2).values
+    e_r = propagate(spec.ctx, e_in, led.optical_path,
+                    led.diffraction_length).values
+    total, i_o, i_r = (e.real ** 2 + e.imag ** 2
+                       for e in (e_o + e_r, e_o, e_r))
+    background = i_o + i_r
+    return PortIntensities(grid=grid, i_plus=total / 2,
+                           i_minus=background - total / 2,
+                           diff=total - background, background=background)

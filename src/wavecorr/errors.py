@@ -48,5 +48,23 @@ class ConfigParseError(WaveCorrError):
     nested deeper than the parser follows."""
 
 
-class EqualPathWarning(UserWarning):
+class WaveCorrWarning(UserWarning):
+    """Base class for the non-fatal notices of a run; a subclass's name
+    is the notice's stable code."""
+
+
+class EqualPathWarning(WaveCorrWarning):
     """Arm paths differ, but within the coherence tolerance."""
+
+
+class ResolutionWarning(WaveCorrWarning):
+    """Object features lie below 3x the source-limited resolution."""
+
+
+class SamplingWarning(WaveCorrWarning):
+    """FFT propagation near the crossover of its two chirp forms, where
+    neither is cleanly sampled."""
+
+
+class StatisticsWarning(WaveCorrWarning):
+    """Ensemble standard error exceeds |mean| at every detector point."""

@@ -63,13 +63,11 @@ class ComplexField:
     """Complex amplitude samples on a Grid.
 
     Units are any consistent amplitude convention (sqrt(W/m) in 1D);
-    only relative magnitudes matter downstream. `warnings` carries
-    non-fatal numerical notices attached by producers.
+    only relative magnitudes matter downstream.
     """
 
     grid: Grid
     values: np.ndarray
-    warnings: tuple = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)

@@ -34,7 +34,8 @@ from .cascade import (DEFAULT_COHERENCE_TOLERANCE,
                       effective_diffraction_length, equal_path_mismatch,
                       ledger)
 from .errors import (EqualPathWarning, InvalidArgumentError,
-                     NegativeIntensityError, ResolutionError)
+                     NegativeIntensityError, ResolutionError,
+                     ResolutionWarning)
 from .grid import Grid
 from .propagation import (chirp_nodes, fresnel_kernel, kernel_scale,
                           midpoint_lattice)
@@ -112,7 +113,6 @@ class CorrelationResult:
     correlation: np.ndarray
     z_eff: float
     prefactor: complex
-    warnings: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,17 @@ def _prefactor(spec, z_eff):
 
 def _resolution_guard(spec, grid):
     feature = spec.object.min_feature()
-    warnings = ()
     if feature is not None:
         if grid.spacing > feature / 4:
             raise ResolutionError(
                 f"grid spacing {grid.spacing:.3g} m exceeds a quarter of the "
                 f"object's smallest feature {feature:.3g} m")
         if feature < 3 * spec.psf_width:
-            warnings += (
+            _warnings.warn(
                 f"object feature {feature:.3g} m is below 3x the "
                 f"source-limited resolution {spec.psf_width:.3g} m; the "
-                "reconstruction will be smoothed",)
-    return warnings
+                "reconstruction will be smoothed", ResolutionWarning,
+                stacklevel=3)
 
 
 def correlation_analytic(spec, grid):
@@ -165,7 +164,7 @@ def correlation_analytic(spec, grid):
     if obj.ndim != 1:
         raise InvalidArgumentError(
             "2D objects are handled by correlation_analytic_2d")
-    warnings = _resolution_guard(spec, grid)
+    _resolution_guard(spec, grid)
     z_eff, z_arg = spec.z_eff, spec.path_mismatch
     k0 = spec.ctx.k0
     x = grid.coordinates()
@@ -183,7 +182,7 @@ def correlation_analytic(spec, grid):
         coeffs = obj.sample(nodes) * weights
         pattern = kernel_scale(spec.ctx, z_arg, z_eff) * _kernels.chirp_sum(
             x, nodes, coeffs, k0 / (2.0 * z_eff))
-    return CorrelationResult(grid, pref * pattern, z_eff, pref, warnings)
+    return CorrelationResult(grid, pref * pattern, z_eff, pref)
 
 
 def correlation_analytic_2d(spec, grid):
@@ -207,7 +206,7 @@ def correlation_analytic_2d(spec, grid):
     obj = spec.object
     if obj.ndim != 2:
         raise InvalidArgumentError("correlation_analytic_2d needs a 2D object")
-    warnings = _resolution_guard(spec, grid)
+    _resolution_guard(spec, grid)
     z_eff, z_arg = spec.z_eff, spec.path_mismatch
     k0 = spec.ctx.k0
     x = grid.coordinates()
@@ -233,7 +232,7 @@ def correlation_analytic_2d(spec, grid):
         scale = kernel_scale(spec.ctx, z_arg, z_eff) * kernel_scale(
             spec.ctx, 0.0, z_eff)
         pattern = scale * np.linalg.multi_dot([a_y, obj.pixels, a_x.T])
-    return CorrelationResult(grid, pref * pattern, z_eff, pref, warnings)
+    return CorrelationResult(grid, pref * pattern, z_eff, pref)
 
 
 def _source_nodes(spec, x_max, obj_extent):

@@ -23,10 +23,13 @@ Two numerical routes are provided and kept deliberately independent:
   kernel otherwise.
 """
 
+import warnings
+
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateKernelError, InvalidArgumentError
+from .errors import (DegenerateKernelError, InvalidArgumentError,
+                     SamplingWarning)
 from .grid import ComplexField
 
 # fft regime ratios within [1/2, 2] of the crossover get a warning:
@@ -61,18 +64,16 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
     """Propagate a sampled field by (Z, Zbar); output on the input grid.
 
     Zbar == 0 short-circuits to the identity times exp(i k0 Z). The fft
-    route attaches a non-fatal aliasing warning to the result when the
-    grid sits near the crossover between its two chirp forms.
+    route warns (SamplingWarning) when the grid sits near the crossover
+    between its two chirp forms.
     """
     values = np.asarray(field.values)
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("field values must be finite")
     grid = field.grid
-    warnings = tuple(field.warnings)
 
     if Zbar == 0:
-        out = values * np.exp(1j * ctx.k0 * Z)
-        return ComplexField(grid, out, warnings)
+        return ComplexField(grid, values * np.exp(1j * ctx.k0 * Z))
 
     if method == "auto":
         method = "fft"
@@ -83,7 +84,7 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
         alpha = ctx.k0 / (2.0 * Zbar)
         out = kernel_scale(ctx, Z, Zbar) * _kernels.chirp_sum(
             x, x, coeffs, alpha)
-        return ComplexField(grid, out, warnings)
+        return ComplexField(grid, out)
 
     if method != "fft":
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -92,9 +93,10 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
     dx = grid.spacing
     ratio = ctx.wavelength * abs(Zbar) / (n * dx * dx)
     if _ALIAS_BAND[0] < ratio < _ALIAS_BAND[1]:
-        warnings = warnings + (
+        warnings.warn(
             f"near-critical chirp sampling (regime ratio {ratio:.3g}); "
-            "neither fft form is cleanly sampled",)
+            "neither fft form is cleanly sampled", SamplingWarning,
+            stacklevel=2)
     spectrum = np.fft.fft(values)
     if ratio <= 1.0:
         # transfer function form: exact unitary chirp in frequency space
@@ -106,7 +108,7 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
         offsets = np.fft.fftfreq(n, 1.0 / n) * dx
         h = fresnel_kernel(ctx, offsets, 0.0, Z, Zbar)
         out = np.fft.ifft(spectrum * np.fft.fft(h)) * dx
-    return ComplexField(grid, out, warnings)
+    return ComplexField(grid, out)
 
 
 def midpoint_lattice(intervals, step, min_count):

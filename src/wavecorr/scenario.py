@@ -28,9 +28,8 @@ from .errors import (ConfigParseError, InvalidArgumentError,
                      ScenarioValidationError, UnequalPathError)
 from .grid import OpticsContext, make_grid
 from .interferometer import (CorrelationResult, InterferometerSpec,
-                             PortIntensities, background_intensity,
-                             correlation_analytic, correlation_analytic_2d,
-                             detector_ports)
+                             background_intensity, correlation_analytic,
+                             correlation_analytic_2d, detector_ports)
 from .propagation import MAX_NODES
 from .transmittance import (Transmittance, double_slit, phase_holes,
                             raster_to_transmittance, read_pgm, uniform)
@@ -70,6 +69,8 @@ class Field:
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONZERO = (lambda v: v != 0, "must be nonzero")
 _NONEMPTY = (lambda v: len(v) > 0, "must be non-empty")
+_PATH = (lambda v: len(v) > 0 and "\0" not in v,
+         "must be a non-empty path with no NUL character")
 
 
 def _one_of(choices):
@@ -96,7 +97,8 @@ OBJECT_KINDS = {
     "raster": ObjectKind(
         raster_to_transmittance, (Field("pixels", list, default=None),
                                   Field("pitch", float, _POSITIVE),
-                                  Field("path", str, default=None)), "pixels"),
+                                  Field("path", str, _PATH, default=None)),
+        "pixels"),
     "uniform": ObjectKind(uniform, (Field("value", complex, default=1.0),),
                           "value"),
 }
@@ -187,7 +189,7 @@ FIELDS = (
         attr="coherent_settings"),
     Field("outputs", list, fields=(
         Field("kind", str, _one_of(OUTPUT_KINDS)),
-        Field("path", str, _NONEMPTY))),
+        Field("path", str, _PATH))),
 )
 
 
@@ -416,28 +418,14 @@ def export(result, kind, path):
     return path
 
 
-def _coherent_ports(spec, grid, settings):
-    source, pinhole_width = settings or ("plane_wave", None)
-    kw = dict(source=source, pinhole_width=pinhole_width)
-    total = run_coherent(spec, grid, **kw)
-    i_o = run_coherent(spec, grid, block="reference", **kw)
-    i_r = run_coherent(spec, grid, block="object", **kw)
-    background = i_o + i_r
-    return PortIntensities(
-        grid=grid,
-        i_plus=total / 2,
-        i_minus=background - total / 2,
-        diff=total - background,
-        background=background,
-    )
-
-
 def run_scenario(config, out_dir=None, echo=print):
     """Execute a scenario (path to a JSON file, or a ScenarioConfig).
 
     Writes the declared outputs (relative paths land in out_dir, default
-    the current directory), prints the resolved ledger summary, and
-    returns an OutputBundle with sha256 checksums.
+    the current directory; two that resolve to one file are rejected
+    before any is written), prints the resolved ledger summary, and
+    returns an OutputBundle with sha256 checksums. Non-fatal notices
+    are WaveCorrWarning subclasses raised through `warnings`.
     """
     base_dir = os.getcwd()
     if not isinstance(config, ScenarioConfig):
@@ -453,7 +441,14 @@ def run_scenario(config, out_dir=None, echo=print):
             except (UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigParseError(str(exc)) from exc
         config = config_from_dict(raw)
-    out_dir = out_dir or os.getcwd()
+    # join keeps an absolute output path as it is
+    paths = [os.path.join(out_dir or os.getcwd(), path)
+             for _, path in config.outputs]
+    targets = [os.path.realpath(path) for path in paths]
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            raise ScenarioValidationError(f"outputs[{i}].path",
+                                          "written by an earlier output")
 
     segments = tuple(MediumSegment(l, n)
                      for l, n in config.reference_segments)
@@ -499,22 +494,15 @@ def run_scenario(config, out_dir=None, echo=print):
             spec=spec, source_grid=source_grid, detector_grid=grid,
             n_realizations=n_real, master_seed=seed))
         corr = CorrelationResult(grid, est.correlation_mean, z_eff,
-                                 prefactor=None, warnings=est.warnings)
+                                 prefactor=None)
         results["correlation"] = corr
         results["ports"] = detector_ports(
             corr, est.intensity_o + est.intensity_r)
     else:
-        results["ports"] = _coherent_ports(spec, grid,
-                                           config.coherent_settings)
-
-    for res in results.values():
-        for w in getattr(res, "warnings", ()):
-            echo(f"warning: {w}")
+        results["ports"] = run_coherent(spec, grid, *config.coherent_settings)
 
     files = []
-    for (kind, rel_path), source in zip(config.outputs, sources):
-        path = rel_path if os.path.isabs(rel_path) else os.path.join(
-            out_dir, rel_path)
+    for (kind, _), path, source in zip(config.outputs, paths, sources):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)

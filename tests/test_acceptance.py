@@ -11,6 +11,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from wavecorr import (
     ComplexField,
@@ -20,6 +21,7 @@ from wavecorr import (
     MediumSegment,
     OpticsContext,
     PathLedger,
+    SamplingWarning,
     background_intensity,
     correlation_analytic,
     correlation_brute_force,
@@ -214,10 +216,7 @@ def test_criterion_09_coherent_contrast():
     spec = _spec(REF.diffraction_length, SLIT)
     grid = make_grid(0.0, 2e-3, 4096)
     t_ref = SLIT.sample(grid.coordinates()).real
-    total = run_coherent(spec, grid)
-    arm_o = run_coherent(spec, grid, block="reference")
-    arm_r = run_coherent(spec, grid, block="object")
-    coherent_ncc = _ncc(total - arm_o - arm_r, t_ref)
+    coherent_ncc = _ncc(run_coherent(spec, grid).diff, t_ref)
     res = correlation_analytic(spec, grid)
     incoherent_ncc = _ncc(2.0 * res.correlation.real, t_ref)
     ok = coherent_ncc <= 0.9 and incoherent_ncc >= 0.99
@@ -234,11 +233,13 @@ def test_criterion_10_numerical_core():
     out = propagate(CTX, gauss, 0.02, 0.02)
     energy_rel = abs(out.power() / gauss.power() - 1.0)
 
-    # spectral propagation against the direct-quadrature definition
+    # spectral propagation against the direct-quadrature definition; at
+    # regime ratio 0.75 the route warns of near-critical sampling
     grid2 = make_grid(0.0, 2e-3, 1024)
     x2 = grid2.coordinates()
     field = ComplexField(grid2, np.exp(-(x2 / 50e-6) ** 2).astype(complex))
-    fft_route = propagate(CTX, field, 0.0, 0.02)
+    with pytest.warns(SamplingWarning):
+        fft_route = propagate(CTX, field, 0.0, 0.02)
     h = fresnel_kernel(CTX, x2[:, None], x2[None, :], 0.0, 0.02)
     direct = h @ field.values * grid2.spacing
     fft_rel = np.linalg.norm(fft_route.values - direct) / np.linalg.norm(direct)
@@ -247,11 +248,13 @@ def test_criterion_10_numerical_core():
     slit_vals = SLIT.sample(x2)
     masked = ComplexField(grid2, slit_vals.astype(complex))
     two_hop = propagate(CTX, propagate(CTX, masked, 0.1, 0.01), 0.2, 0.01)
-    one_hop = propagate(CTX, masked, 0.3, 0.02)
+    with pytest.warns(SamplingWarning):
+        one_hop = propagate(CTX, masked, 0.3, 0.02)
     semi_rel = (np.linalg.norm(two_hop.values - one_hop.values)
                 / np.linalg.norm(one_hop.values))
-    there = propagate(CTX, masked, 0.1, 0.015)
-    back = propagate(CTX, there, -0.1, -0.015)
+    with pytest.warns(SamplingWarning):
+        there = propagate(CTX, masked, 0.1, 0.015)
+        back = propagate(CTX, there, -0.1, -0.015)
     round_rel = (np.linalg.norm(back.values - masked.values)
                  / np.linalg.norm(masked.values))
 

@@ -289,6 +289,80 @@ def test_unreadable_config_or_unwritable_output_exits_cleanly(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("over,field", [
+    pytest.param({"outputs": [{"kind": "correlation_csv",
+                               "path": "a\0b.csv"}]},
+                 "outputs[0].path", id="output-path"),
+    pytest.param({"object": {"kind": "raster", "pitch": 60e-6,
+                             "path": "m\0.pgm"},
+                  "outputs": IMAGE_OUT},
+                 "object.path", id="raster-path"),
+])
+def test_nul_in_a_path_is_exit_3(tmp_path, capsys, over, field):
+    cfg_path = tmp_path / "nul.json"
+    cfg_path.write_text(json.dumps(config_dict(**over)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid config: {field}:" in err
+    assert "Traceback" not in err
+
+
+def test_outputs_resolving_to_one_file_are_exit_3(tmp_path, capsys):
+    # a relative and an absolute path that meet only once joined with
+    # --out; neither file is written
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "same.json"
+    cfg_path.write_text(json.dumps(config_dict(outputs=[
+        {"kind": "correlation_csv", "path": "same.csv"},
+        {"kind": "image_pgm", "path": str(out_dir / "same.csv")}])))
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert "invalid config: outputs[1].path: written by an earlier output" \
+        in captured.err
+    assert "wrote" not in captured.out
+    assert not (out_dir / "same.csv").exists()
+
+
+def _at_regime_ratio_1(n=64):
+    # fft regime ratio lambda |Zbar| / (n dx^2) = 1 on the reference arm,
+    # with dx = 2 * half_width / n
+    return {"half_width": math.sqrt(589.3e-9 * IMAGING_Z_O1 * n) / 2,
+            "n_samples": n}
+
+
+@pytest.mark.parametrize("over,code", [
+    pytest.param({"object": {"kind": "double_slit", "b": 40e-6, "d": 100e-6}},
+                 "ResolutionWarning", id="40um-slit"),
+    pytest.param({"mode": "coherent", "object": {"kind": "uniform"},
+                  "grid": _at_regime_ratio_1(),
+                  "outputs": [{"kind": "ports_csv", "path": "p.csv"}]},
+                 "SamplingWarning", id="coherent-at-ratio-1"),
+    pytest.param({"z_o2": TOTAL_Z - IMAGING_Z_O1 + 1e-4},
+                 "EqualPathWarning", id="paths-within-tolerance"),
+])
+def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
+    cfg_path = tmp_path / "notice.json"
+    cfg_path.write_text(json.dumps(config_dict(**over)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert re.search(rf"^warning: {code}: \S", captured.err, re.M)
+    assert "warning" not in captured.out
+    for line in captured.out.splitlines():
+        assert re.match(r"(scenario|Z|Zbar|z_o2_img|Z_eff) |wrote ", line)
+
+
+def test_notices_are_printed_when_the_run_fails(tmp_path, capsys):
+    # the equal-path notice comes before the resolution guard fails
+    cfg_path = tmp_path / "coarse.json"
+    cfg_path.write_text(json.dumps(config_dict(
+        z_o2=TOTAL_Z - IMAGING_Z_O1 + 1e-4,
+        grid={"half_width": 2e-3, "n_samples": 16})))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("run failed: ")
+    assert err[1].startswith("warning: EqualPathWarning: ")
+
+
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
     # 0.1 um from Zbar: Z_eff ~ 1e-7 m, far too fine a chirp for the node
     # cap, so this is a clean runtime failure rather than a traceback.

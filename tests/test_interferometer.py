@@ -10,6 +10,7 @@ finite source genuinely part ways.
 
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
                       phase_holes, raster_to_transmittance, uniform, vacuum)
 from wavecorr._kernels import chirp_sum
 from wavecorr.errors import (InvalidArgumentError, NegativeIntensityError,
-                             ResolutionError, UnequalPathError)
+                             ResolutionError, ResolutionWarning,
+                             UnequalPathError)
 from wavecorr.propagation import chirp_nodes, fresnel_kernel, kernel_scale
 from wavecorr.transmittance import Raster, Transmittance
 
@@ -89,10 +91,10 @@ def test_resolution_guard_rejects_coarse_grids():
 def test_features_below_source_resolution_warn():
     # 30 um features vs 16.8 um source-limited resolution: under 3x
     grid = make_grid(0.0, 0.2e-3, 64)
-    res = correlation_analytic(imaging_spec(double_slit(30e-6, 80e-6)), grid)
-    assert any("resolution" in w for w in res.warnings)
-    clean = correlation_analytic(imaging_spec(SLIT), make_grid(0.0, 0.5e-3, 256))
-    assert clean.warnings == ()
+    with pytest.warns(ResolutionWarning, match="source-limited resolution"):
+        correlation_analytic(imaging_spec(double_slit(30e-6, 80e-6)), grid)
+    # 125 um features are clear of it; the error filter fails any notice
+    correlation_analytic(imaging_spec(SLIT), make_grid(0.0, 0.5e-3, 256))
 
 
 # --------------------------------------------------------------- imaging
@@ -475,7 +477,9 @@ def _defocused_rasters(draw):
 @given(_defocused_rasters())
 def test_2d_defocus_matches_the_dense_kernel_formula(case):
     spec, grid = case
-    res = correlation_analytic_2d(spec, grid)
+    smoothed = spec.object.min_feature() < 3 * spec.psf_width
+    with pytest.warns(ResolutionWarning) if smoothed else nullcontext():
+        res = correlation_analytic_2d(spec, grid)
     want = _dense_2d_pattern(spec, grid)
     got = res.correlation / res.prefactor
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecorr import ComplexField, OpticsContext, make_grid
-from wavecorr.errors import DegenerateKernelError, InvalidArgumentError
+from wavecorr.errors import (DegenerateKernelError, InvalidArgumentError,
+                             SamplingWarning)
 from wavecorr.propagation import chirp_nodes, fresnel_kernel, kernel_scale, propagate
 
 CTX = OpticsContext(589.3e-9)
@@ -85,7 +86,6 @@ def test_transfer_function_route_conserves_energy():
     f = _gaussian_field(512, 3e-4)
     out = propagate(CTX, f, 0.3, 0.02, method="fft")
     assert out.power() == pytest.approx(f.power(), rel=1e-10)
-    assert out.warnings == ()
 
 
 @settings(deadline=None, max_examples=25)
@@ -101,7 +101,8 @@ def test_transfer_function_unitarity_property(zbar, seed):
 
 
 FROZEN_TF_CASES = [
-    # (n_samples, zbar, sigma): alias ghost lambda*zbar/dx beyond the window
+    # (n_samples, zbar, sigma): alias ghost lambda*zbar/dx beyond the window;
+    # regime ratios 0.75 to 0.63, inside the near-critical band
     (256, 0.08, 75e-6),
     (512, 0.035, 60e-6),
     (1024, 0.02, 50e-6),
@@ -111,7 +112,8 @@ FROZEN_TF_CASES = [
 @pytest.mark.parametrize("n,zbar,sigma", FROZEN_TF_CASES)
 def test_fft_matches_direct_quadrature_gaussian(n, zbar, sigma):
     f = _gaussian_field(n, sigma)
-    a = propagate(CTX, f, 0.0, zbar, method="fft").values
+    with pytest.warns(SamplingWarning):
+        a = propagate(CTX, f, 0.0, zbar, method="fft").values
     b = propagate(CTX, f, 0.0, zbar, method="direct").values
     scale = np.abs(b).max()
     assert np.abs(a - b).max() <= 1e-10 * scale
@@ -130,7 +132,6 @@ def test_impulse_response_route_matches_direct_on_interior():
     inner = np.abs(x) <= 1.7e-3
     scale = np.abs(b.values[inner]).max()
     assert np.abs(a.values[inner] - b.values[inner]).max() <= 1e-10 * scale
-    assert a.warnings == ()
 
 
 def test_two_hops_compose_to_one():
@@ -153,19 +154,18 @@ def test_negative_hop_reverses_diffraction():
 
 def test_alias_warning_inside_band_only():
     f = _gaussian_field(512, 3e-4)
-    warned = propagate(CTX, f, 0.0, 0.04, method="fft")
-    assert any("near-critical" in w for w in warned.warnings)
-    clean_tf = propagate(CTX, f, 0.0, 0.02, method="fft")
-    assert clean_tf.warnings == ()
-    clean_ir = propagate(CTX, f, 0.0, 0.12, method="fft")
-    assert clean_ir.warnings == ()
+    with pytest.warns(SamplingWarning, match="near-critical"):
+        propagate(CTX, f, 0.0, 0.04, method="fft")
+    # either side of the band: the error filter fails any notice
+    propagate(CTX, f, 0.0, 0.02, method="fft")
+    propagate(CTX, f, 0.0, 0.12, method="fft")
 
 
 def test_warnings_accumulate_across_hops():
     f = _gaussian_field(512, 3e-4)
-    once = propagate(CTX, f, 0.0, 0.04)
-    twice = propagate(CTX, once, 0.0, 0.04)
-    assert len(twice.warnings) == 2
+    with pytest.warns(SamplingWarning) as record:
+        propagate(CTX, propagate(CTX, f, 0.0, 0.04), 0.0, 0.04)
+    assert [w.category for w in record] == [SamplingWarning] * 2
 
 
 def test_propagate_rejects_non_finite_fields():

@@ -14,7 +14,7 @@ import pytest
 from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
-from wavecorr.errors import ScenarioValidationError
+from wavecorr.errors import SamplingWarning, ScenarioValidationError
 from wavecorr.scenario import (FIELDS, MAX_REALIZATIONS, OBJECT_KINDS,
                                Transmittance)
 
@@ -181,6 +181,12 @@ REJECTIONS = [
                         {"kind": "image_pgm", "path": "./same.csv"}]),
      "outputs[1].path"),
     (base_dict(object={"kind": "uniform", "value": 2}), "object.value"),
+    # a NUL character, which no file system path may hold
+    (base_dict(outputs=[{"kind": "correlation_csv", "path": "a\0b.csv"}]),
+     "outputs[0].path"),
+    (base_dict(object={"kind": "raster", "pitch": 6e-5, "path": "m\0.pgm"},
+               outputs=[{"kind": "image_pgm", "path": "i.pgm"}]),
+     "object.path"),
 ]
 
 
@@ -490,7 +496,8 @@ def test_coherent_scenario_ports(tmp_path):
         object={"kind": "uniform", "value": 1.0},
         grid={"half_width": 2e-3, "n_samples": 64},
         outputs=[{"kind": "ports_csv", "path": "p.csv"}]))
-    run_scenario(cfg, out_dir=str(tmp_path), echo=lambda s: None)
+    with pytest.warns(SamplingWarning):
+        run_scenario(cfg, out_dir=str(tmp_path), echo=lambda s: None)
     _, rows = read_csv(tmp_path / "p.csv")
     mid = rows[len(rows) // 2]
     # equal arms, constructive port: i_plus = 2, i_minus = 0, diff = 2
