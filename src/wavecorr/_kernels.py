@@ -36,9 +36,9 @@ loop's error grows as eps * alpha * u_max^2. Both orders are
 deterministic: the same inputs give the same bits.
 
 chirp_segment_sums keeps the sum split by a segment label per input
-point (the pixel column or row of each node in the 2D engine). It is
-the blocked loop with a segmented sum in place of the matrix-vector
-product.
+point (the pixel column or row of each node in the 2D engine). It runs
+the same kernel once per maximal stretch of equal labels, so a pixel's
+nodes, one uniform run, take the chirp-z route too.
 """
 
 import numpy as np
@@ -48,8 +48,6 @@ _MIN_PAIRS_PER_POINT = 16
 # a lattice point may sit this many ulps of u_max off its fitted line
 _LATTICE_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# elements per (block x n_in) temporary of chirp_segment_sums
-_SEGMENT_BLOCK = 250_000
 
 
 def chirp_sum(x_out, x_in, coeffs, alpha):
@@ -83,6 +81,12 @@ def chirp_sum(x_out, x_in, coeffs, alpha):
     return out
 
 
+# chirp_segment_sums calls the kernel by this name, not through the module
+# attribute chirp_sum, so a wrapper put on that attribute sees only the
+# callers of chirp_sum itself
+_chirp_sum = chirp_sum
+
+
 def _blocked_sum(x_out, x_in, coeffs, alpha):
     out = np.empty(x_out.shape[0], dtype=np.complex128)
     # block the output loop to bound the (block x n_in) temporary
@@ -102,34 +106,20 @@ def chirp_segment_sums(x_out, x_in, coeffs, segment, n_segments, alpha):
                     coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2)
 
     Inputs whose segment is -1 are left out; a segment with no inputs
-    gives a zero column. Blocks of output points bound the temporaries
-    to O(block * n_in), and each block is one segmented sum
-    (np.add.reduceat) over the inputs ordered by segment.
+    gives a zero column. Each maximal stretch of equal labels is one
+    chirp_sum, added into its segment's column.
     """
-    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
+    x_in, coeffs = np.asarray(x_in), np.asarray(coeffs)
     segment = np.asarray(segment)
-    out = np.zeros((x_out.shape[0], n_segments), dtype=np.complex128)
-    keep = np.flatnonzero(segment >= 0)
-    if keep.size == 0 or x_out.shape[0] == 0:
-        return out
-    order = keep[np.argsort(segment[keep], kind="stable")]
-    x_in = np.asarray(x_in, dtype=np.float64)[order]
-    coeffs = np.asarray(coeffs, dtype=np.complex128)[order]
-    seg = segment[order]
-    starts = np.flatnonzero(np.diff(seg, prepend=-1))
-    cols = seg[starts]
-    block = max(1, _SEGMENT_BLOCK // x_in.shape[0])
-    for start in range(0, x_out.shape[0], block):
-        u = x_out[start:start + block, None] - x_in[None, :]
-        u *= u
-        u *= alpha
-        # cos and sin straight into e: no complex temporary for 1j*u,
-        # and 1.5x faster than np.exp(1j * u) on 42k-node rows
-        e = np.empty(u.shape, dtype=np.complex128)
-        np.cos(u, out=e.real)
-        np.sin(u, out=e.imag)
-        e *= coeffs
-        out[start:start + block, cols] = np.add.reduceat(e, starts, axis=1)
+    out = np.zeros((len(x_out), n_segments), dtype=np.complex128)
+    # a stretch starts where the label changes; prepending -1 starts none
+    # at 0 for a leading stretch of -1, which is skipped anyway
+    starts = np.flatnonzero(np.diff(segment, prepend=-1))
+    for start, stop in zip(starts, [*starts[1:], segment.shape[0]]):
+        s = segment[start]
+        if s >= 0:
+            out[:, s] += _chirp_sum(x_out, x_in[start:stop],
+                                    coeffs[start:stop], alpha)
     return out
 
 

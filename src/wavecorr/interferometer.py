@@ -158,6 +158,14 @@ def _resolution_guard(spec, grid):
                 stacklevel=3)
 
 
+def _axis_nodes(spec, support, x, z_eff):
+    """chirp_nodes over one axis's support intervals, resolving the chirp
+    out to the farthest detector point x from the support."""
+    u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
+    return chirp_nodes(support, spec.object.min_feature(),
+                       spec.ctx.wavelength, z_eff, u_max)
+
+
 def correlation_analytic(spec, grid):
     """Closed-form <E_r* E_o> of a 1D object on the detector grid."""
     obj = spec.object
@@ -176,9 +184,7 @@ def correlation_analytic(spec, grid):
         # object rides on the kernel's unit integral at any Z_eff
         pattern = np.exp(1j * k0 * z_arg) * obj.sample(x)
     else:
-        u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
-        nodes, weights = chirp_nodes(
-            support, obj.min_feature(), spec.ctx.wavelength, z_eff, u_max)
+        nodes, weights = _axis_nodes(spec, support, x, z_eff)
         coeffs = obj.sample(nodes) * weights
         pattern = kernel_scale(spec.ctx, z_arg, z_eff) * _kernels.chirp_sum(
             x, nodes, coeffs, k0 / (2.0 * z_eff))
@@ -199,9 +205,11 @@ def correlation_analytic_2d(spec, grid):
 
         pattern = A_y @ pixels @ A_x.T,
 
-    with A_x N x cols and A_y N x rows: O(N * (M_x + M_y)) exponentials
-    and O(N^2 * min(rows, cols)) for the products, and no array of
-    nodes x nodes or nodes x pixels.
+    with A_x N x cols and A_y N x rows. The nodes of one pixel column
+    (row) are a uniform run, so each column of A_x (A_y) is one chirp-z
+    FFT convolution of length about N + M_x / cols (N + M_y / rows), the
+    1D engine's route; the products cost O(N^2 * min(rows, cols)), and no
+    array holds nodes x nodes or nodes x pixels.
     """
     obj = spec.object
     if obj.ndim != 2:
@@ -218,12 +226,8 @@ def correlation_analytic_2d(spec, grid):
         delta = spec.z_o1 - spec.reference_ledger.diffraction_length
         pref = spec.source_intensity * (
             k0 * z_eff / (2j * np.pi * spec.z_o2 * delta))
-        lam = spec.ctx.wavelength
-        sup_x, sup_y = obj.support(), obj.support_y()
-        u_x = max(abs(x[0] - sup_x[-1][1]), abs(x[-1] - sup_x[0][0]))
-        u_y = max(abs(x[0] - sup_y[-1][1]), abs(x[-1] - sup_y[0][0]))
-        nx, wx = chirp_nodes(sup_x, obj.min_feature(), lam, z_eff, u_x)
-        ny, wy = chirp_nodes(sup_y, obj.min_feature(), lam, z_eff, u_y)
+        nx, wx = _axis_nodes(spec, obj.support(), x, z_eff)
+        ny, wy = _axis_nodes(spec, obj.support_y(), x, z_eff)
         col, row = obj.pixel_index(nx, ny)
         rows, cols = obj.pixels.shape
         alpha = k0 / (2.0 * z_eff)

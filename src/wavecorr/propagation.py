@@ -94,8 +94,9 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
     ratio = ctx.wavelength * abs(Zbar) / (n * dx * dx)
     if _ALIAS_BAND[0] < ratio < _ALIAS_BAND[1]:
         warnings.warn(
-            f"near-critical chirp sampling (regime ratio {ratio:.3g}); "
-            "neither fft form is cleanly sampled", SamplingWarning,
+            f"near-critical chirp sampling (regime ratio {ratio:.3g}) on "
+            f"the hop Z = {Z:.6g} m, Zbar = {Zbar:.6g} m; neither fft form "
+            "is cleanly sampled", SamplingWarning,
             stacklevel=2)
     spectrum = np.fft.fft(values)
     if ratio <= 1.0:

@@ -346,6 +346,12 @@ def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert re.search(rf"^warning: {code}: \S", captured.err, re.M)
+    if code == "SamplingWarning":
+        # the object hop z_o1 and the reference hop share Zbar; each line
+        # names its own hop
+        lines = re.findall(r"^warning: SamplingWarning: .*$", captured.err,
+                           re.M)
+        assert len(lines) == 2 and lines[0] != lines[1]
     assert "warning" not in captured.out
     for line in captured.out.splitlines():
         assert re.match(r"(scenario|Z|Zbar|z_o2_img|Z_eff) |wrote ", line)

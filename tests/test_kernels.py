@@ -178,3 +178,32 @@ def test_segment_sums_match_the_definition_per_segment():
     none = _kernels.chirp_segment_sums(x_out, x_in, coeffs,
                                        np.full(x_in.size, -1), 2, alpha)
     assert none.shape == (37, 2) and not none.any()
+
+
+def test_segment_sums_take_the_lattice_route_per_segment(monkeypatch):
+    # the 2D engine's layout: 30k midpoint nodes over a raster of 24 pixel
+    # columns, 50 um each, against a 256-point detector at Z_eff = 1 mm;
+    # each column is one uniform run of 1250 nodes, so one FFT convolution
+    calls = []
+    lattice_sum = _kernels._lattice_sum
+
+    def spy(*args):
+        calls.append(args)
+        return lattice_sum(*args)
+
+    monkeypatch.setattr(_kernels, "_lattice_sum", spy)
+    rng = np.random.default_rng(9)
+    cols, pitch = 24, 50e-6
+    x_out = (np.arange(256) - 127.5) * 9.4e-6
+    x_in = (np.arange(30_000) + 0.5) * 4e-8 - cols * pitch / 2
+    segment = np.floor((x_in + cols * pitch / 2) / pitch).astype(int)
+    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
+    alpha = np.pi / (589.3e-9 * 1e-3)
+    got = _kernels.chirp_segment_sums(x_out, x_in, coeffs, segment, cols,
+                                      alpha)
+    assert len(calls) == cols
+    idx = np.arange(0, 256, 8)
+    for s in range(cols):
+        pick = segment == s
+        want = _explicit(x_out[idx], x_in[pick], coeffs[pick], alpha)
+        assert np.abs(got[idx, s] - want).max() <= 1e-10 * np.abs(got).max()
