@@ -39,6 +39,10 @@ chirp_segment_sums keeps the sum split by a segment label per input
 point (the pixel column or row of each node in the 2D engine). It runs
 the same kernel once per maximal stretch of equal labels, so a pixel's
 nodes, one uniform run, take the chirp-z route too.
+
+The ensemble's reference arm maps one uniform grid onto another, so it
+calls _lattice_sum directly, with one row of coefficients per source
+realization.
 """
 
 import numpy as np
@@ -159,7 +163,11 @@ def _lattice_step(x, tol):
 
 def _lattice_sum(y, w, x, d, c, alpha):
     """sum_i c_i exp(i alpha (y_j - x_i)^2) for lattices y (step w) and
-    x (step d), by one linear FFT convolution (Bluestein)."""
+    x (step d), by one linear FFT convolution (Bluestein).
+
+    c may carry leading batch axes, (..., m); the sum runs over its last
+    axis and the result is (..., n), one convolution per row.
+    """
     n, m = y.shape[0], x.shape[0]
     # index origins at the run's middle node xc and the output yc nearest
     # it: x_i = xc + ii d, y_j = yc + jj w
@@ -175,8 +183,12 @@ def _lattice_sum(y, w, x, d, c, alpha):
     p = _chirp(alpha * ((y - xc) ** 2 - (yc - xc) ** 2), -beta, jj)
     r = _chirp(0.0, beta, np.arange(-(m - 1), n) - (j0 - i0))
     size = _fft_size(n + m - 1)
-    conv = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(r, size))
-    return p * conv[m - 1:m - 1 + n]
+    # in place and rebound, so that at most two batch-sized FFT buffers
+    # are alive at once
+    conv = np.fft.fft(g, size)
+    conv *= np.fft.fft(r, size)
+    conv = np.fft.ifft(conv)
+    return p * conv[..., m - 1:m - 1 + n]
 
 
 def _fft_size(n):

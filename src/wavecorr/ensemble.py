@@ -10,10 +10,14 @@ therefore yields the same field bitwise on any worker layout, and the
 accumulation below runs in a fixed batch order, so a whole run is
 reproducible.
 
-Propagation inside a run is three fixed matrices (source -> object
-plane, object plane -> detector, source -> detector) applied to batches
-of realizations; the expectation of the resulting estimator equals the
-finite-source brute-force integral on the same nodes.
+Propagation inside a run applies two fixed matrices (source -> object
+plane, object plane -> detector) to batches of realizations, one row
+each. The reference arm maps the uniform source grid onto the uniform
+detector grid, so it is the chirp-z (Bluestein) convolution of
+_kernels._lattice_sum, O((n_det + n_src) log(n_det + n_src)) per
+realization in place of an n_det x n_src matrix product. The
+expectation of the resulting estimator equals the finite-source
+brute-force integral on the same nodes.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -25,10 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidArgumentError, StatisticsWarning
 from .grid import ComplexField, Grid
 from .interferometer import PortIntensities, _object_nodes
-from .propagation import fresnel_kernel, propagate
+from .propagation import fresnel_kernel, kernel_scale, propagate
 
 _BATCH = 128  # fixed batch width; part of the determinism contract
 
@@ -71,15 +76,29 @@ class EnsembleEstimate:
         return m.real ** 2 + m.imag ** 2
 
 
-def _draw_values(config, realization_index):
-    """Raw complex samples of one source realization (no validation)."""
+def _draw_values(config, start, stop):
+    """Raw complex samples of realizations start..stop-1, one row each
+    (no validation).
+
+    Row k draws exactly what a fresh Philox(key=master_seed,
+    counter=(start + k) << 64) would: one bit generator is reset to that
+    counter, with an empty buffer, before each row.
+    """
     s = config.source_grid.n_samples
     sigma = np.sqrt(config.spec.source_intensity
                     / (2.0 * config.source_grid.spacing))
-    bitgen = np.random.Philox(key=config.master_seed,
-                              counter=int(realization_index) << 64)
-    a = np.random.Generator(bitgen).standard_normal((2, s))
-    return sigma * (a[0] + 1j * a[1])
+    bitgen = np.random.Philox(key=config.master_seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh generator's: empty buffer
+    counter = state["state"]["counter"]
+    a = np.empty((stop - start, 2, s))
+    for k, i in enumerate(range(start, stop)):
+        counter[1] = i  # the 256-bit counter i << 64, low word first
+        bitgen.state = state
+        gen.standard_normal(out=a[k])
+    values = a[:, 0] + 1j * a[:, 1]
+    values *= sigma
+    return values
 
 
 def sample_source(config, realization_index):
@@ -88,32 +107,31 @@ def sample_source(config, realization_index):
         raise InvalidArgumentError(
             f"realization index {realization_index} outside "
             f"[0, {config.n_realizations})")
-    return ComplexField(config.source_grid,
-                        _draw_values(config, realization_index))
+    values = _draw_values(config, realization_index, realization_index + 1)
+    return ComplexField(config.source_grid, values[0])
 
 
 class PropagationMatrices(NamedTuple):
-    """Discrete propagators of one config (weights folded in).
+    """Discrete object-arm propagators of one config (weights folded in).
 
     source_to_object: [n_object_nodes, n_source] including dx_s
     object_to_detector: [n_detector, n_object_nodes] including node widths
-    source_to_detector: [n_detector, n_source] including dx_s (reference)
     t_object: transmittance at the object nodes
     x_object: the object-plane nodes
+
+    The reference arm has no matrix here: see reference_field.
     """
 
     source_to_object: np.ndarray
     object_to_detector: np.ndarray
-    source_to_detector: np.ndarray
     t_object: np.ndarray
     x_object: np.ndarray
 
 
 def propagation_matrices(config):
-    """Build the three fixed propagators used by run_ensemble."""
+    """Build the two fixed object-arm propagators used by run_ensemble."""
     spec = config.spec
     ctx = spec.ctx
-    led = spec.reference_ledger
     x_det = config.detector_grid.coordinates()
     x_src = config.source_grid.coordinates()
     dx_src = config.source_grid.spacing
@@ -123,9 +141,25 @@ def propagation_matrices(config):
                         spec.z_o1, spec.z_o1) * dx_src
     h2 = fresnel_kernel(ctx, x_det[:, None], xo[None, :],
                         spec.z_o2, spec.z_o2) * wo[None, :]
-    hr = fresnel_kernel(ctx, x_det[:, None], x_src[None, :],
-                        led.optical_path, led.diffraction_length) * dx_src
-    return PropagationMatrices(h1, h2, hr, spec.object.sample(xo), xo)
+    return PropagationMatrices(h1, h2, spec.object.sample(xo), xo)
+
+
+def reference_field(config, src):
+    """E_r on the detector grid for source rows src, (..., n_source).
+
+    The midpoint sum of the reference-arm Fresnel kernel over the source
+    grid, evaluated as one chirp-z convolution per row: both grids are
+    uniform lattices.
+    """
+    spec = config.spec
+    led = spec.reference_ledger
+    source, det = config.source_grid, config.detector_grid
+    scale = kernel_scale(spec.ctx, led.optical_path,
+                         led.diffraction_length) * source.spacing
+    return _kernels._lattice_sum(
+        det.coordinates(), det.spacing, source.coordinates(),
+        source.spacing, src * scale,
+        spec.ctx.k0 / (2.0 * led.diffraction_length))
 
 
 def run_ensemble(config):
@@ -138,26 +172,24 @@ def run_ensemble(config):
         raise InvalidArgumentError("ensemble runs support 1D objects only")
     mats = propagation_matrices(config)
     n_det = config.detector_grid.n_samples
-    n_src = config.source_grid.n_samples
     n = config.n_realizations
     corr_sum = np.zeros(n_det, dtype=np.complex128)
     abs2_sum = np.zeros(n_det)
     io_sum = np.zeros(n_det)
     ir_sum = np.zeros(n_det)
+    h1_t = mats.source_to_object.T
+    h2_t = mats.object_to_detector.T
     for start in range(0, n, _BATCH):
-        stop = min(start + _BATCH, n)
-        src = np.empty((n_src, stop - start), dtype=np.complex128)
-        for k, i in enumerate(range(start, stop)):
-            src[:, k] = _draw_values(config, i)
-        e_obj = mats.source_to_object @ src
-        e_obj *= mats.t_object[:, None]
-        e_o = mats.object_to_detector @ e_obj
-        e_r = mats.source_to_detector @ src
-        prod = np.conj(e_r) * e_o
-        corr_sum += prod.sum(axis=1)
-        abs2_sum += (prod.real ** 2 + prod.imag ** 2).sum(axis=1)
-        io_sum += (e_o.real ** 2 + e_o.imag ** 2).sum(axis=1)
-        ir_sum += (e_r.real ** 2 + e_r.imag ** 2).sum(axis=1)
+        src = _draw_values(config, start, min(start + _BATCH, n))
+        e_o = (src @ h1_t * mats.t_object) @ h2_t
+        e_r = reference_field(config, src)
+        i_o = e_o.real ** 2 + e_o.imag ** 2
+        i_r = e_r.real ** 2 + e_r.imag ** 2
+        corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
+        # |E_r* E_o|^2 = |E_r|^2 |E_o|^2
+        abs2_sum += (i_o * i_r).sum(axis=0)
+        io_sum += i_o.sum(axis=0)
+        ir_sum += i_r.sum(axis=0)
     mean = corr_sum / n
     mean_abs2 = mean.real ** 2 + mean.imag ** 2
     if n > 1:

@@ -7,12 +7,13 @@ tolerances only need to clear the one realization that actually runs.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
-                      OpticsContext, correlation_analytic, double_slit, ledger,
-                      make_grid, run_coherent, run_ensemble, sample_source,
-                      uniform, vacuum)
-from wavecorr.ensemble import propagation_matrices
+                      OpticsContext, correlation_analytic, double_slit,
+                      fresnel_kernel, ledger, make_grid, run_coherent,
+                      run_ensemble, sample_source, uniform, vacuum)
+from wavecorr.ensemble import _BATCH, _draw_values, reference_field
 from wavecorr.errors import (InvalidArgumentError, SamplingWarning,
                              StatisticsWarning)
 
@@ -66,6 +67,21 @@ def test_sample_source_frozen_draw_convention():
     a = np.random.Generator(bitgen).standard_normal((2, 8))
     sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))
     assert np.array_equal(got.values, sigma * (a[0] + 1j * a[1]))
+
+
+def test_batched_draws_are_the_per_realization_streams():
+    # a block that starts off zero and crosses a batch boundary: row k is
+    # what a fresh Philox(key, counter=(start + k) << 64) draws
+    config = make_config(n=3 * _BATCH, seed=2 ** 64 - 5,
+                         source_grid=make_grid(0.0, 0.005, 33))
+    start, stop = _BATCH - 7, _BATCH + 9
+    got = _draw_values(config, start, stop)
+    assert got.shape == (stop - start, 33)
+    sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))
+    for k, i in enumerate(range(start, stop)):
+        bitgen = np.random.Philox(key=2 ** 64 - 5, counter=i << 64)
+        a = np.random.Generator(bitgen).standard_normal((2, 33))
+        assert np.array_equal(got[k], sigma * (a[0] + 1j * a[1]))
 
 
 def test_sample_source_is_deterministic_and_indexed():
@@ -171,21 +187,43 @@ def test_per_realization_speckle_contrast():
     # chaotic light: the single-shot intensity at any detector point is
     # exponential, so its contrast std/mean is 1
     config = make_config(obj=uniform(0.0), n=3000, seed=31337)
-    mats = propagation_matrices(config)
     s1 = np.zeros(DET_GRID.n_samples)
     s2 = np.zeros(DET_GRID.n_samples)
     for start in range(0, 3000, 500):
         src = np.stack([sample_source(config, i).values
-                        for i in range(start, start + 500)], axis=1)
-        e_r = mats.source_to_detector @ src
+                        for i in range(start, start + 500)])
+        e_r = reference_field(config, src)
         i_r = e_r.real ** 2 + e_r.imag ** 2
-        s1 += i_r.sum(axis=1)
-        s2 += (i_r * i_r).sum(axis=1)
+        s1 += i_r.sum(axis=0)
+        s2 += (i_r * i_r).sum(axis=0)
     mean = s1 / 3000
     var = s2 / 3000 - mean ** 2
     contrast = np.sqrt(var) / mean
     assert contrast.min() >= 0.85
     assert contrast.max() <= 1.15
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(center=st.floats(-20e-3, 20e-3), half_width=st.floats(1e-5, 2e-3),
+       n_det=st.integers(2, 1024), n_src=st.integers(2, 1024))
+@example(center=20e-3, half_width=2e-3, n_det=1024, n_src=1024)
+@example(center=-20e-3, half_width=1e-5, n_det=2, n_src=2)
+def test_reference_field_matches_the_dense_kernel(center, half_width,
+                                                  n_det, n_src):
+    # the reference arm against its definition rebuilt here: the dense
+    # Fresnel kernel matrix over the source grid, times dx_s, on the rows
+    source = make_grid(0.0, 0.005, n_src)
+    det = make_grid(center, half_width, n_det)
+    config = EnsembleConfig(imaging_spec(SLIT), source, det, 4, 1)
+    rng = np.random.default_rng(n_src)
+    src = rng.normal(size=(3, n_src)) + 1j * rng.normal(size=(3, n_src))
+    kernel = fresnel_kernel(CTX, det.coordinates()[:, None],
+                            source.coordinates()[None, :], REF.optical_path,
+                            REF.diffraction_length) * source.spacing
+    want = src @ kernel.T
+    got = reference_field(config, src)
+    assert got.shape == (3, n_det)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 def test_ensemble_rejects_2d_objects():

@@ -162,6 +162,21 @@ def test_large_chirp_phases_keep_their_rounding_error():
     assert np.abs(got - np.array(want)).max() <= 1e-12
 
 
+def test_lattice_sum_takes_batches_of_coefficient_rows():
+    # a (k, m) coefficient array is k independent sums, one per row, as
+    # the ensemble's reference arm calls it
+    rng = np.random.default_rng(11)
+    y = 3e-3 + (np.arange(300) - 149.5) * 2e-6
+    x = (np.arange(512) - 255.5) * 2e-5
+    c = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
+    alpha = np.pi / (589.3e-9 * 0.285)
+    got = _kernels._lattice_sum(y, 2e-6, x, 2e-5, c, alpha)
+    assert got.shape == (5, 300)
+    want = np.stack([_kernels._lattice_sum(y, 2e-6, x, 2e-5, row, alpha)
+                     for row in c])
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_segment_sums_match_the_definition_per_segment():
     # unordered segments, a dropped input (-1), an empty segment (2), and
     # enough inputs for several output blocks
