@@ -41,8 +41,11 @@ the same kernel once per maximal stretch of equal labels, so a pixel's
 nodes, one uniform run, take the chirp-z route too.
 
 The ensemble's reference arm maps one uniform grid onto another, so it
-calls _lattice_sum directly, with one row of coefficients per source
-realization.
+uses the chirp-z route directly, with one row of coefficients per source
+realization. _lattice_plan splits that route into the part fixed by the
+two lattices (the chirps and the kernel chirp's spectrum), computed once
+per run, and an apply step per batch of rows that can write its FFTs
+into the caller's buffer; _lattice_sum is the plan applied once.
 """
 
 import numpy as np
@@ -168,6 +171,17 @@ def _lattice_sum(y, w, x, d, c, alpha):
     c may carry leading batch axes, (..., m); the sum runs over its last
     axis and the result is (..., n), one convolution per row.
     """
+    return _lattice_plan(y, w, x, d, alpha)(c)
+
+
+def _lattice_plan(y, w, x, d, alpha):
+    """_lattice_sum over fixed lattices as a function of the coefficients:
+    apply(c, out=None) == _lattice_sum(y, w, x, d, c, alpha), bit for bit.
+
+    The chirps and the kernel spectrum are computed here, once. `out`, a
+    complex (..., apply.size) array shaped like c's batch axes, takes both
+    FFTs in place; the result is a new array either way.
+    """
     n, m = y.shape[0], x.shape[0]
     # index origins at the run's middle node xc and the output yc nearest
     # it: x_i = xc + ii d, y_j = yc + jj w
@@ -179,16 +193,24 @@ def _lattice_sum(y, w, x, d, c, alpha):
     beta = alpha * d * w
     # Q(i) = alpha (x_i - yc)^2 - beta ii^2,
     # P(j) = alpha ((y_j - xc)^2 - (yc - xc)^2) - beta jj^2
-    g = c * _chirp(alpha * (x - yc) ** 2, -beta, ii)
+    q = _chirp(alpha * (x - yc) ** 2, -beta, ii)
     p = _chirp(alpha * ((y - xc) ** 2 - (yc - xc) ** 2), -beta, jj)
     r = _chirp(0.0, beta, np.arange(-(m - 1), n) - (j0 - i0))
     size = _fft_size(n + m - 1)
-    # in place and rebound, so that at most two batch-sized FFT buffers
-    # are alive at once
-    conv = np.fft.fft(g, size)
-    conv *= np.fft.fft(r, size)
-    conv = np.fft.ifft(conv)
-    return p * conv[..., m - 1:m - 1 + n]
+    spectrum = np.fft.fft(r, size)
+
+    def apply(c, out=None):
+        # in place and rebound, so that at most two batch-sized FFT buffers
+        # are alive at once (none new with out); the operand order of each
+        # product is part of the result's bits (complex multiply is not
+        # bitwise commutative)
+        conv = np.fft.fft(c * q, size, out=out)
+        conv *= spectrum
+        conv = np.fft.ifft(conv, out=out)
+        return p * conv[..., m - 1:m - 1 + n]
+
+    apply.size = size
+    return apply
 
 
 def _fft_size(n):

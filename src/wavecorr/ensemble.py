@@ -13,11 +13,14 @@ reproducible.
 Propagation inside a run applies two fixed matrices (source -> object
 plane, object plane -> detector) to batches of realizations, one row
 each. The reference arm maps the uniform source grid onto the uniform
-detector grid, so it is the chirp-z (Bluestein) convolution of
-_kernels._lattice_sum, O((n_det + n_src) log(n_det + n_src)) per
-realization in place of an n_det x n_src matrix product. The
-expectation of the resulting estimator equals the finite-source
-brute-force integral on the same nodes.
+detector grid, so it is a chirp-z (Bluestein) convolution,
+O((n_det + n_src) log(n_det + n_src)) per realization in place of an
+n_det x n_src matrix product. A run builds its _kernels._lattice_plan
+once (chirps and kernel spectrum) and one batch-sized FFT buffer that
+every batch reuses; the results are bitwise those of one
+_kernels._lattice_sum per batch. The expectation of the resulting
+estimator equals the finite-source brute-force integral on the same
+nodes.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -144,6 +147,24 @@ def propagation_matrices(config):
     return PropagationMatrices(h1, h2, spec.object.sample(xo), xo)
 
 
+def _reference_arm(config):
+    """(plan, scale) of the reference arm: E_r of source rows src is
+    plan(src * scale).
+
+    scale is the Fresnel kernel's amplitude times dx_s; plan is the
+    _kernels._lattice_plan from the source grid onto the detector grid.
+    """
+    spec = config.spec
+    led = spec.reference_ledger
+    source, det = config.source_grid, config.detector_grid
+    scale = kernel_scale(spec.ctx, led.optical_path,
+                         led.diffraction_length) * source.spacing
+    plan = _kernels._lattice_plan(
+        det.coordinates(), det.spacing, source.coordinates(),
+        source.spacing, spec.ctx.k0 / (2.0 * led.diffraction_length))
+    return plan, scale
+
+
 def reference_field(config, src):
     """E_r on the detector grid for source rows src, (..., n_source).
 
@@ -151,15 +172,8 @@ def reference_field(config, src):
     grid, evaluated as one chirp-z convolution per row: both grids are
     uniform lattices.
     """
-    spec = config.spec
-    led = spec.reference_ledger
-    source, det = config.source_grid, config.detector_grid
-    scale = kernel_scale(spec.ctx, led.optical_path,
-                         led.diffraction_length) * source.spacing
-    return _kernels._lattice_sum(
-        det.coordinates(), det.spacing, source.coordinates(),
-        source.spacing, src * scale,
-        spec.ctx.k0 / (2.0 * led.diffraction_length))
+    plan, scale = _reference_arm(config)
+    return plan(src * scale)
 
 
 def run_ensemble(config):
@@ -171,6 +185,9 @@ def run_ensemble(config):
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
     mats = propagation_matrices(config)
+    plan, scale = _reference_arm(config)
+    # the reference arm's FFT buffer, reused by every batch
+    work = np.empty((_BATCH, plan.size), dtype=np.complex128)
     n_det = config.detector_grid.n_samples
     n = config.n_realizations
     corr_sum = np.zeros(n_det, dtype=np.complex128)
@@ -182,7 +199,7 @@ def run_ensemble(config):
     for start in range(0, n, _BATCH):
         src = _draw_values(config, start, min(start + _BATCH, n))
         e_o = (src @ h1_t * mats.t_object) @ h2_t
-        e_r = reference_field(config, src)
+        e_r = plan(src * scale, work[:src.shape[0]])
         i_o = e_o.real ** 2 + e_o.imag ** 2
         i_r = e_r.real ** 2 + e_r.imag ** 2
         corr_sum += (np.conj(e_r) * e_o).sum(axis=0)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import wavecorr
 from wavecorr import config_from_dict, read_pgm
 from wavecorr.cli import main
 from wavecorr.errors import InvalidArgumentError
@@ -383,8 +385,13 @@ def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child runs the package this process imported, whether it came
+    # from PYTHONPATH, pytest's pythonpath setting or an install
+    root = os.path.dirname(os.path.dirname(wavecorr.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "wavecorr.cli",
                            "list-builtins"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 9

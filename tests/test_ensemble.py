@@ -13,9 +13,12 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       OpticsContext, correlation_analytic, double_slit,
                       fresnel_kernel, ledger, make_grid, run_coherent,
                       run_ensemble, sample_source, uniform, vacuum)
-from wavecorr.ensemble import _BATCH, _draw_values, reference_field
+from wavecorr import _kernels
+from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
+                               reference_field)
 from wavecorr.errors import (InvalidArgumentError, SamplingWarning,
                              StatisticsWarning)
+from wavecorr.propagation import kernel_scale
 
 CTX = OpticsContext(589.3e-9)
 REF_SEGMENTS = (MediumSegment(0.155, 1.5163), vacuum(0.183))
@@ -136,6 +139,43 @@ def test_run_ensemble_is_bitwise_reproducible():
 
     other = run_ensemble(make_config(n=40, seed=1))
     assert not np.array_equal(a.correlation_mean, other.correlation_mean)
+
+
+def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
+    # the batch loop rebuilt with one one-shot _lattice_sum per batch for
+    # the reference arm; n leaves a partial last batch, which takes a
+    # slice of run_ensemble's reused FFT buffer
+    config = make_config(n=2 * _BATCH + 5)
+    source, det = config.source_grid, config.detector_grid
+    scale = kernel_scale(CTX, REF.optical_path,
+                         REF.diffraction_length) * source.spacing
+    alpha = CTX.k0 / (2.0 * REF.diffraction_length)
+    mats = propagation_matrices(config)
+    n = config.n_realizations
+    corr_sum = np.zeros(det.n_samples, dtype=np.complex128)
+    abs2_sum, io_sum, ir_sum = (np.zeros(det.n_samples) for _ in range(3))
+    for start in range(0, n, _BATCH):
+        src = _draw_values(config, start, min(start + _BATCH, n))
+        e_o = (src @ mats.source_to_object.T * mats.t_object) \
+            @ mats.object_to_detector.T
+        e_r = _kernels._lattice_sum(det.coordinates(), det.spacing,
+                                    source.coordinates(), source.spacing,
+                                    src * scale, alpha)
+        i_o = e_o.real ** 2 + e_o.imag ** 2
+        i_r = e_r.real ** 2 + e_r.imag ** 2
+        corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
+        abs2_sum += (i_o * i_r).sum(axis=0)
+        io_sum += i_o.sum(axis=0)
+        ir_sum += i_r.sum(axis=0)
+    mean = corr_sum / n
+    mean_abs2 = mean.real ** 2 + mean.imag ** 2
+    variance = np.maximum(abs2_sum / n - mean_abs2, 0.0) * n / (n - 1)
+    got = run_ensemble(config)
+    assert got.n_used == n
+    for a, b in ((got.correlation_mean, mean), (got.intensity_o, io_sum / n),
+                 (got.intensity_r, ir_sum / n),
+                 (got.standard_error, np.sqrt(variance / n))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_opaque_object_gives_exactly_zero_mean():

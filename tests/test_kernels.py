@@ -177,6 +177,29 @@ def test_lattice_sum_takes_batches_of_coefficient_rows():
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
+    # the ensemble's reference arm applies one plan per run to every batch,
+    # writing both FFTs into a slice of one reused buffer
+    rng = np.random.default_rng(13)
+    y = 3e-3 + (np.arange(300) - 149.5) * 2e-6
+    x = (np.arange(512) - 255.5) * 2e-5
+    alpha = np.pi / (589.3e-9 * 0.285)
+    plan = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)
+    buf = np.empty((5, plan.size), dtype=np.complex128)
+    rows = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
+    for c, out in ((rows[0], buf[0]), (rows[:3], buf[:3])):
+        want = _kernels._lattice_sum(y, 2e-6, x, 2e-5, c, alpha)
+        for got in (plan(c), plan(c, out=out)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        first = plan(c, out=out)
+        kept = first.copy()
+        again = plan(np.conj(c), out=out)
+        assert first.tobytes() == kept.tobytes()
+        assert again.tobytes() == _kernels._lattice_sum(
+            y, 2e-6, x, 2e-5, np.conj(c), alpha).tobytes()
+
+
 def test_segment_sums_match_the_definition_per_segment():
     # unordered segments, a dropped input (-1), an empty segment (2), and
     # enough inputs for several output blocks
