@@ -89,7 +89,7 @@ class ElementChain:
                     "chain elements must be MediumSegment or Transmittance")
 
 
-def cascade_propagate(ctx, field, chain, method="auto"):
+def cascade_propagate(ctx, field, chain):
     """Propagate through a chain, applying objects where they sit.
 
     Consecutive segments are coalesced into one propagation with their
@@ -107,7 +107,7 @@ def cascade_propagate(ctx, field, chain, method="auto"):
         else:
             if pending != PathLedger.zero():
                 out = propagate(ctx, out, pending.optical_path,
-                                pending.diffraction_length, method)
+                                pending.diffraction_length)
                 pending = PathLedger.zero()
             if el.ndim != 1:
                 raise InvalidArgumentError(
@@ -116,7 +116,7 @@ def cascade_propagate(ctx, field, chain, method="auto"):
                                out.values * el.sample(out.grid.coordinates()))
     if pending != PathLedger.zero():
         out = propagate(ctx, out, pending.optical_path,
-                        pending.diffraction_length, method)
+                        pending.diffraction_length)
     return out
 
 

@@ -270,32 +270,25 @@ def _object_nodes(spec, x_max, grid):
     return (*midpoint_lattice(support, spacing, 8), obj_extent)
 
 
-def _object_arm_response(spec, grid):
-    """h_o(x, x0) sampled as a matrix over detector x and source x0."""
+def correlation_brute_force(spec, grid):
+    """Finite-source double integral I_s * Int h_r* h_o dx0 (the oracle).
+
+    Midpoint sums over the object nodes and the source aperture, order
+    N*M*S; kept independent of the closed form: it never touches Z_eff
+    and integrates over the actual source aperture.
+    """
+    if spec.object.ndim != 1:
+        raise InvalidArgumentError("brute force supports 1D objects only")
     ctx = spec.ctx
+    led = spec.reference_ledger
     x = grid.coordinates()
     x_max = max(abs(x[0]), abs(x[-1]))
     xo, wo, obj_extent = _object_nodes(spec, x_max, grid)
     x0, dx0 = _source_nodes(spec, x_max, obj_extent)
     h1 = fresnel_kernel(ctx, xo[:, None], x0[None, :], spec.z_o1, spec.z_o1)
     h2 = fresnel_kernel(ctx, x[:, None], xo[None, :], spec.z_o2, spec.z_o2)
-    t = spec.object.sample(xo)
-    ho = (h2 * (t * wo)[None, :]) @ h1
-    return ho, x0, dx0
-
-
-def correlation_brute_force(spec, grid):
-    """Finite-source double integral I_s * Int h_r* h_o dx0 (the oracle).
-
-    Order N*M*S; kept independent of the closed form: it never touches
-    Z_eff and integrates over the actual source aperture.
-    """
-    if spec.object.ndim != 1:
-        raise InvalidArgumentError("brute force supports 1D objects only")
-    led = spec.reference_ledger
-    ho, x0, dx0 = _object_arm_response(spec, grid)
-    x = grid.coordinates()
-    hr = fresnel_kernel(spec.ctx, x[:, None], x0[None, :],
+    ho = (h2 * (spec.object.sample(xo) * wo)[None, :]) @ h1
+    hr = fresnel_kernel(ctx, x[:, None], x0[None, :],
                         led.optical_path, led.diffraction_length)
     corr = np.einsum("ns,ns->n", np.conj(hr), ho) * dx0
     return spec.source_intensity * corr
@@ -304,11 +297,28 @@ def correlation_brute_force(spec, grid):
 def background_intensity(spec, grid):
     """<|E_r|^2> + <|E_o|^2>: the flat part of the detector intensity.
 
-    The reference arm has constant modulus, so its term is exactly
-    I_s * k0 * W / (2 pi |Zbar|). The object arm is integrated
-    numerically over the source aperture (closed form for uniform
-    objects, where the arm is a plain cascade).
+    1D objects only. The reference arm has constant modulus, so its term
+    is exactly I_s * k0 * W / (2 pi |Zbar|); a uniform object t leaves
+    its arm a plain cascade, |t|^2 times that form over z_o1 + z_o2.
+    Otherwise the source integral is exact: after the z_o1 hop the
+    delta-correlated source has the mutual intensity (van
+    Cittert-Zernike; Born & Wolf 10.4)
+
+        J(xi, xi') = (W / (lambda z_o1)) e^{i k0 (xi^2 - xi'^2) / (2 z_o1)}
+                     sinc(W (xi - xi') / (lambda z_o1)),
+
+    so with B = h2 * diag(t * w * e^{i k0 xi^2 / (2 z_o1)}) over the M
+    object nodes and C the real M x M sinc matrix,
+
+        <|E_o|^2> = I_s (W / (lambda z_o1)) Re sum_m (B C)[x, m] conj B[x, m].
+
+    That is O(N*M^2) with no source lattice, against O(N*M*S) for a
+    quadrature over S source nodes: cheaper whenever M < S, as on every
+    1D builtin (M = 42-96 object nodes against S = 2550-5004).
     """
+    if spec.object.ndim != 1:
+        raise InvalidArgumentError(
+            "background_intensity supports 1D objects only")
     k0 = spec.ctx.k0
     led = spec.reference_ledger
     i_ref = (spec.source_intensity * k0 * spec.source_width
@@ -319,9 +329,16 @@ def background_intensity(spec, grid):
                  / (2 * np.pi * (spec.z_o1 + spec.z_o2)))
         i_obj = np.full(grid.n_samples, i_obj)
     else:
-        ho, _, dx0 = _object_arm_response(spec, grid)
-        i_obj = spec.source_intensity * dx0 * np.sum(
-            ho.real ** 2 + ho.imag ** 2, axis=1)
+        x = grid.coordinates()
+        xo, wo, _ = _object_nodes(spec, max(abs(x[0]), abs(x[-1])), grid)
+        b = fresnel_kernel(spec.ctx, x[:, None], xo[None, :],
+                           spec.z_o2, spec.z_o2)
+        b *= spec.object.sample(xo) * wo * np.exp(0.5j * k0 * xo * xo
+                                                  / spec.z_o1)
+        coherence = spec.source_width / (spec.ctx.wavelength * spec.z_o1)
+        bs = b @ np.sinc(coherence * (xo[:, None] - xo[None, :]))
+        i_obj = spec.source_intensity * coherence * np.sum(
+            bs.real * b.real + bs.imag * b.imag, axis=1)
     return np.full(grid.n_samples, i_ref) + i_obj
 
 

@@ -11,23 +11,16 @@ Zbar < 0 yields the complex conjugate of the kernel at (-Z, -Zbar): the
 principal branch of the square root takes care of this automatically,
 so phase-reversed diffraction needs no special casing.
 
-Two numerical routes are provided and kept deliberately independent:
-
-* method="direct": midpoint Riemann quadrature of the kernel integral
-  (the oracle), summed by _kernels.chirp_sum: on a uniform grid that is
-  one chirp-z FFT convolution, O(N log N); other point sets take the
-  O(N*M) blocked loop.
-* method="fft": chirp convolution via discrete Fourier transforms,
-  using the frequency-domain (transfer function) chirp when
-  n_samples * dx^2 >= lambda * |Zbar| and the space-domain sampled
-  kernel otherwise.
+propagate evaluates the chirp convolution with discrete Fourier
+transforms, using the frequency-domain (transfer function) chirp when
+n_samples * dx^2 >= lambda * |Zbar| and the space-domain sampled kernel
+otherwise.
 """
 
 import warnings
 
 import numpy as np
 
-from . import _kernels
 from .errors import (DegenerateKernelError, InvalidArgumentError,
                      SamplingWarning)
 from .grid import ComplexField
@@ -60,12 +53,12 @@ def fresnel_kernel(ctx, x, x0, Z, Zbar):
     return scale * np.exp(1j * ctx.k0 / (2.0 * Zbar) * u * u)
 
 
-def propagate(ctx, field, Z, Zbar, method="auto"):
+def propagate(ctx, field, Z, Zbar):
     """Propagate a sampled field by (Z, Zbar); output on the input grid.
 
-    Zbar == 0 short-circuits to the identity times exp(i k0 Z). The fft
-    route warns (SamplingWarning) when the grid sits near the crossover
-    between its two chirp forms.
+    Zbar == 0 short-circuits to the identity times exp(i k0 Z). It warns
+    (SamplingWarning) when the grid sits near the crossover between its
+    two chirp forms.
     """
     values = np.asarray(field.values)
     if not np.all(np.isfinite(values)):
@@ -74,20 +67,6 @@ def propagate(ctx, field, Z, Zbar, method="auto"):
 
     if Zbar == 0:
         return ComplexField(grid, values * np.exp(1j * ctx.k0 * Z))
-
-    if method == "auto":
-        method = "fft"
-
-    if method == "direct":
-        x = grid.coordinates()
-        coeffs = values.astype(np.complex128) * grid.spacing
-        alpha = ctx.k0 / (2.0 * Zbar)
-        out = kernel_scale(ctx, Z, Zbar) * _kernels.chirp_sum(
-            x, x, coeffs, alpha)
-        return ComplexField(grid, out)
-
-    if method != "fft":
-        raise InvalidArgumentError(f"unknown method {method!r}")
 
     n = grid.n_samples
     dx = grid.spacing

@@ -384,14 +384,29 @@ def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
     assert "quadrature would need" in capsys.readouterr().err
 
 
-def test_module_entry_point():
+def _child_env():
     # the child runs the package this process imported, whether it came
     # from PYTHONPATH, pytest's pythonpath setting or an install
     root = os.path.dirname(os.path.dirname(wavecorr.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "wavecorr.cli",
                            "list-builtins"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 9
+
+
+def test_builtin_run_loads_no_oracle_library(tmp_path):
+    # numpy is the package's only dependency; scipy and mpmath may serve
+    # the tests and the benchmark as oracles but must stay out of a run
+    code = ("import sys; from wavecorr.cli import main; "
+            "rc = main(['run-builtin', 'fig2_phase', '--out', sys.argv[1]]); "
+            "print(rc, *sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"

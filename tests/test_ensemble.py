@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
-                      OpticsContext, correlation_analytic, double_slit,
-                      fresnel_kernel, ledger, make_grid, run_coherent,
-                      run_ensemble, sample_source, uniform, vacuum)
+                      OpticsContext, background_intensity,
+                      correlation_analytic, double_slit, fresnel_kernel,
+                      ledger, make_grid, run_coherent, run_ensemble,
+                      sample_source, uniform, vacuum)
 from wavecorr import _kernels
 from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
                                reference_field)
@@ -201,6 +202,18 @@ def test_reference_intensity_matches_closed_form():
     res = run_ensemble(make_config(obj=uniform(0.8), n=2000))
     i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
     assert res.intensity_r.mean() == pytest.approx(i_ref, rel=5e-2)
+
+
+def test_object_intensity_matches_the_mutual_intensity_background():
+    # a single shot's |E_o|^2 is exponential about its mean I (speckle),
+    # so the mean of n shots has standard error I / sqrt(n); measured
+    # gaps reach 1.5 of that here
+    n = 2000
+    config = make_config(n=n, seed=7)
+    res = run_ensemble(config)
+    i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
+    i_obj = background_intensity(config.spec, DET_GRID) - i_ref
+    assert np.all(np.abs(res.intensity_o - i_obj) <= 6 * i_obj / np.sqrt(n))
 
 
 def test_mean_converges_at_the_monte_carlo_rate():

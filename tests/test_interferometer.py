@@ -25,7 +25,9 @@ from wavecorr._kernels import chirp_sum
 from wavecorr.errors import (InvalidArgumentError, NegativeIntensityError,
                              ResolutionError, ResolutionWarning,
                              UnequalPathError)
-from wavecorr.propagation import chirp_nodes, fresnel_kernel, kernel_scale
+from wavecorr.interferometer import _object_nodes, _source_nodes
+from wavecorr.propagation import (chirp_nodes, fresnel_kernel, kernel_scale,
+                                  midpoint_lattice)
 from wavecorr.transmittance import Raster, Transmittance
 
 CTX = OpticsContext(589.3e-9)
@@ -80,6 +82,8 @@ def test_dimensionality_dispatch():
         correlation_analytic_2d(imaging_spec(SLIT), grid)
     with pytest.raises(InvalidArgumentError):
         correlation_brute_force(imaging_spec(mask), grid)
+    with pytest.raises(InvalidArgumentError):
+        background_intensity(imaging_spec(mask), grid)
 
 
 def test_resolution_guard_rejects_coarse_grids():
@@ -319,6 +323,75 @@ def test_background_is_flat_across_the_central_window():
     assert inner.max() / inner.min() <= 1.05
     i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
     assert bg.min() >= i_ref
+
+
+def _object_background_on_dense_source(spec, grid):
+    """<|E_o|^2> as the midpoint sum over the source of |Int h2 T h1|^2,
+    on brute force's source lattice made 4x finer."""
+    x = grid.coordinates()
+    x_max = max(abs(x[0]), abs(x[-1]))
+    xo, wo, obj_extent = _object_nodes(spec, x_max, grid)
+    _, dx0 = _source_nodes(spec, x_max, obj_extent)
+    w2 = spec.source_width / 2
+    x0, w0 = midpoint_lattice([(-w2, w2)], dx0 / 4, 16)
+    a = fresnel_kernel(CTX, x[:, None], xo[None, :], spec.z_o2, spec.z_o2)
+    a *= spec.object.sample(xo) * wo
+    out = np.zeros(x.size)
+    for s in range(0, x0.size, 1024):
+        h1 = fresnel_kernel(CTX, xo[:, None], x0[None, s:s + 1024],
+                            spec.z_o1, spec.z_o1)
+        ho = a @ h1
+        out += np.sum(ho.real ** 2 + ho.imag ** 2, axis=1)
+    return spec.source_intensity * w0[0] * out
+
+
+@pytest.mark.parametrize("z_o1,obj,half,n,bound", [
+    # fig2_phase and fig4e: measured gaps 8.1e-9 and 3.2e-10 of the
+    # object term's peak. On brute force's own source lattice they are
+    # 1.3e-7 and 5.1e-9: the gap is that lattice's quadrature error and
+    # falls 16x per 4x nodes
+    (REF.diffraction_length, phase_holes(200e-6, 500e-6, np.pi), 1e-3,
+     2048, 1.6e-8),
+    (0.106, SLIT, 2e-3, 4096, 6.4e-10),
+])
+def test_object_background_matches_dense_source_quadrature(z_o1, obj, half,
+                                                           n, bound):
+    spec = make_spec(z_o1, obj)
+    grid = make_grid(0.0, half, n)
+    i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
+    exact = background_intensity(spec, grid) - i_ref
+    quad = _object_background_on_dense_source(spec, grid)
+    assert np.abs(quad - exact).max() <= bound * exact.max()
+
+
+def test_fig2_phase_background_holds_no_source_lattice():
+    # N x M and M x M arrays only: 7.5 MiB measured, where the sum over
+    # the N x S source lattice peaked at 169 MiB
+    spec = imaging_spec(phase_holes(200e-6, 500e-6, np.pi))
+    grid = make_grid(0.0, 1e-3, 2048)
+    tracemalloc.start()
+    try:
+        background_intensity(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def test_object_background_tends_to_the_wide_source_limit():
+    # J(xi, xi') -> delta(xi - xi') as W grows, so at the imaging point
+    # <|E_o|^2> -> I_s k0 Int|T|^2 / (2 pi z_o2) = I_s k0 * 2b / (2 pi z_o2)
+    grid = make_grid(0.0, 0.5e-3, 256)
+    deviation = []
+    for width in (0.01, 0.03, 0.1):
+        spec = imaging_spec(SLIT, source_width=width)
+        i_ref = CTX.k0 * width / (2 * np.pi * REF.diffraction_length)
+        limit = CTX.k0 * 250e-6 / (2 * np.pi * spec.z_o2)
+        i_obj = background_intensity(spec, grid) - i_ref
+        deviation.append(np.abs(i_obj / limit - 1).max())
+    # measured 2.7e-2, 7.7e-3, 2.2e-3: about 1/W
+    assert deviation[0] > deviation[1] > deviation[2]
+    assert deviation[2] <= 3e-3
 
 
 # ----------------------------------------------------------------- ports

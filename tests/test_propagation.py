@@ -1,8 +1,9 @@
 """Single-hop propagation: kernel algebra, the two fft chirp forms, and
 their agreement with direct quadrature.
 
-The direct midpoint quadrature is the oracle here. Fft geometries are
-chosen so that midpoint aliasing ghosts land outside the window (their
+The direct midpoint quadrature, summed on the input grid by
+_kernels.chirp_sum, is the oracle here. Fft geometries are chosen so
+that midpoint aliasing ghosts land outside the window (their
 displacement is wavelength * |Zbar| / dx), which is what makes the
 comparisons meaningful to full precision.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavecorr import ComplexField, OpticsContext, make_grid
+from wavecorr import ComplexField, OpticsContext, _kernels, make_grid
 from wavecorr.errors import (DegenerateKernelError, InvalidArgumentError,
                              SamplingWarning)
 from wavecorr.propagation import chirp_nodes, fresnel_kernel, kernel_scale, propagate
@@ -23,6 +24,14 @@ def _gaussian_field(n, sigma, half=2e-3):
     g = make_grid(0.0, half, n)
     x = g.coordinates()
     return ComplexField(g, np.exp(-x * x / (2 * sigma * sigma)))
+
+
+def _direct(f, Z, Zbar):
+    """Midpoint quadrature of the kernel integral on the input grid."""
+    x = f.grid.coordinates()
+    coeffs = f.values.astype(np.complex128) * f.grid.spacing
+    return kernel_scale(CTX, Z, Zbar) * _kernels.chirp_sum(
+        x, x, coeffs, CTX.k0 / (2.0 * Zbar))
 
 
 # ---------------------------------------------------------------- kernel
@@ -84,7 +93,7 @@ def test_zero_zbar_is_identity_times_global_phase():
 def test_transfer_function_route_conserves_energy():
     # ratio = lambda |Zbar| / (n dx^2) = 0.377 here: clean TF regime
     f = _gaussian_field(512, 3e-4)
-    out = propagate(CTX, f, 0.3, 0.02, method="fft")
+    out = propagate(CTX, f, 0.3, 0.02)
     assert out.power() == pytest.approx(f.power(), rel=1e-10)
 
 
@@ -96,7 +105,7 @@ def test_transfer_function_unitarity_property(zbar, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=256) + 1j * rng.normal(size=256)
     f = ComplexField(g, vals)
-    out = propagate(CTX, f, 0.1, zbar, method="fft")
+    out = propagate(CTX, f, 0.1, zbar)
     assert out.power() == pytest.approx(f.power(), rel=1e-11)
 
 
@@ -113,8 +122,8 @@ FROZEN_TF_CASES = [
 def test_fft_matches_direct_quadrature_gaussian(n, zbar, sigma):
     f = _gaussian_field(n, sigma)
     with pytest.warns(SamplingWarning):
-        a = propagate(CTX, f, 0.0, zbar, method="fft").values
-    b = propagate(CTX, f, 0.0, zbar, method="direct").values
+        a = propagate(CTX, f, 0.0, zbar).values
+    b = _direct(f, 0.0, zbar)
     scale = np.abs(b).max()
     assert np.abs(a - b).max() <= 1e-10 * scale
 
@@ -127,11 +136,11 @@ def test_impulse_response_route_matches_direct_on_interior():
     g = make_grid(0.0, 2e-3, 1024)
     x = g.coordinates()
     f = ComplexField(g, double_slit(125e-6, 300e-6).sample(x))
-    a = propagate(CTX, f, 0.0, 0.1, method="fft")
-    b = propagate(CTX, f, 0.0, 0.1, method="direct")
+    a = propagate(CTX, f, 0.0, 0.1)
+    b = _direct(f, 0.0, 0.1)
     inner = np.abs(x) <= 1.7e-3
-    scale = np.abs(b.values[inner]).max()
-    assert np.abs(a.values[inner] - b.values[inner]).max() <= 1e-10 * scale
+    scale = np.abs(b[inner]).max()
+    assert np.abs(a.values[inner] - b[inner]).max() <= 1e-10 * scale
 
 
 def test_two_hops_compose_to_one():
@@ -155,10 +164,10 @@ def test_negative_hop_reverses_diffraction():
 def test_alias_warning_inside_band_only():
     f = _gaussian_field(512, 3e-4)
     with pytest.warns(SamplingWarning, match="near-critical"):
-        propagate(CTX, f, 0.0, 0.04, method="fft")
+        propagate(CTX, f, 0.0, 0.04)
     # either side of the band: the error filter fails any notice
-    propagate(CTX, f, 0.0, 0.02, method="fft")
-    propagate(CTX, f, 0.0, 0.12, method="fft")
+    propagate(CTX, f, 0.0, 0.02)
+    propagate(CTX, f, 0.0, 0.12)
 
 
 def test_warnings_accumulate_across_hops():
@@ -175,12 +184,6 @@ def test_propagate_rejects_non_finite_fields():
     object.__setattr__(f, "values", vals * np.nan)
     with pytest.raises(InvalidArgumentError):
         propagate(CTX, f, 0.1, 0.1)
-
-
-def test_propagate_rejects_unknown_method():
-    f = _gaussian_field(64, 2e-4)
-    with pytest.raises(InvalidArgumentError):
-        propagate(CTX, f, 0.1, 0.1, method="cuda")
 
 
 # ---------------------------------------------------------- chirp nodes
