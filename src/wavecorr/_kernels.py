@@ -1,4 +1,4 @@
-"""Chirp quadrature kernel.
+"""Chirp quadrature and Fresnel integral kernels.
 
 chirp_sum(x_out, x_in, coeffs, alpha) returns, for each output point,
 
@@ -35,17 +35,26 @@ these points (1e-13, 1e-12, 2e-11 against 2e-13, 2e-12, 6e-11): the
 loop's error grows as eps * alpha * u_max^2. Both orders are
 deterministic: the same inputs give the same bits.
 
-chirp_segment_sums keeps the sum split by a segment label per input
-point (the pixel column or row of each node in the 2D engine). It runs
-the same kernel once per maximal stretch of equal labels, so a pixel's
-nodes, one uniform run, take the chirp-z route too.
-
 The ensemble's reference arm maps one uniform grid onto another, so it
 uses the chirp-z route directly, with one row of coefficients per source
 realization. _lattice_plan splits that route into the part fixed by the
 two lattices (the chirps and the kernel chirp's spectrum), computed once
 per run, and an apply step per batch of rows that can write its FFTs
 into the caller's buffer; _lattice_sum is the plan applied once.
+
+fresnel_steps(t) is the exact alternative to the quadrature for an
+object that is constant between edges: the kernel integral over one
+piece is a difference of the Fresnel integral F(t) = C(t) + i S(t) at
+the piece's two edges (Abramowitz and Stegun 7.3). It evaluates F
+through the auxiliary function
+
+    G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)),  t >= 0,
+
+which is (1 + i)/2 * exp(z^2) erfc(z) with z = sqrt(pi) (1 - i) t / 2 and
+decays as i / (pi t). fresnel_g sums the Taylor series of F below
+t = 1.5 and, above it, the Laplace continued fraction of erfc (A&S
+7.1.14) at a fixed depth per band, evaluated from the bottom up. Against
+50-digit mpmath it is within 3e-15 (relative) for t in [0, 1e5].
 """
 
 import numpy as np
@@ -55,6 +64,13 @@ _MIN_PAIRS_PER_POINT = 16
 # a lattice point may sit this many ulps of u_max off its fitted line
 _LATTICE_ULPS = 16
 _EPS = np.finfo(np.float64).eps
+# fresnel_g: the series runs below the first band, each band [lo, next lo)
+# takes its continued fraction to this depth, which reaches rounding
+# (a depth of 80 on the first band leaves 1.4e-14)
+_FRESNEL_BANDS = ((1.5, 100), (3.0, 40), (6.0, 16))
+# the first term the series leaves out, t (pi t^2 / 2)^32 / (32! 65), is
+# below 1e-19 for t < 1.5
+_FRESNEL_TERMS = 32
 
 
 def chirp_sum(x_out, x_in, coeffs, alpha):
@@ -88,12 +104,6 @@ def chirp_sum(x_out, x_in, coeffs, alpha):
     return out
 
 
-# chirp_segment_sums calls the kernel by this name, not through the module
-# attribute chirp_sum, so a wrapper put on that attribute sees only the
-# callers of chirp_sum itself
-_chirp_sum = chirp_sum
-
-
 def _blocked_sum(x_out, x_in, coeffs, alpha):
     out = np.empty(x_out.shape[0], dtype=np.complex128)
     # block the output loop to bound the (block x n_in) temporary
@@ -103,30 +113,6 @@ def _blocked_sum(x_out, x_in, coeffs, alpha):
         u *= u
         u *= alpha
         out[start:start + block] = np.exp(1j * u) @ coeffs
-    return out
-
-
-def chirp_segment_sums(x_out, x_in, coeffs, segment, n_segments, alpha):
-    """The chirp sum split by input segment: an (n_out, n_segments) array
-
-        out[i, s] = sum over j with segment[j] == s of
-                    coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2)
-
-    Inputs whose segment is -1 are left out; a segment with no inputs
-    gives a zero column. Each maximal stretch of equal labels is one
-    chirp_sum, added into its segment's column.
-    """
-    x_in, coeffs = np.asarray(x_in), np.asarray(coeffs)
-    segment = np.asarray(segment)
-    out = np.zeros((len(x_out), n_segments), dtype=np.complex128)
-    # a stretch starts where the label changes; prepending -1 starts none
-    # at 0 for a leading stretch of -1, which is skipped anyway
-    starts = np.flatnonzero(np.diff(segment, prepend=-1))
-    for start, stop in zip(starts, [*starts[1:], segment.shape[0]]):
-        s = segment[start]
-        if s >= 0:
-            out[:, s] += _chirp_sum(x_out, x_in[start:stop],
-                                    coeffs[start:stop], alpha)
     return out
 
 
@@ -246,3 +232,51 @@ def _split(v):
     t = 134217729.0 * v  # 2**27 + 1
     hi = t - (t - v)
     return hi, v - hi
+
+
+def fresnel_steps(t):
+    """F(t[..., k + 1]) - F(t[..., k]) along the last axis of t, with
+    F(t) = C(t) + i S(t) = Integral_0^t exp(i pi s^2 / 2) ds.
+
+    Each edge is split as F(t) = sgn(t) (1 + i)/2 - sgn(t) exp(i pi t^2/2)
+    G(|t|), and the constants and the decaying tails are differenced
+    apart: the constants cancel exactly between edges of one sign, so a
+    difference of two far-out edges keeps its relative accuracy. The
+    phase pi t^2 / 2 is taken with t^2 exact, reduced modulo 4 before it
+    is scaled, so a phase of 1.6e8 rad (t = 1e4) keeps the accuracy of
+    one below 2 pi.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    sign = np.sign(t)
+    sq = t * t
+    hi, lo = _split(t)
+    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    turn = np.exp(0.5j * np.pi * (np.fmod(sq, 4.0) + sq_lo))
+    tail = sign * turn * fresnel_g(np.abs(t))
+    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+
+
+def fresnel_g(t):
+    """G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)) for t >= 0, any shape."""
+    t = np.asarray(t, dtype=np.float64)
+    g = np.empty(t.shape, dtype=np.complex128)
+    pick = t < _FRESNEL_BANDS[0][0]
+    ts = t[pick]
+    # F(t) = sum_n t (i pi t^2 / 2)^n / (n! (2n + 1))
+    a = 0.5j * np.pi * ts * ts
+    term = ts.astype(np.complex128)
+    f = term.copy()
+    for n in range(1, _FRESNEL_TERMS):
+        term = term * a / n
+        f += term / (2 * n + 1)
+    g[pick] = np.exp(-a) * ((0.5 + 0.5j) - f)
+    ends = [lo for lo, _ in _FRESNEL_BANDS[1:]] + [np.inf]
+    for (lo, depth), hi in zip(_FRESNEL_BANDS, ends):
+        pick = (t >= lo) & (t < hi)
+        # sqrt(pi) exp(z^2) erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/...)))
+        z = (0.5 * np.sqrt(np.pi) * (1 - 1j)) * t[pick]
+        f = z
+        for k in range(depth, 0, -1):
+            f = z + (0.5 * k) / f
+        g[pick] = (0.5 + 0.5j) / (np.sqrt(np.pi) * f)
+    return g

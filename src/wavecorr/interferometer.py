@@ -20,6 +20,13 @@ imaging point, where the integral degenerates to T(x) itself: the
 object is reconstructed without a lens. Negative Z_eff values conjugate
 the kernel (phase-reversed diffraction).
 
+correlation_analytic evaluates the 1D integral by midpoint quadrature
+(chirp_nodes and _kernels.chirp_sum); its node count grows as 1/|Z_eff|
+and is capped at MAX_NODES. correlation_analytic_2d takes a raster,
+constant on each pixel, so its integral is exact as differences of
+Fresnel integrals at the pixel edges (_kernels.fresnel_steps), at a cost
+that does not depend on Z_eff.
+
 The closed form is the primary path; correlation_brute_force retains
 the finite-source double integral as an independent oracle.
 """
@@ -134,13 +141,16 @@ class PortIntensities:
 
 
 def _prefactor(spec, z_eff):
+    """I_s * P for a 1D object and I_s * P**2 for a 2D one, P the
+    geometric prefactor of the module docstring."""
     k0 = spec.ctx.k0
     if z_eff == 0:
-        value = np.sqrt(k0 / (2j * np.pi * spec.z_o2))
+        p2 = k0 / (2j * np.pi * spec.z_o2)
     else:
         delta = spec.z_o1 - spec.reference_ledger.diffraction_length
-        value = np.sqrt(k0 * z_eff / (2j * np.pi * spec.z_o2 * delta))
-    return spec.source_intensity * value
+        p2 = k0 * z_eff / (2j * np.pi * spec.z_o2 * delta)
+    return spec.source_intensity * (np.sqrt(p2) if spec.object.ndim == 1
+                                    else p2)
 
 
 def _resolution_guard(spec, grid):
@@ -158,12 +168,17 @@ def _resolution_guard(spec, grid):
                 stacklevel=3)
 
 
-def _axis_nodes(spec, support, x, z_eff):
-    """chirp_nodes over one axis's support intervals, resolving the chirp
-    out to the farthest detector point x from the support."""
-    u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
-    return chirp_nodes(support, spec.object.min_feature(),
-                       spec.ctx.wavelength, z_eff, u_max)
+def _pixel_integrals(edges, x, wavelength, z_eff):
+    """N x (len(edges) - 1) table of the unit kernel's integral over each
+    piece, Integral_{edges[k]}^{edges[k+1]} exp(i pi (x_n - x')^2 /
+    (lambda Z_eff)) dx', exactly: with t = (edge - x_n) sqrt(2 / (lambda
+    |Z_eff|)) it is sqrt(lambda |Z_eff| / 2) (F(t_{k+1}) - F(t_k)),
+    conjugated for Z_eff < 0 (Abramowitz and Stegun 7.3)."""
+    scale = np.sqrt(2.0 / (wavelength * abs(z_eff)))
+    steps = _kernels.fresnel_steps((edges[None, :] - x[:, None]) * scale)
+    if z_eff < 0:
+        steps = np.conj(steps)
+    return np.sqrt(wavelength * abs(z_eff) / 2.0) * steps
 
 
 def correlation_analytic(spec, grid):
@@ -184,7 +199,11 @@ def correlation_analytic(spec, grid):
         # object rides on the kernel's unit integral at any Z_eff
         pattern = np.exp(1j * k0 * z_arg) * obj.sample(x)
     else:
-        nodes, weights = _axis_nodes(spec, support, x, z_eff)
+        # resolve the chirp out to the detector point farthest from the
+        # support
+        u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
+        nodes, weights = chirp_nodes(support, obj.min_feature(),
+                                     spec.ctx.wavelength, z_eff, u_max)
         coeffs = obj.sample(nodes) * weights
         pattern = kernel_scale(spec.ctx, z_arg, z_eff) * _kernels.chirp_sum(
             x, nodes, coeffs, k0 / (2.0 * z_eff))
@@ -194,22 +213,19 @@ def correlation_analytic(spec, grid):
 def correlation_analytic_2d(spec, grid):
     """<E_r* E_o> image of a 2D raster object; same grid on both axes.
 
-    The kernel factorizes, so the 2D integral is two passes of the 1D
-    midpoint quadrature; the optical-path phase is applied once. The
-    raster is constant on each pixel, so on the node lattice it factors
-    exactly as T(nx, ny) = R_y @ pixels @ R_x.T, with R_x (R_y) the 0/1
-    map of each node to its pixel column (row). Each pass therefore
-    needs only its kernel summed per pixel,
+    The kernel factorizes, and the raster is constant on each pixel, so
+    the 2D integral is exact as two tables of 1D pixel integrals,
 
-        A_x[n, c] = sum over x nodes in column c of w * H(x_n - node),
+        A_x[n, c] = Integral over column c of H(x_n - x') dx',
+        A_y[n, r] = Integral over row r of H(y_n - y') dy',
 
         pattern = A_y @ pixels @ A_x.T,
 
-    with A_x N x cols and A_y N x rows. The nodes of one pixel column
-    (row) are a uniform run, so each column of A_x (A_y) is one chirp-z
-    FFT convolution of length about N + M_x / cols (N + M_y / rows), the
-    1D engine's route; the products cost O(N^2 * min(rows, cols)), and no
-    array holds nodes x nodes or nodes x pixels.
+    each entry a difference of Fresnel integrals at two pixel edges
+    (_pixel_integrals); the optical-path phase is applied once. The
+    tables are N x (cols + 1) and N x (rows + 1) Fresnel evaluations at
+    any Z_eff, so the cost does not grow as Z_eff nears 0, and the
+    products cost O(N^2 * min(rows, cols)).
     """
     obj = spec.object
     if obj.ndim != 2:
@@ -218,21 +234,17 @@ def correlation_analytic_2d(spec, grid):
     z_eff, z_arg = spec.z_eff, spec.path_mismatch
     k0 = spec.ctx.k0
     x = grid.coordinates()
+    pref = _prefactor(spec, z_eff)
 
     if z_eff == 0:
-        pref = spec.source_intensity * (k0 / (2j * np.pi * spec.z_o2))
         pattern = np.exp(1j * k0 * z_arg) * obj.sample2d(x, x)
     else:
-        delta = spec.z_o1 - spec.reference_ledger.diffraction_length
-        pref = spec.source_intensity * (
-            k0 * z_eff / (2j * np.pi * spec.z_o2 * delta))
-        nx, wx = _axis_nodes(spec, obj.support(), x, z_eff)
-        ny, wy = _axis_nodes(spec, obj.support_y(), x, z_eff)
-        col, row = obj.pixel_index(nx, ny)
-        rows, cols = obj.pixels.shape
-        alpha = k0 / (2.0 * z_eff)
-        a_x = _kernels.chirp_segment_sums(x, nx, wx, col, cols, alpha)
-        a_y = _kernels.chirp_segment_sums(x, ny, wy, row, rows, alpha)
+        lam = spec.ctx.wavelength
+        x_edges, y_edges = obj.pixel_edges()
+        a_x = _pixel_integrals(x_edges, x, lam, z_eff)
+        # y_edges fall from row 0 down, so each step integrates a row
+        # from its top edge to its bottom one: negate
+        a_y = -_pixel_integrals(y_edges, x, lam, z_eff)
         scale = kernel_scale(spec.ctx, z_arg, z_eff) * kernel_scale(
             spec.ctx, 0.0, z_eff)
         pattern = scale * np.linalg.multi_dot([a_y, obj.pixels, a_x.T])

@@ -1,7 +1,8 @@
 """Transmittance objects: complex T(x) masks placed in the object arm.
 
 Every object reports its support intervals and smallest feature size so
-propagation engines can build adequate quadrature grids. |T| <= 1
+propagation engines can build adequate quadrature grids; a raster also
+reports its pixel edges, between which it is constant. |T| <= 1
 everywhere by construction.
 """
 
@@ -146,6 +147,15 @@ class Raster(Transmittance):
         rows, cols = self.pixels.shape
         return cols * self.pitch, rows * self.pitch
 
+    def pixel_edges(self):
+        """(x_edges, y_edges): column c spans x_edges[c] to x_edges[c + 1]
+        and row r spans y_edges[r + 1] to y_edges[r], so y_edges falls
+        from the top of the image (row 0) to its bottom."""
+        rows, cols = self.pixels.shape
+        w, h = self.extent
+        return (-w / 2 + self.pitch * np.arange(cols + 1),
+                h / 2 - self.pitch * np.arange(rows + 1))
+
     def sample(self, x):
         """1D sample along the horizontal mid-line (y = 0)."""
         return self.sample2d(x, np.zeros(1))[0]
@@ -178,10 +188,6 @@ class Raster(Transmittance):
     def support(self):
         w, _ = self.extent
         return [(-w / 2, w / 2)]
-
-    def support_y(self):
-        _, h = self.extent
-        return [(-h / 2, h / 2)]
 
     def min_feature(self):
         return self.pitch

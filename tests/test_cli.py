@@ -374,14 +374,35 @@ def test_notices_are_printed_when_the_run_fails(tmp_path, capsys):
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):
     # 0.1 um from Zbar: Z_eff ~ 1e-7 m, far too fine a chirp for the node
     # cap, so this is a clean runtime failure rather than a traceback.
-    # Continuity into the Z_eff == 0 branch (ROADMAP item 3) would turn
-    # it into exit 0; update this test when that lands.
+    # Exact edge integrals in the 1D engine (ROADMAP item 2) turn it into
+    # exit 0, as they did for rasters; update this test when that lands.
     z_o1 = IMAGING_Z_O1 + 1e-7
     cfg_path = tmp_path / "near.json"
     cfg_path.write_text(json.dumps(config_dict(z_o1=z_o1,
                                                z_o2=TOTAL_Z - z_o1)))
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 4
     assert "quadrature would need" in capsys.readouterr().err
+
+
+def test_raster_next_to_the_imaging_point_runs(tmp_path, capsys):
+    # 0.1 um from Zbar, Z_eff ~ 1e-7 m: the 2D engine's cost does not
+    # grow there, and its image is the mask's but for edge ringing
+    pixels = [[0, 255, 0], [255, 128, 255]]
+    images = []
+    for dz in (1e-7, 0.0):
+        z_o1 = IMAGING_Z_O1 + dz
+        cfg_path = tmp_path / f"near{dz}.json"
+        cfg_path.write_text(json.dumps(config_dict(
+            z_o1=z_o1, z_o2=TOTAL_Z - z_o1,
+            object={"kind": "raster", "pitch": 60e-6, "pixels": pixels},
+            grid={"half_width": 0.12e-3, "n_samples": 16},
+            outputs=[{"kind": "image_pgm", "path": f"near{dz}.pgm"}])))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        images.append(read_pgm(tmp_path / f"near{dz}.pgm").astype(int))
+    assert "Z_eff = 1e-05 cm" in capsys.readouterr().out
+    # grid points sit 7.5 um or more from a pixel edge, where each edge's
+    # tail is below 1 / (pi t) = 0.7 % (t = 44); 2 levels here
+    assert np.abs(images[0] - images[1]).max() <= 3
 
 
 def _child_env():
@@ -403,10 +424,22 @@ def test_module_entry_point():
 def test_builtin_run_loads_no_oracle_library(tmp_path):
     # numpy is the package's only dependency; scipy and mpmath may serve
     # the tests and the benchmark as oracles but must stay out of a run
+    # fig2_amplitude sits at Z_eff = 0, so a defocused raster is run too:
+    # it takes the Fresnel integrals of the 2D engine
+    cfg_path = tmp_path / "raster.json"
+    z_o1 = IMAGING_Z_O1 + 0.02
+    cfg_path.write_text(json.dumps(config_dict(
+        z_o1=z_o1, z_o2=TOTAL_Z - z_o1,
+        object={"kind": "raster", "pitch": 60e-6,
+                "pixels": [[0, 255, 0], [255, 128, 255]]},
+        grid={"half_width": 0.3e-3, "n_samples": 40},
+        outputs=[{"kind": "image_pgm", "path": "raster.pgm"}])))
     code = ("import sys; from wavecorr.cli import main; "
             "rc = main(['run-builtin', 'fig2_phase', '--out', sys.argv[1]]); "
-            "print(rc, *sorted({'scipy', 'mpmath'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+            "rc2 = main(['run', sys.argv[2], '--out', sys.argv[1]]); "
+            "print(rc, rc2, *sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                           str(cfg_path)],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == "0 0"

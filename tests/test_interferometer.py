@@ -12,8 +12,10 @@ import math
 import tracemalloc
 from contextlib import nullcontext
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
@@ -26,9 +28,10 @@ from wavecorr.errors import (InvalidArgumentError, NegativeIntensityError,
                              ResolutionError, ResolutionWarning,
                              UnequalPathError)
 from wavecorr.interferometer import _object_nodes, _source_nodes
-from wavecorr.propagation import (chirp_nodes, fresnel_kernel, kernel_scale,
+from wavecorr.propagation import (_CHIRP_OVERSAMPLE, chirp_nodes,
+                                  fresnel_kernel, kernel_scale,
                                   midpoint_lattice)
-from wavecorr.transmittance import Raster, Transmittance
+from wavecorr.transmittance import Raster
 
 CTX = OpticsContext(589.3e-9)
 REF_SEGMENTS = (MediumSegment(0.155, 1.5163), vacuum(0.183))
@@ -463,20 +466,38 @@ def test_2d_imaging_reproduces_the_mask():
     assert res.prefactor == pytest.approx(pref, rel=1e-12)
 
 
-class _RowObject(Transmittance):
-    """1D view of a raster whose rows are all identical."""
+def _edge_integrals(edges, x, z_eff):
+    """N x (len(edges) - 1) table of the unit kernel
+    sqrt(1/(i lam Z)) exp(i pi (x - x')^2 / (lam Z)) integrated over x'
+    between neighbouring edges, each a difference of scipy's Fresnel
+    integrals (Z < 0 conjugates them)."""
+    scale = np.sqrt(2.0 / (CTX.wavelength * abs(z_eff)))
+    s, c = scipy.special.fresnel((edges[None, :] - x[:, None]) * scale)
+    steps = np.diff(c + 1j * s, axis=1)
+    if z_eff < 0:
+        steps = np.conj(steps)
+    return kernel_scale(CTX, 0.0, z_eff) * steps / scale
 
-    def __init__(self, raster):
-        self._raster = raster
 
-    def sample(self, x):
-        return self._raster.sample(x)
+def _exact_2d_pattern(spec, grid):
+    """The pattern as a sum of pixel rectangles, each the product of two
+    exact 1D edge integrals; the pixel geometry is rebuilt from the pitch."""
+    obj = spec.object
+    rows, cols = obj.pixels.shape
+    x = grid.coordinates()
+    a_x = _edge_integrals((np.arange(cols + 1) - cols / 2) * obj.pitch, x,
+                          spec.z_eff)
+    # ascending y edges give the bottom row first; row 0 is the top
+    a_y = _edge_integrals((np.arange(rows + 1) - rows / 2) * obj.pitch, x,
+                          spec.z_eff)[:, ::-1]
+    return np.exp(1j * CTX.k0 * spec.path_mismatch) * (a_y @ obj.pixels
+                                                       @ a_x.T)
 
-    def support(self):
-        return self._raster.support()
 
-    def min_feature(self):
-        return self._raster.min_feature()
+def _exact_row_profile(row, pitch, grid, z_eff):
+    """The 1D pattern of one pixel row (values row[c]), up to a constant."""
+    edges = (np.arange(row.size + 1) - row.size / 2) * pitch
+    return _edge_integrals(edges, grid.coordinates(), z_eff) @ row
 
 
 def test_2d_defocus_factorizes_for_separable_masks():
@@ -492,27 +513,31 @@ def test_2d_defocus_factorizes_for_separable_masks():
     rank1 = np.outer(res2[:, c0], res2[r0, :]) / res2[r0, c0]
     assert np.abs(res2 - rank1).max() <= 1e-10 * np.abs(res2).max()
 
-    # the x profile is the 1D quadrature of the shared row
-    spec1 = make_spec(0.31, _RowObject(mask))
-    res1 = correlation_analytic(spec1, grid).correlation
-    i0 = int(np.argmax(np.abs(res1)))
-    const = res2[r0, i0] / res1[i0]
-    assert np.abs(res2[r0] - const * res1).max() <= \
+    # the x profile is the exact 1D edge sum of the shared row
+    line = _exact_row_profile(row / 255.0, 100e-6, grid, spec2.z_eff)
+    i0 = int(np.argmax(np.abs(line)))
+    const = res2[r0, i0] / line[i0]
+    assert np.abs(res2[r0] - const * line).max() <= \
         1e-10 * np.abs(res2[r0]).max()
 
 
-def _dense_2d_pattern(spec, grid):
-    """The pattern as dense kernel matrices times the raster sampled on
-    the node lattice: the engine's former route, kept as its oracle."""
+def _dense_2d_pattern(spec, grid, refine):
+    """The pattern as dense kernel matrices times the raster sampled on a
+    midpoint lattice over the pixel footprint, at `refine` times the
+    node density of the engine's former route (a quarter pitch, or
+    _CHIRP_OVERSAMPLE nodes per local chirp period). Its cells straddle
+    pixel edges, so it converges to the exact pattern as the lattice is
+    refined."""
     obj = spec.object
     x = grid.coordinates()
-    sup_x, sup_y = obj.support(), obj.support_y()
-    u_x = max(abs(x[0] - sup_x[-1][1]), abs(x[-1] - sup_x[0][0]))
-    u_y = max(abs(x[0] - sup_y[-1][1]), abs(x[-1] - sup_y[0][0]))
-    nx, wx = chirp_nodes(sup_x, obj.min_feature(), CTX.wavelength,
-                         spec.z_eff, u_x)
-    ny, wy = chirp_nodes(sup_y, obj.min_feature(), CTX.wavelength,
-                         spec.z_eff, u_y)
+    w, h = obj.extent
+    nodes = []
+    for half in (w / 2, h / 2):
+        u_max = max(abs(x[0] - half), abs(x[-1] + half))
+        step = min(obj.pitch / 4, CTX.wavelength * abs(spec.z_eff)
+                   / (_CHIRP_OVERSAMPLE * u_max)) / refine
+        nodes.append(midpoint_lattice([(-half, half)], step, 8))
+    (nx, wx), (ny, wy) = nodes
     kx = fresnel_kernel(CTX, x[:, None], nx[None, :], spec.path_mismatch,
                         spec.z_eff) * wx
     ky = fresnel_kernel(CTX, x[:, None], ny[None, :], 0.0, spec.z_eff) * wy
@@ -525,14 +550,31 @@ def _dense_2d_pattern(spec, grid):
     return ky_t @ kx.T
 
 
+def test_2d_midpoint_quadrature_converges_to_the_engine():
+    pixels = np.random.default_rng(4).random((5, 7))
+    spec = _spec_at_z_eff(8e-3, Raster(pixels, 60e-6))
+    grid = make_grid(13e-6, 0.3e-3, 48)
+    got = correlation_analytic_2d(spec, grid)
+    pattern = got.correlation / got.prefactor
+    gaps = [np.abs(_dense_2d_pattern(spec, grid, refine) - pattern).max()
+            for refine in (1, 4, 16)]
+    gaps = np.array(gaps) / np.abs(pattern).max()
+    # 1.4e-2, 4.4e-3 and 8.7e-4: the cells straddling pixel edges make
+    # the rule first order in the node spacing
+    assert gaps[0] > 1e-3
+    assert gaps[1] < gaps[0] / 2 and gaps[2] < gaps[1] / 2
+
+
 @st.composite
 def _defocused_rasters(draw):
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 26))
     pixels = np.array(draw(st.lists(
         st.floats(0.0, 1.0), min_size=rows * cols, max_size=rows * cols)))
     pitch = draw(st.floats(40e-6, 120e-6))
-    # Z_eff <= 33 mm on this reference arm
-    z_eff = draw(st.floats(20e-3, 30e-3)) * draw(st.sampled_from([1, -1]))
+    # 10 um <= |Z_eff| <= 30 mm, log-uniform, on either side of the
+    # imaging point; Z_eff <= 33 mm on this reference arm
+    z_eff = 10.0 ** draw(st.floats(-5.0, math.log10(30e-3))) * draw(
+        st.sampled_from([1, -1]))
     n = draw(st.integers(16, 128))
     # a quarter pitch or finer (the resolution guard), within +-0.4 mm
     half = min(n * pitch / 8, 0.4e-3) * draw(st.floats(0.5, 1.0))
@@ -548,19 +590,70 @@ def _defocused_rasters(draw):
 
 @settings(deadline=None, max_examples=25, derandomize=True)
 @given(_defocused_rasters())
-def test_2d_defocus_matches_the_dense_kernel_formula(case):
+def test_2d_defocus_matches_the_exact_edge_formula(case):
     spec, grid = case
     smoothed = spec.object.min_feature() < 3 * spec.psf_width
     with pytest.warns(ResolutionWarning) if smoothed else nullcontext():
         res = correlation_analytic_2d(spec, grid)
-    want = _dense_2d_pattern(spec, grid)
+    want = _exact_2d_pattern(spec, grid)
     got = res.correlation / res.prefactor
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _mp_2d_pattern(spec, grid):
+    """_exact_2d_pattern with the Fresnel differences taken at 40 digits
+    from the float inputs, so that only the engine's rounding remains.
+
+    The two kernel scales multiply to 1/(i lam Z) and the edge integrals
+    carry lam |Z| / 2, so pattern = sgn(Z) / (2i) D_y @ pixels @ D_x.T
+    times the path phase, D the Fresnel differences (conjugated for
+    Z < 0)."""
+    obj = spec.object
+    rows, cols = obj.pixels.shape
+    z = spec.z_eff
+    with mpmath.workdps(40):
+        scale = mpmath.sqrt(2 / (mpmath.mpf(CTX.wavelength) * abs(z)))
+        pitch = mpmath.mpf(obj.pitch)
+        x = [mpmath.mpf(v) for v in grid.coordinates()]
+
+        def table(edges):
+            f = [[mpmath.fresnelc((e - xn) * scale)
+                  + 1j * mpmath.fresnels((e - xn) * scale) for e in edges]
+                 for xn in x]
+            d = np.array([[complex(r[k + 1] - r[k]) for k in range(len(r) - 1)]
+                          for r in f])
+            return d if z > 0 else np.conj(d)
+
+        d_x = table([(c - mpmath.mpf(cols) / 2) * pitch
+                     for c in range(cols + 1)])
+        d_y = table([(mpmath.mpf(rows) / 2 - r) * pitch
+                     for r in range(rows + 1)])
+    # the y edges fall from the top row, so d_y steps down each row
+    return (np.sign(z) * np.exp(1j * CTX.k0 * spec.path_mismatch) / 2j
+            * (-d_y @ obj.pixels @ d_x.T))
+
+
+# bounds: twice the measured gaps, 3.8e-13, 3.9e-13, 2.7e-12 and 4.1e-12;
+# scipy's Fresnel integrals on the same float arguments show the same
+# gaps, so they are the rounding of t = (edge - x) sqrt(2 / (lam |Z|)),
+# whose phase pi t^2 / 2 is off by about eps pi t^2
+@pytest.mark.parametrize("z_eff,bound", [
+    (1e-7, 8e-13), (-1e-7, 8e-13), (1e-9, 6e-12), (-1e-9, 9e-12)])
+def test_2d_next_to_the_imaging_point_matches_mpmath(z_eff, bound):
+    # the edge integrals at Z_eff within 0.1 um and 1 nm of the imaging
+    # point, where Fresnel arguments reach 3e3 and 3e4
+    pixels = np.random.default_rng(6).random((5, 7))
+    spec = _spec_at_z_eff(z_eff, Raster(pixels, 60e-6))
+    grid = make_grid(3.1e-6, 0.24e-3, 32)
+    res = correlation_analytic_2d(spec, grid)
+    want = _mp_2d_pattern(spec, grid)
+    got = res.correlation / res.prefactor
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
 def test_2d_defocus_at_1_mm_fits_in_memory():
-    # the glyph footprint at |Z_eff| = 1 mm: about 42k x 15k nodes, whose
-    # node-lattice image alone would take 9.5 GiB
+    # the glyph footprint at |Z_eff| = 1 mm: the engine holds two
+    # N x (pixels + 1) Fresnel tables and the N x N image
     row = (np.random.default_rng(1).random(26) < 0.5) * 255.0
     mask = raster_to_transmittance(np.tile(row, (12, 1)), 60e-6)
     grid = make_grid(0.0, 1.2e-3, 256)
@@ -575,11 +668,10 @@ def test_2d_defocus_at_1_mm_fits_in_memory():
         assert peak < 256 * 2 ** 20
         image = res.correlation
         assert np.isfinite(image).all()
-        # identical rows: each image row is the 1D pattern of that row,
-        # which the 1D engine sums by chirp-z convolution
+        # identical rows: each image row is the exact 1D edge sum of the
+        # shared row
         centre = image[grid.n_samples // 2]
-        line = correlation_analytic(_spec_at_z_eff(z, _RowObject(mask)),
-                                    grid).correlation
+        line = _exact_row_profile(row / 255.0, 60e-6, grid, spec.z_eff)
         i0 = int(np.argmax(np.abs(line)))
         const = centre[i0] / line[i0]
         assert np.abs(centre - const * line).max() <= \

@@ -1,15 +1,18 @@
-"""Checks for the chirp quadrature core.
+"""Checks for the chirp quadrature core and the Fresnel integrals.
 
 chirp_sum must match its definition to rounding, be deterministic, and
 handle empty input, single points and negative curvature. On lattice
 inputs (a uniform x_out, x_in made of uniform runs) it takes the FFT
-route, which must match the same definition.
+route, which must match the same definition. fresnel_g and
+fresnel_steps must match mpmath and scipy's Fresnel integrals.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import _kernels
@@ -200,48 +203,65 @@ def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
             y, 2e-6, x, 2e-5, np.conj(c), alpha).tobytes()
 
 
-def test_segment_sums_match_the_definition_per_segment():
-    # unordered segments, a dropped input (-1), an empty segment (2), and
-    # enough inputs for several output blocks
-    x_out, x_in, coeffs, alpha = _case(37, 20001, seed=5)
-    segment = np.random.default_rng(3).choice([-1, 0, 1, 3], x_in.size)
-    got = _kernels.chirp_segment_sums(x_out, x_in, coeffs, segment, 4, alpha)
-    assert got.shape == (37, 4)
-    assert not got[:, 2].any()
-    for s in range(4):
-        pick = segment == s
-        want = np.array([np.sum(coeffs[pick] * np.exp(
-            1j * alpha * (xo - x_in[pick]) ** 2)) for xo in x_out])
-        assert np.abs(got[:, s] - want).max() <= 1e-13 * np.abs(coeffs).sum()
-    none = _kernels.chirp_segment_sums(x_out, x_in, coeffs,
-                                       np.full(x_in.size, -1), 2, alpha)
-    assert none.shape == (37, 2) and not none.any()
+# ------------------------------------------------------ Fresnel integrals
+
+def _mp_g(t):
+    """G(t) = exp(-i pi t^2/2) ((1 + i)/2 - F(t)) at 50 digits; t a float."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        f = mpmath.fresnelc(t) + 1j * mpmath.fresnels(t)
+        return complex(mpmath.expjpi(-t * t / 2) * ((1 + 1j) / 2 - f))
 
 
-def test_segment_sums_take_the_lattice_route_per_segment(monkeypatch):
-    # the 2D engine's layout: 30k midpoint nodes over a raster of 24 pixel
-    # columns, 50 um each, against a 256-point detector at Z_eff = 1 mm;
-    # each column is one uniform run of 1250 nodes, so one FFT convolution
-    calls = []
-    lattice_sum = _kernels._lattice_sum
+def _mp_step(lo, hi):
+    """F(hi) - F(lo) at 50 digits; lo and hi floats."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        return complex((mpmath.fresnelc(hi) - mpmath.fresnelc(lo))
+                       + 1j * (mpmath.fresnels(hi) - mpmath.fresnels(lo)))
 
-    def spy(*args):
-        calls.append(args)
-        return lattice_sum(*args)
 
-    monkeypatch.setattr(_kernels, "_lattice_sum", spy)
-    rng = np.random.default_rng(9)
-    cols, pitch = 24, 50e-6
-    x_out = (np.arange(256) - 127.5) * 9.4e-6
-    x_in = (np.arange(30_000) + 0.5) * 4e-8 - cols * pitch / 2
-    segment = np.floor((x_in + cols * pitch / 2) / pitch).astype(int)
-    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
-    alpha = np.pi / (589.3e-9 * 1e-3)
-    got = _kernels.chirp_segment_sums(x_out, x_in, coeffs, segment, cols,
-                                      alpha)
-    assert len(calls) == cols
-    idx = np.arange(0, 256, 8)
-    for s in range(cols):
-        pick = segment == s
-        want = _explicit(x_out[idx], x_in[pick], coeffs[pick], alpha)
-        assert np.abs(got[idx, s] - want).max() <= 1e-10 * np.abs(got).max()
+# the bands' lower ends and the floats just below them
+_BRANCHES = [b for lo, _ in _kernels._FRESNEL_BANDS
+             for b in (np.nextafter(lo, 0.0), lo)]
+
+
+def test_fresnel_g_matches_mpmath_from_zero_to_1e5():
+    t = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 8.0, 161)[1:],
+                        np.logspace(-4, 5, 91), _BRANCHES])
+    want = np.array([_mp_g(v) for v in t])
+    got = _kernels.fresnel_g(t)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_fresnel_steps_match_scipy():
+    t = np.concatenate([np.linspace(-40.0, 40.0, 2001), _BRANCHES])
+    s, c = scipy.special.fresnel(t)
+    got = _kernels.fresnel_steps(np.stack([np.zeros_like(t), t], axis=1))
+    assert got.shape == (t.size, 1)
+    assert np.max(np.abs(got[:, 0] - (c + 1j * s))) <= 1e-14
+
+
+def test_fresnel_steps_are_odd():
+    t = np.concatenate([np.logspace(-3, 5, 97), _BRANCHES])
+    zero = np.zeros_like(t)
+    plus = _kernels.fresnel_steps(np.stack([zero, t], axis=1))
+    minus = _kernels.fresnel_steps(np.stack([-t, zero], axis=1))
+    # F(t) - F(0) == F(0) - F(-t), bit for bit
+    assert plus.tobytes() == minus.tobytes()
+
+
+def test_far_same_sign_steps_keep_their_relative_accuracy():
+    # a pixel of 1/8 unit far out on either side: each step is about 1e-5
+    # of the (1 + i)/2 constants, so cancelling those would lose 5 digits
+    lo = np.array([1e3, 1e4, 5e4, 99_999.75, 2.25])
+    hi = lo + 0.125
+    edges = np.stack([np.concatenate([lo, -hi]), np.concatenate([hi, -lo])],
+                     axis=1)
+    got = _kernels.fresnel_steps(edges)[:, 0]
+    want = np.array([_mp_step(a, b) for a, b in edges])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    # a table of several edges per row differences each neighbour pair
+    table = _kernels.fresnel_steps(np.array([[1e3, 1e3 + 0.5, 1e3 + 1.0]]))
+    want = [_mp_step(1e3, 1e3 + 0.5), _mp_step(1e3 + 0.5, 1e3 + 1.0)]
+    assert np.max(np.abs(table[0] - want) / np.abs(want)) <= 1e-13

@@ -73,8 +73,9 @@ def test_raster_round_trip(tmp_path):
     # footprint spans n_cols * pitch horizontally, centered on zero
     (lo, hi), = t.support()
     assert hi - lo == pytest.approx(3 * 10e-6)
-    (y_lo, y_hi), = t.support_y()
-    assert y_hi - y_lo == pytest.approx(2 * 10e-6)
+    x_edges, y_edges = t.pixel_edges()
+    assert x_edges == pytest.approx([-15e-6, -5e-6, 5e-6, 15e-6])
+    assert y_edges == pytest.approx([10e-6, 0.0, -10e-6])
     assert t.min_feature() == pytest.approx(10e-6)
 
 
@@ -107,6 +108,11 @@ def test_raster_pixel_index_is_the_sampling_rule():
     want = np.where((row[:, None] >= 0) & (col[None, :] >= 0),
                     t.pixels[row[:, None], col[None, :]], 0.0)
     assert np.array_equal(t.sample2d(x, y), want)
+    # pixel_edges bound the same pixels: each span's midpoint falls in it
+    x_edges, y_edges = t.pixel_edges()
+    col, row = t.pixel_index((x_edges[1:] + x_edges[:-1]) / 2,
+                             (y_edges[1:] + y_edges[:-1]) / 2)
+    assert col.tolist() == [0, 1] and row.tolist() == [0, 1, 2]
 
 
 def test_raster_1d_slice_matches_midline():
