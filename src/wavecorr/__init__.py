@@ -16,7 +16,7 @@ Monte-Carlo chaotic light (`ensemble`), and runnable scenario configs
 """
 
 from . import errors
-from .cascade import (DEFAULT_COHERENCE_TOLERANCE, ElementChain,
+from .cascade import (COHERENCE_TOLERANCE, ElementChain,
                       ImagingPositions, MediumSegment, PathLedger,
                       cascade_propagate, effective_diffraction_length,
                       imaging_positions, ledger, vacuum)
@@ -47,10 +47,10 @@ __version__ = "0.1.0"
 kernel_backend = "numpy"
 
 __all__ = [
+    "COHERENCE_TOLERANCE",
     "ComplexField",
     "ConfigParseError",
     "CorrelationResult",
-    "DEFAULT_COHERENCE_TOLERANCE",
     "DegenerateGeometryError",
     "DegenerateKernelError",
     "DoubleSlit",

@@ -7,8 +7,13 @@ cascade whose accumulated Zbar vanishes acts as the identity times
 exp(i k0 Z) regardless of the individual segments: that cancellation is
 what makes lensless imaging possible. Negative indices are allowed so a
 negatively refracting segment can cancel a positive one directly.
+
+equal_path_mismatch is the one check of the equal-optical-path
+condition, within the fixed COHERENCE_TOLERANCE; InterferometerSpec
+runs it once, on construction.
 """
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,9 +24,12 @@ from .grid import ComplexField
 from .propagation import propagate
 from .transmittance import Transmittance
 
-#: default tolerance on the equal-optical-path condition (m); stands in
-#: for the source's longitudinal coherence length, which is a knob here.
-DEFAULT_COHERENCE_TOLERANCE = 1e-3
+#: tolerance on the equal-optical-path condition (m); stands in for the
+#: source's longitudinal coherence length.
+COHERENCE_TOLERANCE = 1e-3
+#: a mismatch within this many ulps of the path is the rounding of the
+#: ledger and z_o1 + z_o2 sums, and raises no notice
+_ROUNDING_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -125,36 +133,37 @@ class ImagingPositions(NamedTuple):
     z_o2_img: float
 
 
-def equal_path_mismatch(arm_path, ledger_ref,
-                        coherence_tolerance=DEFAULT_COHERENCE_TOLERANCE):
-    """Object-arm path minus the reference optical path Z (meters).
+def equal_path_mismatch(arm_path, ledger_ref):
+    """Object-arm path minus the reference optical path Z (meters), exact.
 
-    Raises UnequalPathError beyond the coherence tolerance and emits an
-    EqualPathWarning for a nonzero mismatch within it.
+    Raises UnequalPathError beyond COHERENCE_TOLERANCE and emits an
+    EqualPathWarning for a mismatch within it that exceeds rounding
+    (_ROUNDING_ULPS ulps of the longer path).
     """
     Z = ledger_ref.optical_path
     mismatch = arm_path - Z
-    if abs(mismatch) > coherence_tolerance:
+    if abs(mismatch) > COHERENCE_TOLERANCE:
         raise UnequalPathError(
             f"object arm path {arm_path} differs from the reference optical "
             f"path {Z} by {mismatch:+.3g} m, beyond the coherence tolerance "
-            f"{coherence_tolerance:g} m (equal-optical-path condition)")
-    if mismatch != 0:
+            f"{COHERENCE_TOLERANCE:g} m (equal-optical-path condition)")
+    if abs(mismatch) > _ROUNDING_ULPS * math.ulp(max(abs(arm_path), abs(Z))):
         _warnings.warn(
             f"arm paths differ by {mismatch:+.3g} m, within tolerance",
-            EqualPathWarning, stacklevel=3)
+            # the line that built the InterferometerSpec, the one caller
+            # that does not silence this (__post_init__ and __init__ between)
+            EqualPathWarning, stacklevel=4)
     return mismatch
 
 
-def imaging_positions(ledger_ref, z_o,
-                      coherence_tolerance=DEFAULT_COHERENCE_TOLERANCE):
+def imaging_positions(ledger_ref, z_o):
     """Object/detector distances at which the two-arm cascade images.
 
     Requires the object-arm path z_o to equal the reference optical
-    path Z within the coherence tolerance. The object must sit at
+    path Z within COHERENCE_TOLERANCE. The object must sit at
     z_o1 = Zbar; the remaining distance to the detector is Z - Zbar.
     """
-    equal_path_mismatch(z_o, ledger_ref, coherence_tolerance)
+    equal_path_mismatch(z_o, ledger_ref)
     Z = ledger_ref.optical_path
     Zbar = ledger_ref.diffraction_length
     if Z < Zbar:
@@ -163,8 +172,7 @@ def imaging_positions(ledger_ref, z_o,
     return ImagingPositions(z_o1_img=Zbar, z_o2_img=Z - Zbar)
 
 
-def effective_diffraction_length(z_o1, z_o2, ledger_ref,
-                                 coherence_tolerance=DEFAULT_COHERENCE_TOLERANCE):
+def effective_diffraction_length(z_o1, z_o2, ledger_ref):
     """Single equivalent Fresnel distance of the two-arm diffraction.
 
     1/Z_eff = 1/z_o2 + 1/(z_o1 - Zbar). Returns exactly 0.0 at the
@@ -174,7 +182,7 @@ def effective_diffraction_length(z_o1, z_o2, ledger_ref,
     """
     if z_o2 == 0:
         raise DegenerateGeometryError("object at the detector plane (z_o2 == 0)")
-    equal_path_mismatch(z_o1 + z_o2, ledger_ref, coherence_tolerance)
+    equal_path_mismatch(z_o1 + z_o2, ledger_ref)
     delta = z_o1 - ledger_ref.diffraction_length
     if delta == 0:
         return 0.0

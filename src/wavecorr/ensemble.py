@@ -120,7 +120,6 @@ class PropagationMatrices(NamedTuple):
     source_to_object: [n_object_nodes, n_source] including dx_s
     object_to_detector: [n_detector, n_object_nodes] including node widths
     t_object: transmittance at the object nodes
-    x_object: the object-plane nodes
 
     The reference arm has no matrix here: see reference_field.
     """
@@ -128,7 +127,6 @@ class PropagationMatrices(NamedTuple):
     source_to_object: np.ndarray
     object_to_detector: np.ndarray
     t_object: np.ndarray
-    x_object: np.ndarray
 
 
 def propagation_matrices(config):
@@ -144,7 +142,7 @@ def propagation_matrices(config):
                         spec.z_o1, spec.z_o1) * dx_src
     h2 = fresnel_kernel(ctx, x_det[:, None], xo[None, :],
                         spec.z_o2, spec.z_o2) * wo[None, :]
-    return PropagationMatrices(h1, h2, spec.object.sample(xo), xo)
+    return PropagationMatrices(h1, h2, spec.object.sample(xo))
 
 
 def _reference_arm(config):

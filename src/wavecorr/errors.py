@@ -54,7 +54,7 @@ class WaveCorrWarning(UserWarning):
 
 
 class EqualPathWarning(WaveCorrWarning):
-    """Arm paths differ, but within the coherence tolerance."""
+    """Arm paths differ beyond rounding, within the coherence tolerance."""
 
 
 class ResolutionWarning(WaveCorrWarning):

@@ -27,6 +27,9 @@ constant on each pixel, so its integral is exact as differences of
 Fresnel integrals at the pixel edges (_kernels.fresnel_steps), at a cost
 that does not depend on Z_eff.
 
+InterferometerSpec resolves the geometry (reference ledger, dz and
+Z_eff) once, on construction; the engines only read it.
+
 The closed form is the primary path; correlation_brute_force retains
 the finite-source double integral as an independent oracle.
 """
@@ -37,9 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .cascade import (DEFAULT_COHERENCE_TOLERANCE,
-                      effective_diffraction_length, equal_path_mismatch,
-                      ledger)
+from .cascade import (PathLedger, effective_diffraction_length,
+                      equal_path_mismatch, ledger)
 from .errors import (EqualPathWarning, InvalidArgumentError,
                      NegativeIntensityError, ResolutionError,
                      ResolutionWarning)
@@ -57,9 +59,10 @@ class InterferometerSpec:
 
     The object arm is z_o1 of vacuum, the transmittance object, then
     z_o2 of vacuum to the detector; the reference arm is the given
-    segment chain. z_o1 + z_o2 must match the reference optical path
-    within the coherence tolerance; the remaining difference is kept as
-    path_mismatch.
+    segment chain. Construction resolves the geometry once: the
+    reference ledger, the equal-path check (z_o1 + z_o2 against Z,
+    within cascade.COHERENCE_TOLERANCE; the difference is kept as
+    path_mismatch, with an EqualPathWarning beyond rounding) and Z_eff.
     """
 
     ctx: object
@@ -69,8 +72,9 @@ class InterferometerSpec:
     object: object
     source_width: float
     source_intensity: float = 1.0
-    coherence_tolerance: float = DEFAULT_COHERENCE_TOLERANCE
+    reference_ledger: PathLedger = field(init=False, repr=False)
     path_mismatch: float = field(init=False, repr=False)
+    z_eff: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reference_segments",
@@ -81,24 +85,15 @@ class InterferometerSpec:
             raise InvalidArgumentError("source_width must be positive")
         if not (self.source_intensity > 0):
             raise InvalidArgumentError("source_intensity must be positive")
+        led = ledger(self.reference_segments)
+        mismatch = equal_path_mismatch(self.z_o1 + self.z_o2, led)
         with _warnings.catch_warnings():
+            # the same check again, already reported above
             _warnings.simplefilter("ignore", EqualPathWarning)
-            mismatch = equal_path_mismatch(
-                self.z_o1 + self.z_o2, ledger(self.reference_segments),
-                self.coherence_tolerance)
+            z_eff = effective_diffraction_length(self.z_o1, self.z_o2, led)
+        object.__setattr__(self, "reference_ledger", led)
         object.__setattr__(self, "path_mismatch", mismatch)
-
-    @property
-    def reference_ledger(self):
-        return ledger(self.reference_segments)
-
-    @property
-    def z_eff(self):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", EqualPathWarning)
-            return effective_diffraction_length(
-                self.z_o1, self.z_o2, self.reference_ledger,
-                coherence_tolerance=self.coherence_tolerance)
+        object.__setattr__(self, "z_eff", z_eff)
 
     @property
     def psf_width(self):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import MediumSegment, imaging_positions
+from .cascade import MediumSegment
 from .ensemble import EnsembleConfig, run_coherent, run_ensemble
 from .errors import (ConfigParseError, InvalidArgumentError,
                      ScenarioValidationError, UnequalPathError)
@@ -105,24 +105,21 @@ OBJECT_KINDS = {
 _KIND = Field("kind", str, _one_of(OBJECT_KINDS))
 
 
+def _write_csv(path, header, *columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
 def _write_correlation_csv(result, path):
-    x = result.grid.coordinates()
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,re,im,abs2\n")
-        for xi, ci in zip(x, result.correlation):
-            re, im = ci.real, ci.imag
-            fh.write(f"{xi:.17g},{re:.17g},{im:.17g},"
-                     f"{re * re + im * im:.17g}\n")
+    c = result.correlation
+    _write_csv(path, "x_m,re,im,abs2", result.grid.coordinates(), c.real,
+               c.imag, c.real * c.real + c.imag * c.imag)
 
 
 def _write_ports_csv(result, path):
-    x = result.grid.coordinates()
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,i_plus,i_minus,diff,sum\n")
-        for xi, p, m, df in zip(x, result.i_plus, result.i_minus,
-                                result.diff):
-            fh.write(f"{xi:.17g},{p:.17g},{m:.17g},{df:.17g},"
-                     f"{p + m:.17g}\n")
+    _write_csv(path, "x_m,i_plus,i_minus,diff,sum", result.grid.coordinates(),
+               result.i_plus, result.i_minus, result.diff,
+               result.i_plus + result.i_minus)
 
 
 def _write_image_pgm(result, path):
@@ -461,14 +458,14 @@ def run_scenario(config, out_dir=None, echo=print):
             source_intensity=config.source_intensity)
     except UnequalPathError as exc:
         raise ScenarioValidationError("z_o1", str(exc)) from exc
-    led = spec.reference_ledger
-    z_eff = spec.z_eff
-    imaging = imaging_positions(led, config.z_o1 + config.z_o2)
+    led, z_eff = spec.reference_ledger, spec.z_eff
+    # the detector distance of the imaging position; negative when Z < Zbar
+    z_o2_img = led.optical_path - led.diffraction_length
 
     echo(f"scenario {config.name} [{config.mode}]")
     echo(f"Z = {led.optical_path * 100:.4g} cm")
     echo(f"Zbar = {led.diffraction_length * 100:.4g} cm")
-    echo(f"z_o2_img = {imaging.z_o2_img * 100:.4g} cm")
+    echo(f"z_o2_img = {z_o2_img * 100:.4g} cm")
     if z_eff == 0:
         echo("Z_eff = 0 cm (imaging point)")
     else:
@@ -517,7 +514,7 @@ def run_scenario(config, out_dir=None, echo=print):
         optical_path=led.optical_path,
         diffraction_length=led.diffraction_length,
         z_eff=z_eff,
-        z_o2_img=imaging.z_o2_img,
+        z_o2_img=z_o2_img,
     )
 
 

@@ -1,5 +1,6 @@
 """Path ledgers, cascade composition, and the two-arm geometry helpers."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wavecorr import (ComplexField, ElementChain, MediumSegment, OpticsContext,
                       PathLedger, cascade_propagate, double_slit,
                       effective_diffraction_length, imaging_positions, ledger,
                       make_grid, vacuum)
+from wavecorr.cascade import _ROUNDING_ULPS, equal_path_mismatch
 from wavecorr.errors import (DegenerateGeometryError, EqualPathWarning,
                              InvalidArgumentError, UnequalPathError)
 from wavecorr.propagation import propagate
@@ -147,6 +149,20 @@ def test_imaging_positions_exact_path_emits_no_warning():
 def test_imaging_positions_tolerated_mismatch_warns():
     with pytest.warns(EqualPathWarning):
         imaging_positions(REF, REF.optical_path + 5e-4)
+
+
+def test_equal_path_notice_starts_above_rounding():
+    # 0.8 * 0.3 and 0.1 + 0.14 round one ulp apart: the mismatch is kept
+    # exactly, but it is rounding and raises no notice
+    led = MediumSegment(0.3, 0.8).ledger()
+    z = led.optical_path
+    at_bound = z + _ROUNDING_ULPS * math.ulp(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert equal_path_mismatch(0.1 + 0.14, led) == math.ulp(z)
+        assert equal_path_mismatch(at_bound, led) == at_bound - z
+    with pytest.warns(EqualPathWarning):
+        equal_path_mismatch(at_bound + math.ulp(z), led)
 
 
 def test_imaging_positions_rejects_unequal_paths():

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import wavecorr
-from wavecorr import config_from_dict, read_pgm
+from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
+                      config_from_dict, correlation_analytic, double_slit,
+                      make_grid, read_pgm)
 from wavecorr.cli import main
 from wavecorr.errors import InvalidArgumentError
 
@@ -347,13 +349,11 @@ def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
     cfg_path.write_text(json.dumps(config_dict(**over)))
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
-    assert re.search(rf"^warning: {code}: \S", captured.err, re.M)
-    if code == "SamplingWarning":
-        # the object hop z_o1 and the reference hop share Zbar; each line
-        # names its own hop
-        lines = re.findall(r"^warning: SamplingWarning: .*$", captured.err,
-                           re.M)
-        assert len(lines) == 2 and lines[0] != lines[1]
+    lines = re.findall(rf"^warning: {code}: \S.*$", captured.err, re.M)
+    # one notice each; the object hop z_o1 and the reference hop share
+    # Zbar, and each SamplingWarning line names its own hop
+    assert len(lines) == (2 if code == "SamplingWarning" else 1)
+    assert len(set(lines)) == len(lines)
     assert "warning" not in captured.out
     for line in captured.out.splitlines():
         assert re.match(r"(scenario|Z|Zbar|z_o2_img|Z_eff) |wrote ", line)
@@ -369,6 +369,40 @@ def test_notices_are_printed_when_the_run_fails(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("run failed: ")
     assert err[1].startswith("warning: EqualPathWarning: ")
+
+
+def test_rounding_level_path_mismatch_prints_no_notice(tmp_path, capsys):
+    # 0.8 * 0.3 and 0.1 + 0.14 round one ulp apart
+    cfg_path = tmp_path / "rounded.json"
+    cfg_path.write_text(json.dumps(config_dict(
+        z_o1=0.1, z_o2=0.14,
+        reference_segments=[{"length": 0.3, "index": 0.8}])))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_reference_arm_with_z_below_zbar_runs(tmp_path, capsys):
+    # 30 cm of air, then 2 cm of index -2: Z = 26 cm < Zbar = 29 cm, so
+    # the imaging position lies past the detector, but any object
+    # position on the equal-path line has a finite Z_eff
+    segments = [{"length": 0.3, "index": 1.0},
+                {"length": 0.02, "index": -2.0}]
+    cfg_path = tmp_path / "negative.json"
+    cfg_path.write_text(json.dumps(config_dict(
+        z_o1=0.2, z_o2=0.06, reference_segments=segments)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "z_o2_img = -3 cm" in captured.out
+    spec = InterferometerSpec(
+        OpticsContext(589.3e-9), 0.2, 0.06,
+        [MediumSegment(s["length"], s["index"]) for s in segments],
+        double_slit(125e-6, 300e-6), 0.01)
+    grid = make_grid(0.0, 0.5e-3, 128)
+    c = correlation_analytic(spec, grid).correlation
+    want = np.column_stack([grid.coordinates(), c.real, c.imag,
+                            c.real * c.real + c.imag * c.imag])
+    assert np.array_equal(read_rows(tmp_path / "corr.csv"), want)
 
 
 def test_object_next_to_the_imaging_point_exits_cleanly(tmp_path, capsys):

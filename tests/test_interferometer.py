@@ -10,6 +10,7 @@ finite source genuinely part ways.
 
 import math
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import mpmath
@@ -24,9 +25,9 @@ from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
                       detector_ports, double_slit, ledger, make_grid,
                       phase_holes, raster_to_transmittance, uniform, vacuum)
 from wavecorr._kernels import chirp_sum
-from wavecorr.errors import (InvalidArgumentError, NegativeIntensityError,
-                             ResolutionError, ResolutionWarning,
-                             UnequalPathError)
+from wavecorr.errors import (EqualPathWarning, InvalidArgumentError,
+                             NegativeIntensityError, ResolutionError,
+                             ResolutionWarning, UnequalPathError)
 from wavecorr.interferometer import _object_nodes, _source_nodes
 from wavecorr.propagation import (_CHIRP_OVERSAMPLE, chirp_nodes,
                                   fresnel_kernel, kernel_scale,
@@ -135,13 +136,24 @@ def test_prefactor_scales_with_source_intensity():
 def test_small_path_mismatch_becomes_a_global_phase():
     z_o1 = REF.diffraction_length
     z_o2 = REF.optical_path - z_o1 + 2e-4
-    spec = InterferometerSpec(CTX, z_o1, z_o2, REF_SEGMENTS, SLIT, 0.01)
+    with pytest.warns(EqualPathWarning):
+        spec = InterferometerSpec(CTX, z_o1, z_o2, REF_SEGMENTS, SLIT, 0.01)
     grid = make_grid(0.0, 0.5e-3, 256)
     res = correlation_analytic(spec, grid)
     z_arg = z_o1 + z_o2 - REF.optical_path
     want = res.prefactor * np.exp(1j * CTX.k0 * z_arg) * SLIT.sample(
         grid.coordinates())
     assert np.allclose(res.correlation, want, rtol=1e-12, atol=0)
+
+
+def test_path_mismatch_warns_once_where_the_spec_is_built():
+    z_o2 = REF.optical_path - REF.diffraction_length + 5e-4
+    with warnings.catch_warnings(record=True) as notices:
+        warnings.simplefilter("always")
+        spec = imaging_spec(SLIT, z_o2=z_o2)
+        correlation_analytic(spec, make_grid(0.0, 0.5e-3, 64))
+    assert [n.category for n in notices] == [EqualPathWarning]
+    assert notices[0].filename == __file__
 
 
 def test_uniform_object_gives_flat_modulus_at_any_defocus():
@@ -282,7 +294,8 @@ def test_rounded_ledger_literals_nearly_image():
     # the exact self-imaging plane; the reconstruction stays close to
     # the object but is measurably blurred (no threshold enforced on
     # the exact value, which tracks the rounding convention)
-    spec = InterferometerSpec(CTX, 0.285, 0.133, REF_SEGMENTS, SLIT, 0.01)
+    with pytest.warns(EqualPathWarning):
+        spec = InterferometerSpec(CTX, 0.285, 0.133, REF_SEGMENTS, SLIT, 0.01)
     grid = make_grid(0.0, 0.5e-3, 2048)
     res = correlation_analytic(spec, grid)
     assert spec.z_eff != 0.0
@@ -584,7 +597,9 @@ def _defocused_rasters(draw):
     mismatch = draw(st.floats(-0.5e-3, 0.5e-3))
     raster = Raster(pixels.reshape(rows, cols), pitch)
     spec = _spec_at_z_eff(z_eff, raster)
-    spec = make_spec(spec.z_o1, raster, z_o2=spec.z_o2 + mismatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EqualPathWarning)
+        spec = make_spec(spec.z_o1, raster, z_o2=spec.z_o2 + mismatch)
     return spec, make_grid(center, half, n)
 
 
