@@ -50,27 +50,45 @@ through the auxiliary function
 
     G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)),  t >= 0,
 
-which is (1 + i)/2 * exp(z^2) erfc(z) with z = sqrt(pi) (1 - i) t / 2 and
-decays as i / (pi t). fresnel_g sums the Taylor series of F below
-t = 1.5 and, above it, the Laplace continued fraction of erfc (A&S
-7.1.14) at a fixed depth per band, evaluated from the bottom up. Against
-50-digit mpmath it is within 3e-15 (relative) for t in [0, 1e5].
+which is g(t) + i f(t) in the auxiliary functions f and g of A&S
+7.3.5-6 and decays as i / (pi t). fresnel_g evaluates it in two closed
+forms joined at t = 6, with numpy alone:
+
+* from t = 6 up, the asymptotic series of f and g (A&S 7.3.27-28), 12
+  terms each in u = (pi t^2)^-2 by real Horner; at t = 6 the first term
+  left out is below 1e-19 of G.
+* below t = 6, a 20-term Taylor polynomial about the nearest of the
+  centres c = 0, 1/8, ..., 6, in h = t - c with |h| <= 1/16: one gather
+  of the centre's coefficients and a complex Horner. G' = -1 - i pi t G,
+  so the coefficients follow from G(c) by a two-term recurrence. The
+  table is built when the module loads (under 1 ms), by marching the
+  polynomials from the asymptotic G(6) down to 0; the march lands on
+  G(0) = (1 + i)/2 to the last bit.
+
+The joins are the cell boundaries (k + 1/2)/8 and t = 6. Against
+50-digit mpmath, fresnel_g is within 5e-16 (relative) for t in [0, 1e5],
+the joins included. A negative or NaN t raises InvalidArgumentError.
 """
 
+import math
+
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 # below this many pairs per transformed point, the loop is cheaper
 _MIN_PAIRS_PER_POINT = 16
 # a lattice point may sit this many ulps of u_max off its fitted line
 _LATTICE_ULPS = 16
 _EPS = np.finfo(np.float64).eps
-# fresnel_g: the series runs below the first band, each band [lo, next lo)
-# takes its continued fraction to this depth, which reaches rounding
-# (a depth of 80 on the first band leaves 1.4e-14)
-_FRESNEL_BANDS = ((1.5, 100), (3.0, 40), (6.0, 16))
-# the first term the series leaves out, t (pi t^2 / 2)^32 / (32! 65), is
-# below 1e-19 for t < 1.5
-_FRESNEL_TERMS = 32
+# fresnel_g: the asymptotic series runs from _FRESNEL_T up, with this many
+# terms; at t = 6 the first one it leaves out is below 1e-19 of G
+_FRESNEL_T = 6.0
+_ASYMPTOTIC_TERMS = 12
+# below _FRESNEL_T, Taylor polynomials of this many terms about centres
+# _FRESNEL_STEP apart (an exact power of two, so t / step is exact)
+_FRESNEL_STEP = 0.125
+_TAYLOR_TERMS = 20
 
 
 def chirp_sum(x_out, x_in, coeffs, alpha):
@@ -251,32 +269,91 @@ def fresnel_steps(t):
     sq = t * t
     hi, lo = _split(t)
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    turn = np.exp(0.5j * np.pi * (np.fmod(sq, 4.0) + sq_lo))
+    # sq mod 4, bitwise as np.fmod gives it but cheaper: sq / 4 and
+    # 4 floor(sq / 4) are exact, and so is their difference (Sterbenz)
+    turn = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
     tail = sign * turn * fresnel_g(np.abs(t))
     return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
 
 
 def fresnel_g(t):
-    """G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)) for t >= 0, any shape."""
+    """G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)) for t >= 0, any shape.
+
+    Raises InvalidArgumentError for a negative or NaN t, which the table
+    would otherwise index from its far end.
+    """
     t = np.asarray(t, dtype=np.float64)
+    if not (t >= 0).all():
+        raise InvalidArgumentError("fresnel_g needs t >= 0, not NaN")
     g = np.empty(t.shape, dtype=np.complex128)
-    pick = t < _FRESNEL_BANDS[0][0]
-    ts = t[pick]
-    # F(t) = sum_n t (i pi t^2 / 2)^n / (n! (2n + 1))
-    a = 0.5j * np.pi * ts * ts
-    term = ts.astype(np.complex128)
-    f = term.copy()
-    for n in range(1, _FRESNEL_TERMS):
-        term = term * a / n
-        f += term / (2 * n + 1)
-    g[pick] = np.exp(-a) * ((0.5 + 0.5j) - f)
-    ends = [lo for lo, _ in _FRESNEL_BANDS[1:]] + [np.inf]
-    for (lo, depth), hi in zip(_FRESNEL_BANDS, ends):
-        pick = (t >= lo) & (t < hi)
-        # sqrt(pi) exp(z^2) erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/...)))
-        z = (0.5 * np.sqrt(np.pi) * (1 - 1j)) * t[pick]
-        f = z
-        for k in range(depth, 0, -1):
-            f = z + (0.5 * k) / f
-        g[pick] = (0.5 + 0.5j) / (np.sqrt(np.pi) * f)
+    far = t >= _FRESNEL_T
+    g[far] = _fresnel_g_far(t[far])
+    near = ~far
+    tn = t[near]
+    # the nearest centre c = i * step and the offset h = t - c, both exact
+    i = np.rint(tn * (1.0 / _FRESNEL_STEP))
+    h = tn - i * _FRESNEL_STEP
+    i = i.astype(np.intp)
+    acc = _TAYLOR[-1].take(i)
+    for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        acc *= h
+        acc += _TAYLOR[k].take(i)
+    g[near] = acc
     return g
+
+
+def _fresnel_g_far(t):
+    """fresnel_g for t >= _FRESNEL_T: G = g + i f in the auxiliary functions
+    f and g, from their asymptotic series (A&S 7.3.27-28),
+
+        f ~ (1 / (pi t)) sum_m (-1)^m (4m - 1)!! u^m,
+        g ~ (1 / (pi^2 t^3)) sum_m (-1)^m (4m + 1)!! u^m,  u = (pi t^2)^-2.
+    """
+    r = 1.0 / (np.pi * t)
+    w = r / t
+    u = w * w
+    f = np.full(t.shape, _ASYMPTOTIC_F[-1])
+    g = np.full(t.shape, _ASYMPTOTIC_G[-1])
+    for m in range(_ASYMPTOTIC_TERMS - 2, -1, -1):
+        f *= u
+        f += _ASYMPTOTIC_F[m]
+        g *= u
+        g += _ASYMPTOTIC_G[m]
+    out = np.empty(t.shape, dtype=np.complex128)
+    out.real = g * (r * w)
+    out.imag = f * r
+    return out
+
+
+def _taylor_table():
+    """Taylor coefficients of G about c = 0, step, ..., _FRESNEL_T, as a
+    (_TAYLOR_TERMS, centres) array.
+
+    G' = -1 - i pi t G, so the coefficients a_k of G(c + h) follow from
+    a_0 = G(c) by (k + 1) a_{k+1} = -[k == 0] - i pi (c a_k + a_{k-1}).
+    The table is seeded with the asymptotic G(_FRESNEL_T) and marched
+    down, each centre's polynomial giving G at the next centre below; the
+    march ends at G(0) = (1 + i)/2. Python complex scalars keep the
+    march cheap at import.
+    """
+    ipi = 1j * np.pi
+    a0 = complex(_fresnel_g_far(np.array([_FRESNEL_T]))[0])
+    rows = []
+    for j in range(round(_FRESNEL_T / _FRESNEL_STEP), -1, -1):
+        b = -ipi * (j * _FRESNEL_STEP)  # -i pi c
+        a = [a0, b * a0 - 1]
+        for k in range(1, _TAYLOR_TERMS - 1):
+            a.append((b * a[k] - ipi * a[k - 1]) / (k + 1))
+        rows.append(a)
+        a0 = 0j
+        for ak in reversed(a):
+            a0 = a0 * -_FRESNEL_STEP + ak
+    return np.array(rows[::-1]).T.copy()
+
+
+# (-1)^m (4m - 1)!! and (-1)^m (4m + 1)!!, products exact as Python ints
+_ASYMPTOTIC_F = np.array([(-1) ** m * math.prod(range(1, 4 * m, 2))
+                          for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
+_ASYMPTOTIC_G = np.array([(-1) ** m * math.prod(range(1, 4 * m + 2, 2))
+                          for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
+_TAYLOR = _taylor_table()

@@ -4,7 +4,8 @@ chirp_sum must match its definition to rounding, be deterministic, and
 handle empty input, single points and negative curvature. On lattice
 inputs (a uniform x_out, x_in made of uniform runs) it takes the FFT
 route, which must match the same definition. fresnel_g and
-fresnel_steps must match mpmath and scipy's Fresnel integrals.
+fresnel_steps must match mpmath and scipy's Fresnel integrals, across
+every join of fresnel_g's pieces too.
 """
 
 import math
@@ -12,11 +13,13 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
-from wavecorr import _kernels
+from wavecorr import _kernels, grid, transmittance
 from wavecorr._kernels import chirp_sum
+from wavecorr.errors import InvalidArgumentError
 
 
 def _case(n_out=257, n_in=191, seed=7):
@@ -221,9 +224,12 @@ def _mp_step(lo, hi):
                        + 1j * (mpmath.fresnels(hi) - mpmath.fresnels(lo)))
 
 
-# the bands' lower ends and the floats just below them
-_BRANCHES = [b for lo, _ in _kernels._FRESNEL_BANDS
-             for b in (np.nextafter(lo, 0.0), lo)]
+# fresnel_g's joins, each Taylor cell's upper boundary (i + 1/2) step and
+# the asymptotic series' start, and the floats just below them
+_JOINS = [(i + 0.5) * _kernels._FRESNEL_STEP
+          for i in range(round(_kernels._FRESNEL_T / _kernels._FRESNEL_STEP))]
+_JOINS.append(_kernels._FRESNEL_T)
+_BRANCHES = [b for join in _JOINS for b in (np.nextafter(join, 0.0), join)]
 
 
 def test_fresnel_g_matches_mpmath_from_zero_to_1e5():
@@ -265,3 +271,51 @@ def test_far_same_sign_steps_keep_their_relative_accuracy():
     table = _kernels.fresnel_steps(np.array([[1e3, 1e3 + 0.5, 1e3 + 1.0]]))
     want = [_mp_step(1e3, 1e3 + 0.5), _mp_step(1e3 + 0.5, 1e3 + 1.0)]
     assert np.max(np.abs(table[0] - want) / np.abs(want)) <= 1e-13
+
+
+def test_taylor_table_march_lands_on_g_of_zero():
+    # the table is marched down from the asymptotic G(6); G(0) = (1 + i)/2
+    assert _kernels._TAYLOR[0, 0] == 0.5 + 0.5j
+    assert _kernels.fresnel_g(0.0) == 0.5 + 0.5j
+
+
+def test_fresnel_g_rejects_negative_and_nan_arguments():
+    # a negative t would index the table from its far end
+    for bad in (-1e-300, -0.5, -7.0, np.nan, [1.0, -1.0, 2.0], [3.0, np.nan]):
+        with pytest.raises(InvalidArgumentError):
+            _kernels.fresnel_g(bad)
+    assert _kernels.fresnel_g(-0.0) == 0.5 + 0.5j
+
+
+def test_steps_across_the_asymptotic_join_match_mpmath():
+    edges = np.array([[-6.1, -6.0, -5.9, 5.9, 6.0, 6.1]])
+    got = _kernels.fresnel_steps(edges)[0]
+    want = np.array([_mp_step(a, b) for a, b in zip(edges[0], edges[0, 1:])])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def _steps_with_fmod(t):
+    """fresnel_steps with t^2 reduced modulo 4 by np.fmod."""
+    sign = np.sign(t)
+    sq = t * t
+    hi, lo = _kernels._split(t)
+    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    turn = np.exp(0.5j * np.pi * (np.fmod(sq, 4.0) + sq_lo))
+    tail = sign * turn * _kernels.fresnel_g(np.abs(t))
+    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+
+
+def test_floor_reduction_leaves_raster_steps_bitwise_unchanged():
+    # the edge tables of a 12 x 26 glyph raster at 60 um pitch on a 512
+    # point detector over +-1.2 mm, from Z_eff = 30 mm down to 1e-9 m
+    # (t up to 1.2e5), as correlation_analytic_2d builds them
+    rng = np.random.default_rng(41)
+    pixels = (rng.random((12, 26)) < 0.5) * 255.0
+    obj = transmittance.raster_to_transmittance(pixels, 60e-6)
+    x = grid.make_grid(0.0, 1.2e-3, 512).coordinates()
+    for z in (30e-3, 12e-3, 5e-3, 1e-7, 1e-9):
+        scale = np.sqrt(2.0 / (589.3e-9 * z))
+        for edges in obj.pixel_edges():
+            t = (edges[None, :] - x[:, None]) * scale
+            got = _kernels.fresnel_steps(t)
+            assert got.tobytes() == _steps_with_fmod(t).tobytes()
