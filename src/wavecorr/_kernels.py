@@ -183,8 +183,9 @@ def _lattice_plan(y, w, x, d, alpha):
     apply(c, out=None) == _lattice_sum(y, w, x, d, c, alpha), bit for bit.
 
     The chirps and the kernel spectrum are computed here, once. `out`, a
-    complex (..., apply.size) array shaped like c's batch axes, takes both
-    FFTs in place; the result is a new array either way.
+    complex (..., apply.size) array shaped like c's batch axes, holds the
+    zero-padded coefficients and both FFTs in place (one is allocated
+    without it); the result is a new array either way.
     """
     n, m = y.shape[0], x.shape[0]
     # index origins at the run's middle node xc and the output yc nearest
@@ -204,14 +205,18 @@ def _lattice_plan(y, w, x, d, alpha):
     spectrum = np.fft.fft(r, size)
 
     def apply(c, out=None):
-        # in place and rebound, so that at most two batch-sized FFT buffers
-        # are alive at once (none new with out); the operand order of each
-        # product is part of the result's bits (complex multiply is not
-        # bitwise commutative)
-        conv = np.fft.fft(c * q, size, out=out)
-        conv *= spectrum
-        conv = np.fft.ifft(conv, out=out)
-        return p * conv[..., m - 1:m - 1 + n]
+        # c * q goes straight into the zero-padded buffer and both FFTs run
+        # in place, so a batch allocates no padded copy; the operand order
+        # of each product is part of the result's bits (complex multiply
+        # is not bitwise commutative)
+        if out is None:
+            out = np.empty(np.shape(c)[:-1] + (size,), dtype=np.complex128)
+        np.multiply(c, q, out=out[..., :m])
+        out[..., m:] = 0
+        np.fft.fft(out, out=out)
+        out *= spectrum
+        np.fft.ifft(out, out=out)
+        return p * out[..., m - 1:m - 1 + n]
 
     apply.size = size
     return apply
@@ -271,9 +276,16 @@ def fresnel_steps(t):
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
     # sq mod 4, bitwise as np.fmod gives it but cheaper: sq / 4 and
     # 4 floor(sq / 4) are exact, and so is their difference (Sterbenz)
-    turn = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
-    tail = sign * turn * fresnel_g(np.abs(t))
-    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+    tail = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
+    tail *= fresnel_g(np.abs(t))
+    tail *= sign
+    # -diff(tail) plus the constants' difference (1 + i)/2 diff(sign),
+    # added to each part on its own: the same bits as the complex product
+    steps = tail[..., :-1] - tail[..., 1:]
+    half = 0.5 * np.diff(sign, axis=-1)
+    steps.real += half
+    steps.imag += half
+    return steps
 
 
 def fresnel_g(t):

@@ -164,16 +164,19 @@ def _resolution_guard(spec, grid):
 
 
 def _pixel_integrals(edges, x, wavelength, z_eff):
-    """N x (len(edges) - 1) table of the unit kernel's integral over each
-    piece, Integral_{edges[k]}^{edges[k+1]} exp(i pi (x_n - x')^2 /
-    (lambda Z_eff)) dx', exactly: with t = (edge - x_n) sqrt(2 / (lambda
-    |Z_eff|)) it is sqrt(lambda |Z_eff| / 2) (F(t_{k+1}) - F(t_k)),
-    conjugated for Z_eff < 0 (Abramowitz and Stegun 7.3)."""
+    """N x (len(edges) - 1) table of unit steps F(t_{k+1}) - F(t_k), with
+    t = (edge - x_n) sqrt(2 / (lambda |Z_eff|)), conjugated for Z_eff < 0.
+
+    sqrt(lambda |Z_eff| / 2) times a step is the unit kernel's integral
+    over the piece, Integral_{edges[k]}^{edges[k+1]} exp(i pi (x_n - x')^2
+    / (lambda Z_eff)) dx', exactly (Abramowitz and Stegun 7.3); the caller
+    folds that factor into its own scalars.
+    """
     scale = np.sqrt(2.0 / (wavelength * abs(z_eff)))
     steps = _kernels.fresnel_steps((edges[None, :] - x[:, None]) * scale)
     if z_eff < 0:
-        steps = np.conj(steps)
-    return np.sqrt(wavelength * abs(z_eff) / 2.0) * steps
+        np.conjugate(steps, out=steps)
+    return steps
 
 
 def correlation_analytic(spec, grid):
@@ -214,13 +217,17 @@ def correlation_analytic_2d(spec, grid):
         A_x[n, c] = Integral over column c of H(x_n - x') dx',
         A_y[n, r] = Integral over row r of H(y_n - y') dy',
 
-        pattern = A_y @ pixels @ A_x.T,
+        correlation = prefactor * A_y @ pixels @ A_x.T,
 
     each entry a difference of Fresnel integrals at two pixel edges
-    (_pixel_integrals); the optical-path phase is applied once. The
-    tables are N x (cols + 1) and N x (rows + 1) Fresnel evaluations at
-    any Z_eff, so the cost does not grow as Z_eff nears 0, and the
-    products cost O(N^2 * min(rows, cols)).
+    (_pixel_integrals gives the unit steps). Every constant, the
+    prefactor, both kernel scales with the optical-path phase, both
+    tables' sqrt(lambda |Z_eff| / 2) and the row-order sign, is one
+    complex scalar on the N x rows table, so the N^2 image is written
+    once, by the last product. The tables are N x (cols + 1) and
+    N x (rows + 1) Fresnel evaluations at any Z_eff, so the cost does not
+    grow as Z_eff nears 0, and the products cost O(N^2 * min(rows, cols)).
+    At Z_eff == 0 the image is the sampled raster, scaled in place.
     """
     obj = spec.object
     if obj.ndim != 2:
@@ -232,18 +239,20 @@ def correlation_analytic_2d(spec, grid):
     pref = _prefactor(spec, z_eff)
 
     if z_eff == 0:
-        pattern = np.exp(1j * k0 * z_arg) * obj.sample2d(x, x)
+        corr = obj.sample2d(x, x)
+        corr *= pref * np.exp(1j * k0 * z_arg)
     else:
         lam = spec.ctx.wavelength
         x_edges, y_edges = obj.pixel_edges()
         a_x = _pixel_integrals(x_edges, x, lam, z_eff)
+        a_y = _pixel_integrals(y_edges, x, lam, z_eff)
         # y_edges fall from row 0 down, so each step integrates a row
         # from its top edge to its bottom one: negate
-        a_y = -_pixel_integrals(y_edges, x, lam, z_eff)
-        scale = kernel_scale(spec.ctx, z_arg, z_eff) * kernel_scale(
-            spec.ctx, 0.0, z_eff)
-        pattern = scale * np.linalg.multi_dot([a_y, obj.pixels, a_x.T])
-    return CorrelationResult(grid, pref * pattern, z_eff, pref)
+        a_y *= (-0.5 * lam * abs(z_eff) * pref
+                * kernel_scale(spec.ctx, z_arg, z_eff)
+                * kernel_scale(spec.ctx, 0.0, z_eff))
+        corr = np.linalg.multi_dot([a_y, obj.pixels, a_x.T])
+    return CorrelationResult(grid, corr, z_eff, pref)
 
 
 def _source_nodes(spec, x_max, obj_extent):

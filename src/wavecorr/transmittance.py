@@ -175,15 +175,14 @@ class Raster(Transmittance):
         return col, row
 
     def sample2d(self, x, y):
-        """T on the outer product of coordinates; returns [len(y), len(x)]."""
+        """T on the outer product of coordinates; returns [len(y), len(x)],
+        complex128."""
         col, row = self.pixel_index(x, y)
-        out = np.zeros((row.size, col.size), dtype=np.complex128)
-        okx, oky = col >= 0, row >= 0
-        if okx.any() and oky.any():
-            # -1 picks the last row or column; the mask zeroes it
-            sub = self.pixels[row[:, None], col[None, :]]
-            out = np.where(oky[:, None] & okx[None, :], sub, 0.0)
-        return out.astype(np.complex128)
+        # a zero last row and column: index -1 (outside) picks a zero
+        rows, cols = self.pixels.shape
+        bordered = np.zeros((rows + 1, cols + 1), dtype=np.complex128)
+        bordered[:rows, :cols] = self.pixels
+        return bordered.take(row, axis=0).take(col, axis=1)
 
     def support(self):
         w, _ = self.extent

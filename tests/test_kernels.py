@@ -319,3 +319,28 @@ def test_floor_reduction_leaves_raster_steps_bitwise_unchanged():
             t = (edges[None, :] - x[:, None]) * scale
             got = _kernels.fresnel_steps(t)
             assert got.tobytes() == _steps_with_fmod(t).tobytes()
+
+
+def _steps_as_one_complex_expression(t):
+    """fresnel_steps with the tail as the product sign * turn * G and the
+    constants as the complex (1 + i)/2 diff(sign)."""
+    sign = np.sign(t)
+    sq = t * t
+    hi, lo = _kernels._split(t)
+    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    turn = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
+    tail = sign * turn * _kernels.fresnel_g(np.abs(t))
+    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(512, 27), (512, 13), (2048, 8)])
+def test_step_bookkeeping_in_place_keeps_every_bit(shape):
+    # edge tables of both signs with exact zeros among them: a whole zero
+    # row, a zero column and zeros next to either sign
+    rng = np.random.default_rng(shape[1])
+    t = rng.uniform(-40.0, 40.0, shape)
+    t[0] = 0.0
+    t[:, shape[1] // 2] = 0.0
+    t[1, ::3] = 0.0
+    got = _kernels.fresnel_steps(t)
+    assert got.tobytes() == _steps_as_one_complex_expression(t).tobytes()

@@ -115,6 +115,58 @@ def test_raster_pixel_index_is_the_sampling_rule():
     assert col.tolist() == [0, 1] and row.tolist() == [0, 1, 2]
 
 
+def _by_pixel_index(t, x, y):
+    """T on the outer product of x and y, point by point from the
+    pixel_index rule."""
+    col, row = t.pixel_index(x, y)
+    want = np.zeros((len(y), len(x)), dtype=np.complex128)
+    for i, r in enumerate(row):
+        for j, c in enumerate(col):
+            if r >= 0 and c >= 0:
+                want[i, j] = t.pixels[r, c]
+    return want
+
+
+def test_raster_sample2d_follows_pixel_index_on_edges_and_outside():
+    # a gray 3 x 4 raster at a power-of-two pitch, so that every pixel
+    # edge is an exact float: x in [-2, 2) and y in (-1.5, 1.5] pitches
+    pitch = 2.0 ** -10
+    t = raster_to_transmittance(
+        (np.arange(12).reshape(3, 4) * 20 + 7).astype(float), pitch)
+    x_edges, y_edges = t.pixel_edges()
+    # an edge belongs to the pixel it opens: left edges of columns, top
+    # edges of rows; the last edge on each axis is outside
+    col, row = t.pixel_index(x_edges, y_edges)
+    assert col.tolist() == [0, 1, 2, 3, -1]
+    assert row.tolist() == [0, 1, 2, -1]
+    inside_x = np.array([-1.5, 0.25, 1.9]) * pitch
+    inside_y = np.array([1.2, 0.0, -1.4]) * pitch
+    outside_x = np.array([-5.0, -2.5, 2.5, 7.0]) * pitch
+    outside_y = np.array([-3.0, -1.6, 1.6, 4.0]) * pitch
+    cases = [
+        (x_edges, y_edges),                          # exactly on edges
+        (np.r_[outside_x, inside_x], inside_y),      # outside along x
+        (inside_x, np.r_[inside_y, outside_y]),      # outside along y
+        (np.r_[inside_x, outside_x], np.r_[outside_y, inside_y]),
+    ]
+    for x, y in cases:
+        got = t.sample2d(x, y)
+        assert got.dtype == np.complex128 and got.shape == (len(y), len(x))
+        assert got.tobytes() == _by_pixel_index(t, x, y).tobytes()
+    # a grid wholly outside the footprint, along one axis or both:
+    # complex zeros
+    for x, y in ((outside_x, outside_y), (outside_x, inside_y),
+                 (inside_x, outside_y)):
+        got = t.sample2d(x, y)
+        assert got.dtype == np.complex128 and got.shape == (len(y), len(x))
+        assert not got.any()
+    # every gray level comes through at the pixel centres (y falling,
+    # so row by row from the top)
+    centres = t.sample2d((x_edges[1:] + x_edges[:-1]) / 2,
+                         (y_edges[1:] + y_edges[:-1]) / 2)
+    assert np.array_equal(centres, t.pixels)
+
+
 def test_raster_1d_slice_matches_midline():
     pixels = np.array([[255, 0], [0, 255]], dtype=np.uint8)
     t = raster_to_transmittance(pixels, pitch=1e-3)
