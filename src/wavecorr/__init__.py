@@ -16,17 +16,17 @@ Monte-Carlo chaotic light (`ensemble`), and runnable scenario configs
 """
 
 from . import errors
-from .cascade import (COHERENCE_TOLERANCE, ElementChain,
-                      ImagingPositions, MediumSegment, PathLedger,
-                      cascade_propagate, effective_diffraction_length,
-                      imaging_positions, ledger, vacuum)
+from .cascade import (COHERENCE_TOLERANCE, ImagingPositions, MediumSegment,
+                      PathLedger, cascade_propagate,
+                      effective_diffraction_length, imaging_positions,
+                      ledger, vacuum)
 from .ensemble import (EnsembleConfig, EnsembleEstimate, run_coherent,
                        run_ensemble, sample_source)
 from .errors import (ConfigParseError, DegenerateGeometryError,
                      DegenerateKernelError, EqualPathWarning,
                      InvalidArgumentError,
                      NegativeIntensityError, OverlappingApertureError,
-                     ResolutionError, ResolutionWarning, SamplingWarning,
+                     ResolutionError, ResolutionWarning,
                      ScenarioValidationError, StatisticsWarning,
                      UnequalPathError, WaveCorrError, WaveCorrWarning)
 from .grid import ComplexField, Grid, OpticsContext, make_grid
@@ -54,7 +54,6 @@ __all__ = [
     "DegenerateGeometryError",
     "DegenerateKernelError",
     "DoubleSlit",
-    "ElementChain",
     "EnsembleConfig",
     "EnsembleEstimate",
     "EqualPathWarning",
@@ -73,7 +72,6 @@ __all__ = [
     "Raster",
     "ResolutionError",
     "ResolutionWarning",
-    "SamplingWarning",
     "ScenarioConfig",
     "ScenarioValidationError",
     "StatisticsWarning",

@@ -80,36 +80,25 @@ def ledger(segments):
     return total
 
 
-@dataclass(frozen=True)
-class ElementChain:
-    """Ordered arm contents: MediumSegments with Transmittance insertions."""
-
-    elements: tuple
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        if not elements:
-            raise InvalidArgumentError("chain must contain at least one element")
-        for el in elements:
-            if not isinstance(el, (MediumSegment, Transmittance)):
-                raise InvalidArgumentError(
-                    "chain elements must be MediumSegment or Transmittance")
-
-
-def cascade_propagate(ctx, field, chain):
-    """Propagate through a chain, applying objects where they sit.
+def cascade_propagate(ctx, field, elements):
+    """Propagate through an arm's MediumSegments and Transmittances in
+    order, applying objects where they sit.
 
     Consecutive segments are coalesced into one propagation with their
     summed ledger; this is exact for the fft transfer-function form and
     realizes the delta-kernel identity exactly whenever the accumulated
     Zbar between two insertion points is zero.
     """
-    if not isinstance(chain, ElementChain):
-        chain = ElementChain(tuple(chain))
+    elements = tuple(elements)
+    if not elements:
+        raise InvalidArgumentError("chain must contain at least one element")
+    if not all(isinstance(el, (MediumSegment, Transmittance))
+               for el in elements):
+        raise InvalidArgumentError(
+            "chain elements must be MediumSegment or Transmittance")
     out = field
     pending = PathLedger.zero()
-    for el in chain.elements:
+    for el in elements:
         if isinstance(el, MediumSegment):
             pending = pending + el.ledger()
         else:

@@ -230,6 +230,8 @@ def run_coherent(spec, grid, source="plane_wave", pinhole_width=None):
     ensemble and no statistical averaging: with coherent illumination
     the arms interfere fringe by fringe.
     """
+    if spec.object.ndim != 1:
+        raise InvalidArgumentError("coherent runs support 1D objects only")
     x = grid.coordinates()
     if source == "plane_wave":
         values = np.ones(grid.n_samples, dtype=np.complex128)

@@ -61,10 +61,5 @@ class ResolutionWarning(WaveCorrWarning):
     """Object features lie below 3x the source-limited resolution."""
 
 
-class SamplingWarning(WaveCorrWarning):
-    """FFT propagation near the crossover of its two chirp forms, where
-    neither is cleanly sampled."""
-
-
 class StatisticsWarning(WaveCorrWarning):
     """Ensemble standard error exceeds |mean| at every detector point."""

@@ -12,23 +12,16 @@ principal branch of the square root takes care of this automatically,
 so phase-reversed diffraction needs no special casing.
 
 propagate evaluates the chirp convolution with discrete Fourier
-transforms, using the frequency-domain (transfer function) chirp when
-n_samples * dx^2 >= lambda * |Zbar| and the space-domain sampled kernel
-otherwise.
+transforms. One rule picks the form, on the regime ratio
+lambda * |Zbar| / (n_samples * dx^2): the frequency-domain (transfer
+function) chirp at a ratio of at most 1, the space-domain sampled
+kernel above it (Voelz and Roggemann, Appl. Opt. 48, 6132 (2009)).
 """
-
-import warnings
 
 import numpy as np
 
-from .errors import (DegenerateKernelError, InvalidArgumentError,
-                     SamplingWarning)
+from .errors import DegenerateKernelError, InvalidArgumentError
 from .grid import ComplexField
-
-# fft regime ratios within [1/2, 2] of the crossover get a warning:
-# neither the frequency-domain nor the space-domain chirp is cleanly
-# sampled near the boundary.
-_ALIAS_BAND = (0.5, 2.0)
 
 # chirp phase advance per quadrature node <= 2*pi / _CHIRP_OVERSAMPLE
 _CHIRP_OVERSAMPLE = 8
@@ -56,9 +49,9 @@ def fresnel_kernel(ctx, x, x0, Z, Zbar):
 def propagate(ctx, field, Z, Zbar):
     """Propagate a sampled field by (Z, Zbar); output on the input grid.
 
-    Zbar == 0 short-circuits to the identity times exp(i k0 Z). It warns
-    (SamplingWarning) when the grid sits near the crossover between its
-    two chirp forms.
+    Zbar == 0 short-circuits to the identity times exp(i k0 Z). Otherwise
+    the transfer function form runs at regime ratio
+    lambda |Zbar| / (n dx^2) <= 1 and the impulse response form above.
     """
     values = np.asarray(field.values)
     if not np.all(np.isfinite(values)):
@@ -70,15 +63,8 @@ def propagate(ctx, field, Z, Zbar):
 
     n = grid.n_samples
     dx = grid.spacing
-    ratio = ctx.wavelength * abs(Zbar) / (n * dx * dx)
-    if _ALIAS_BAND[0] < ratio < _ALIAS_BAND[1]:
-        warnings.warn(
-            f"near-critical chirp sampling (regime ratio {ratio:.3g}) on "
-            f"the hop Z = {Z:.6g} m, Zbar = {Zbar:.6g} m; neither fft form "
-            "is cleanly sampled", SamplingWarning,
-            stacklevel=2)
     spectrum = np.fft.fft(values)
-    if ratio <= 1.0:
+    if ctx.wavelength * abs(Zbar) / (n * dx * dx) <= 1.0:
         # transfer function form: exact unitary chirp in frequency space
         f = np.fft.fftfreq(n, dx)
         phase = np.exp(-1j * np.pi * ctx.wavelength * Zbar * f * f)

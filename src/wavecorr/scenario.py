@@ -329,6 +329,10 @@ def config_from_dict(raw):
     mode, obj = values["mode"], values["object_descriptor"]
     is_2d = obj["kind"] == "raster"
 
+    # only the analytic engine has a 2D form
+    if is_2d and mode != "analytic":
+        raise ScenarioValidationError(
+            "object.kind", f"a raster runs in analytic mode only, not {mode}")
     if is_2d and ("path" in obj) == ("pixels" in obj):
         raise ScenarioValidationError(
             "object.path", "raster needs exactly one of path or pixels")

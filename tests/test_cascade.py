@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavecorr import (ComplexField, ElementChain, MediumSegment, OpticsContext,
+from wavecorr import (ComplexField, MediumSegment, OpticsContext,
                       PathLedger, cascade_propagate, double_slit,
                       effective_diffraction_length, imaging_positions, ledger,
                       make_grid, vacuum)
@@ -117,10 +117,11 @@ def test_object_applied_in_place():
 
 
 def test_chain_validation():
+    f = _probe_field(n=64)
     with pytest.raises(InvalidArgumentError):
-        ElementChain(())
+        cascade_propagate(CTX, f, ())
     with pytest.raises(InvalidArgumentError):
-        ElementChain(("propagate please",))
+        cascade_propagate(CTX, f, ("propagate please",))
 
 
 def test_cascade_rejects_2d_objects():

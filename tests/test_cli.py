@@ -231,14 +231,28 @@ IMAGE_OUT = [{"kind": "image_pgm", "path": "out.pgm"}]
                              "pixels": [[300]]},
                   "outputs": IMAGE_OUT},
                  "object.pixels", id="pixel-above-255"),
+    # only the analytic engine takes a raster
+    pytest.param({"mode": "ensemble",
+                  "ensemble": {"n_realizations": 4, "seed": 1},
+                  "object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [[255, 0, 255]]}},
+                 "object.kind", id="raster-in-ensemble-mode"),
+    pytest.param({"mode": "coherent",
+                  "object": {"kind": "raster", "pitch": 60e-6,
+                             "pixels": [[255, 0, 255]]},
+                  "outputs": [{"kind": "ports_csv", "path": "p.csv"}]},
+                 "object.kind", id="raster-in-coherent-mode"),
 ])
 def test_bad_number_or_object_is_exit_3(tmp_path, capsys, over, field):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config_dict(**over)))
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert f"invalid config: {field}:" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert f"invalid config: {field}:" in captured.err
+    assert "Traceback" not in captured.err
+    # rejected before the ledger is printed or any output written
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 @pytest.mark.parametrize("over", [
@@ -337,23 +351,28 @@ def _at_regime_ratio_1(n=64):
 @pytest.mark.parametrize("over,code", [
     pytest.param({"object": {"kind": "double_slit", "b": 40e-6, "d": 100e-6}},
                  "ResolutionWarning", id="40um-slit"),
+    # the switch between propagate's two fft forms is no caveat
     pytest.param({"mode": "coherent", "object": {"kind": "uniform"},
                   "grid": _at_regime_ratio_1(),
                   "outputs": [{"kind": "ports_csv", "path": "p.csv"}]},
-                 "SamplingWarning", id="coherent-at-ratio-1"),
+                 None, id="coherent-at-ratio-1"),
     pytest.param({"z_o2": TOTAL_Z - IMAGING_Z_O1 + 1e-4},
                  "EqualPathWarning", id="paths-within-tolerance"),
+    # one realization has no standard error
+    pytest.param({"mode": "ensemble",
+                  "ensemble": {"n_realizations": 1, "seed": 1}},
+                 "StatisticsWarning", id="one-realization"),
 ])
 def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
     cfg_path = tmp_path / "notice.json"
     cfg_path.write_text(json.dumps(config_dict(**over)))
     assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
-    lines = re.findall(rf"^warning: {code}: \S.*$", captured.err, re.M)
-    # one notice each; the object hop z_o1 and the reference hop share
-    # Zbar, and each SamplingWarning line names its own hop
-    assert len(lines) == (2 if code == "SamplingWarning" else 1)
-    assert len(set(lines)) == len(lines)
+    # stderr holds the one notice of that code, or nothing
+    lines = captured.err.splitlines()
+    assert len(lines) == (1 if code else 0)
+    for line in lines:
+        assert re.fullmatch(rf"warning: {code}: \S.*", line)
     assert "warning" not in captured.out
     for line in captured.out.splitlines():
         assert re.match(r"(scenario|Z|Zbar|z_o2_img|Z_eff) |wrote ", line)

@@ -17,8 +17,7 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
 from wavecorr import _kernels
 from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
                                reference_field)
-from wavecorr.errors import (InvalidArgumentError, SamplingWarning,
-                             StatisticsWarning)
+from wavecorr.errors import InvalidArgumentError, StatisticsWarning
 from wavecorr.propagation import kernel_scale
 
 CTX = OpticsContext(589.3e-9)
@@ -287,6 +286,14 @@ def test_ensemble_rejects_2d_objects():
         run_ensemble(make_config(obj=mask, n=2))
 
 
+def test_coherent_rejects_2d_objects():
+    from wavecorr import raster_to_transmittance
+
+    mask = raster_to_transmittance(np.full((1, 3), 255, np.uint8), 100e-6)
+    with pytest.raises(InvalidArgumentError):
+        run_coherent(imaging_spec(mask), DET_GRID)
+
+
 # ------------------------------------------------------------- coherent
 
 def test_coherent_equal_arms_interfere_constructively():
@@ -294,11 +301,10 @@ def test_coherent_equal_arms_interfere_constructively():
     # constant field is an exact eigenmode: equal optical paths then
     # interfere fully constructively, |1 + 1|^2 = 4: all of it leaves
     # by the + port, and each arm alone carries 1; the grid sits at
-    # regime ratio 0.67, inside the near-critical band
+    # regime ratio 0.67
     spec = imaging_spec(uniform(1.0))
     grid = make_grid(0.0, 2e-3, 64)
-    with pytest.warns(SamplingWarning):
-        ports = run_coherent(spec, grid)
+    ports = run_coherent(spec, grid)
     assert np.allclose(ports.i_plus, 2.0, rtol=1e-6)
     assert np.allclose(ports.i_minus, 0.0, atol=1e-6)
     assert np.allclose(ports.background, 2.0, rtol=1e-6)

@@ -14,7 +14,7 @@ import pytest
 from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
-from wavecorr.errors import SamplingWarning, ScenarioValidationError
+from wavecorr.errors import ScenarioValidationError
 from wavecorr.scenario import (FIELDS, MAX_REALIZATIONS, OBJECT_KINDS,
                                Transmittance)
 
@@ -187,6 +187,16 @@ REJECTIONS = [
     (base_dict(object={"kind": "raster", "pitch": 6e-5, "path": "m\0.pgm"},
                outputs=[{"kind": "image_pgm", "path": "i.pgm"}]),
      "object.path"),
+    # a raster outside analytic mode, with outputs that mode can write
+    (base_dict(mode="ensemble", ensemble={"n_realizations": 4, "seed": 1},
+               object={"kind": "raster", "pitch": 6e-5,
+                       "pixels": [[255, 0, 255]]}),
+     "object.kind"),
+    (base_dict(mode="coherent",
+               object={"kind": "raster", "pitch": 6e-5,
+                       "pixels": [[255, 0, 255]]},
+               outputs=[{"kind": "ports_csv", "path": "p.csv"}]),
+     "object.kind"),
 ]
 
 
@@ -496,8 +506,7 @@ def test_coherent_scenario_ports(tmp_path):
         object={"kind": "uniform", "value": 1.0},
         grid={"half_width": 2e-3, "n_samples": 64},
         outputs=[{"kind": "ports_csv", "path": "p.csv"}]))
-    with pytest.warns(SamplingWarning):
-        run_scenario(cfg, out_dir=str(tmp_path), echo=lambda s: None)
+    run_scenario(cfg, out_dir=str(tmp_path), echo=lambda s: None)
     _, rows = read_csv(tmp_path / "p.csv")
     mid = rows[len(rows) // 2]
     # equal arms, constructive port: i_plus = 2, i_minus = 0, diff = 2
