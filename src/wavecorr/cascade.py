@@ -9,17 +9,17 @@ what makes lensless imaging possible. Negative indices are allowed so a
 negatively refracting segment can cancel a positive one directly.
 
 equal_path_mismatch is the one check of the equal-optical-path
-condition, within the fixed COHERENCE_TOLERANCE; InterferometerSpec
-runs it once, on construction.
+condition, within the fixed COHERENCE_TOLERANCE; the geometry helpers
+raise beyond it and are silent within it, since neither result depends
+on the mismatch. The notice of a tolerated mismatch, EqualPathWarning,
+belongs to InterferometerSpec.
 """
 
-import math
-import warnings as _warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (DegenerateGeometryError, EqualPathWarning,
-                     InvalidArgumentError, UnequalPathError)
+from .errors import (DegenerateGeometryError, InvalidArgumentError,
+                     UnequalPathError)
 from .grid import ComplexField
 from .propagation import propagate
 from .transmittance import Transmittance
@@ -27,9 +27,6 @@ from .transmittance import Transmittance
 #: tolerance on the equal-optical-path condition (m); stands in for the
 #: source's longitudinal coherence length.
 COHERENCE_TOLERANCE = 1e-3
-#: a mismatch within this many ulps of the path is the rounding of the
-#: ledger and z_o1 + z_o2 sums, and raises no notice
-_ROUNDING_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -40,10 +37,12 @@ class MediumSegment:
     index: float
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise InvalidArgumentError("segment length must be positive")
-        if self.index == 0:
-            raise InvalidArgumentError("segment index must be nonzero")
+        if not (0 < self.length < float("inf")):
+            raise InvalidArgumentError(
+                "segment length must be positive and finite")
+        if not (0 < abs(self.index) < float("inf")):
+            raise InvalidArgumentError(
+                "segment index must be nonzero and finite")
 
     def ledger(self):
         return PathLedger(self.index * self.length, self.length / self.index)
@@ -125,9 +124,8 @@ class ImagingPositions(NamedTuple):
 def equal_path_mismatch(arm_path, ledger_ref):
     """Object-arm path minus the reference optical path Z (meters), exact.
 
-    Raises UnequalPathError beyond COHERENCE_TOLERANCE and emits an
-    EqualPathWarning for a mismatch within it that exceeds rounding
-    (_ROUNDING_ULPS ulps of the longer path).
+    Raises UnequalPathError beyond COHERENCE_TOLERANCE; a mismatch
+    within it is returned without a notice.
     """
     Z = ledger_ref.optical_path
     mismatch = arm_path - Z
@@ -136,12 +134,6 @@ def equal_path_mismatch(arm_path, ledger_ref):
             f"object arm path {arm_path} differs from the reference optical "
             f"path {Z} by {mismatch:+.3g} m, beyond the coherence tolerance "
             f"{COHERENCE_TOLERANCE:g} m (equal-optical-path condition)")
-    if abs(mismatch) > _ROUNDING_ULPS * math.ulp(max(abs(arm_path), abs(Z))):
-        _warnings.warn(
-            f"arm paths differ by {mismatch:+.3g} m, within tolerance",
-            # the line that built the InterferometerSpec, the one caller
-            # that does not silence this (__post_init__ and __init__ between)
-            EqualPathWarning, stacklevel=4)
     return mismatch
 
 

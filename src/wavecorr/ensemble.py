@@ -219,11 +219,12 @@ def run_ensemble(config):
     return EnsembleEstimate(mean, io_sum / n, ir_sum / n, std_err, n)
 
 
-def run_coherent(spec, grid, source="plane_wave", pinhole_width=None):
+def run_coherent(spec, grid, pinhole_width=None):
     """Beamsplitter ports of one deterministic field through both arms.
 
-    The input is a unit-amplitude wave on the grid ("plane_wave"), or
-    the same truncated to |x| <= pinhole_width/2 ("pinhole"). Each arm
+    The input is a unit-amplitude plane wave on the grid, or, given a
+    positive pinhole_width, the same truncated to |x| <= pinhole_width/2;
+    any other width, NaN included, raises InvalidArgumentError. Each arm
     is propagated once; with total = |E_o + E_r|^2 and background =
     |E_o|^2 + |E_r|^2, the ports are i_plus = total/2, i_minus =
     background - total/2 and diff = total - background. There is no
@@ -233,14 +234,12 @@ def run_coherent(spec, grid, source="plane_wave", pinhole_width=None):
     if spec.object.ndim != 1:
         raise InvalidArgumentError("coherent runs support 1D objects only")
     x = grid.coordinates()
-    if source == "plane_wave":
+    if pinhole_width is None:
         values = np.ones(grid.n_samples, dtype=np.complex128)
-    elif source == "pinhole":
-        if not pinhole_width or pinhole_width <= 0:
-            raise InvalidArgumentError("pinhole mode needs a positive width")
+    elif pinhole_width > 0:
         values = (np.abs(x) <= pinhole_width / 2).astype(np.complex128)
     else:
-        raise InvalidArgumentError(f"unknown coherent source {source!r}")
+        raise InvalidArgumentError("pinhole_width must be positive")
     e_in = ComplexField(grid, values)
 
     led = spec.reference_ledger

@@ -22,8 +22,11 @@ class Grid:
     n_samples: int
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise InvalidArgumentError("half_width must be positive")
+        if not np.isfinite(self.center):
+            raise InvalidArgumentError("center must be finite")
+        if not (0 < self.half_width < np.inf):
+            raise InvalidArgumentError(
+                "half_width must be positive and finite")
         if int(self.n_samples) != self.n_samples or self.n_samples < 2:
             raise InvalidArgumentError("n_samples must be an integer >= 2")
 
@@ -49,8 +52,9 @@ class OpticsContext:
     wavelength: float
 
     def __post_init__(self):
-        if not (self.wavelength > 0):
-            raise InvalidArgumentError("wavelength must be positive")
+        if not (0 < self.wavelength < np.inf):
+            raise InvalidArgumentError(
+                "wavelength must be positive and finite")
 
     @property
     def k0(self):

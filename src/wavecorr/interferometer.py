@@ -34,14 +34,14 @@ The closed form is the primary path; correlation_brute_force retains
 the finite-source double integral as an independent oracle.
 """
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .cascade import (PathLedger, effective_diffraction_length,
-                      equal_path_mismatch, ledger)
+from .cascade import PathLedger, effective_diffraction_length, ledger
 from .errors import (EqualPathWarning, InvalidArgumentError,
                      NegativeIntensityError, ResolutionError,
                      ResolutionWarning)
@@ -51,6 +51,9 @@ from .propagation import (chirp_nodes, fresnel_kernel, kernel_scale,
 
 # quadrature oversampling relative to the fastest integrand period
 _NODE_OVERSAMPLE = 4
+#: a path mismatch within this many ulps of the path is the rounding of
+#: the ledger and z_o1 + z_o2 sums, and raises no notice
+_ROUNDING_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,9 @@ class InterferometerSpec:
     The object arm is z_o1 of vacuum, the transmittance object, then
     z_o2 of vacuum to the detector; the reference arm is the given
     segment chain. Construction resolves the geometry once: the
-    reference ledger, the equal-path check (z_o1 + z_o2 against Z,
-    within cascade.COHERENCE_TOLERANCE; the difference is kept as
-    path_mismatch, with an EqualPathWarning beyond rounding) and Z_eff.
+    reference ledger, Z_eff (whose effective_diffraction_length call is
+    the one equal-path check) and path_mismatch = z_o1 + z_o2 - Z, the
+    global phase exp(i k0 dz), with an EqualPathWarning beyond rounding.
     """
 
     ctx: object
@@ -86,11 +89,14 @@ class InterferometerSpec:
         if not (self.source_intensity > 0):
             raise InvalidArgumentError("source_intensity must be positive")
         led = ledger(self.reference_segments)
-        mismatch = equal_path_mismatch(self.z_o1 + self.z_o2, led)
-        with _warnings.catch_warnings():
-            # the same check again, already reported above
-            _warnings.simplefilter("ignore", EqualPathWarning)
-            z_eff = effective_diffraction_length(self.z_o1, self.z_o2, led)
+        z_eff = effective_diffraction_length(self.z_o1, self.z_o2, led)
+        arm_path, Z = self.z_o1 + self.z_o2, led.optical_path
+        mismatch = arm_path - Z
+        if abs(mismatch) > _ROUNDING_ULPS * math.ulp(max(arm_path, abs(Z))):
+            # attributed to the line that built the spec
+            _warnings.warn(
+                f"arm paths differ by {mismatch:+.3g} m, within tolerance",
+                EqualPathWarning, stacklevel=3)
         object.__setattr__(self, "reference_ledger", led)
         object.__setattr__(self, "path_mismatch", mismatch)
         object.__setattr__(self, "z_eff", z_eff)

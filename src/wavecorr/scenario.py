@@ -354,17 +354,11 @@ def config_from_dict(raw):
             raise ScenarioValidationError(
                 "coherent.pinhole_width",
                 "is given for a pinhole source, and only for one")
-    targets = set()
-    for i, (kind, path) in enumerate(values["outputs"]):
+    for i, (kind, _) in enumerate(values["outputs"]):
         if _source(kind, mode, is_2d) is None:
             raise ScenarioValidationError(
                 f"outputs[{i}].kind",
                 f"{kind} is not available for this mode/object")
-        target = os.path.normpath(path)
-        if target in targets:
-            raise ScenarioValidationError(f"outputs[{i}].path",
-                                          "written by an earlier output")
-        targets.add(target)
     return ScenarioConfig(**values)
 
 
@@ -500,7 +494,8 @@ def run_scenario(config, out_dir=None, echo=print):
         results["ports"] = detector_ports(
             corr, est.intensity_o + est.intensity_r)
     else:
-        results["ports"] = run_coherent(spec, grid, *config.coherent_settings)
+        results["ports"] = run_coherent(spec, grid,
+                                        config.coherent_settings[1])
 
     files = []
     for (kind, _), path, source in zip(config.outputs, paths, sources):

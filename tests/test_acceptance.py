@@ -8,14 +8,12 @@ package meets what the README promises with margin.
 """
 
 import time
-import warnings
 
 import numpy as np
 
 from wavecorr import (
     ComplexField,
     EnsembleConfig,
-    EqualPathWarning,
     InterferometerSpec,
     MediumSegment,
     OpticsContext,
@@ -97,9 +95,7 @@ def test_criterion_03_effective_length_table():
         for z1, want in zip(z_o1_cm, expected_cm):
             z_o1 = z1 / 100.0
             z_o2 = led.optical_path - z_o1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EqualPathWarning)
-                z_eff = effective_diffraction_length(z_o1, z_o2, led)
+            z_eff = effective_diffraction_length(z_o1, z_o2, led)
             worst = max(worst, abs(100.0 * z_eff - want))
     ok = worst <= 0.2
     _report(3, "effective-length-table", ok,
@@ -258,9 +254,7 @@ def test_criterion_10_numerical_core():
     z_o2_img = imaging_positions(REF, REF.optical_path).z_o2_img
     for z_o1 in (0.242, 0.26, 0.31, 0.35, 0.40):
         z_o2 = REF.optical_path - z_o1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EqualPathWarning)
-            z_eff = effective_diffraction_length(z_o1, z_o2, REF)
+        z_eff = effective_diffraction_length(z_o1, z_o2, REF)
         alt = z_o2 * (1.0 - z_o2 / z_o2_img)
         dual_worst = max(dual_worst, abs(z_eff - alt) / abs(alt))
 

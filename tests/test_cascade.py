@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavecorr import (ComplexField, MediumSegment, OpticsContext,
-                      PathLedger, cascade_propagate, double_slit,
-                      effective_diffraction_length, imaging_positions, ledger,
-                      make_grid, vacuum)
-from wavecorr.cascade import _ROUNDING_ULPS, equal_path_mismatch
+from wavecorr import (ComplexField, InterferometerSpec, MediumSegment,
+                      OpticsContext, PathLedger, cascade_propagate,
+                      double_slit, effective_diffraction_length,
+                      imaging_positions, ledger, make_grid, uniform, vacuum)
+from wavecorr.cascade import equal_path_mismatch
+from wavecorr.interferometer import _ROUNDING_ULPS
 from wavecorr.errors import (DegenerateGeometryError, EqualPathWarning,
                              InvalidArgumentError, UnequalPathError)
 from wavecorr.propagation import propagate
@@ -147,23 +148,37 @@ def test_imaging_positions_exact_path_emits_no_warning():
         imaging_positions(REF, REF.optical_path)
 
 
-def test_imaging_positions_tolerated_mismatch_warns():
-    with pytest.warns(EqualPathWarning):
-        imaging_positions(REF, REF.optical_path + 5e-4)
+def test_imaging_positions_are_silent_within_tolerance():
+    # the positions do not depend on a tolerated mismatch, and the
+    # notice belongs to InterferometerSpec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos = imaging_positions(REF, REF.optical_path + 5e-4)
+    assert pos == imaging_positions(REF, REF.optical_path)
 
 
 def test_equal_path_notice_starts_above_rounding():
     # 0.8 * 0.3 and 0.1 + 0.14 round one ulp apart: the mismatch is kept
     # exactly, but it is rounding and raises no notice
-    led = MediumSegment(0.3, 0.8).ledger()
+    segments = (MediumSegment(0.3, 0.8),)
+    led = ledger(segments)
     z = led.optical_path
     at_bound = z + _ROUNDING_ULPS * math.ulp(z)
+    assert equal_path_mismatch(0.1 + 0.14, led) == math.ulp(z)
+    assert equal_path_mismatch(at_bound, led) == at_bound - z
+
+    def build(ulps):
+        # a spec whose z_o1 + z_o2 lands that many ulps above z
+        spec = InterferometerSpec(CTX, 0.1, z + ulps * math.ulp(z) - 0.1,
+                                  segments, uniform(1.0), 0.01)
+        assert spec.path_mismatch == ulps * math.ulp(z)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert equal_path_mismatch(0.1 + 0.14, led) == math.ulp(z)
-        assert equal_path_mismatch(at_bound, led) == at_bound - z
+        build(1)
+        build(_ROUNDING_ULPS)
     with pytest.warns(EqualPathWarning):
-        equal_path_mismatch(at_bound + math.ulp(z), led)
+        build(_ROUNDING_ULPS + 1)
 
 
 def test_imaging_positions_rejects_unequal_paths():
@@ -204,9 +219,7 @@ def test_effective_length_is_exact_near_the_imaging_point(sign, exponent):
     zbar = REF.diffraction_length
     z_o1 = zbar + sign * 10.0 ** exponent
     z_o2 = REF.optical_path - z_o1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EqualPathWarning)
-        z_eff = effective_diffraction_length(z_o1, z_o2, REF)
+    z_eff = effective_diffraction_length(z_o1, z_o2, REF)
     exact = 1 / (1 / Fraction(z_o2) + 1 / (Fraction(z_o1) - Fraction(zbar)))
     assert abs(Fraction(z_eff) - exact) <= Fraction(1e-15) * abs(exact)
 

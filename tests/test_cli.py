@@ -341,6 +341,24 @@ def test_outputs_resolving_to_one_file_are_exit_3(tmp_path, capsys):
     assert not (out_dir / "same.csv").exists()
 
 
+def test_outputs_through_a_symlinked_directory_are_two_files(tmp_path,
+                                                             capsys):
+    # link/../b.csv climbs out of the link's target, not back into out
+    out_dir = tmp_path / "out"
+    target = tmp_path / "elsewhere" / "dir"
+    target.mkdir(parents=True)
+    out_dir.mkdir()
+    (out_dir / "link").symlink_to(target, target_is_directory=True)
+    cfg_path = tmp_path / "link.json"
+    cfg_path.write_text(json.dumps(config_dict(outputs=[
+        {"kind": "correlation_csv", "path": "b.csv"},
+        {"kind": "image_pgm", "path": "link/../b.csv"}])))
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "b.csv").read_bytes().startswith(b"x_m,")
+    assert (tmp_path / "elsewhere" / "b.csv").read_bytes().startswith(b"P5")
+
+
 def _at_regime_ratio_1(n=64):
     # fft regime ratio lambda |Zbar| / (n dx^2) = 1 on the reference arm,
     # with dx = 2 * half_width / n

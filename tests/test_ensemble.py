@@ -314,10 +314,10 @@ def test_coherent_equal_arms_interfere_constructively():
 def test_coherent_validation():
     spec = imaging_spec(uniform(1.0))
     grid = make_grid(0.0, 2e-3, 256)
-    with pytest.raises(InvalidArgumentError):
-        run_coherent(spec, grid, source="pinhole")
-    with pytest.raises(InvalidArgumentError):
-        run_coherent(spec, grid, source="laser")
+    # NaN compares false both ways, and would light no sample
+    for width in (0.0, -50e-6, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            run_coherent(spec, grid, pinhole_width=width)
 
 
 def test_coherent_slit_diffraction_never_images():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavecorr import ComplexField, Grid, OpticsContext, make_grid
+from wavecorr import (ComplexField, Grid, MediumSegment, OpticsContext,
+                      make_grid)
 from wavecorr.errors import InvalidArgumentError
 
 
@@ -47,6 +48,33 @@ def test_context_wavenumber():
     assert ctx.k0 == pytest.approx(2 * np.pi / 589.3e-9)
     with pytest.raises(InvalidArgumentError):
         OpticsContext(0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# a NaN compares false against every bound, so each value type checks
+# finiteness itself; the config reader's own check covers only the CLI
+@pytest.mark.parametrize("build", [
+    lambda: make_grid(NAN, 1e-3, 256),
+    lambda: make_grid(INF, 1e-3, 256),
+    lambda: make_grid(-INF, 1e-3, 256),
+    lambda: make_grid(0.0, INF, 256),
+    lambda: make_grid(0.0, NAN, 256),
+    lambda: OpticsContext(INF),
+    lambda: OpticsContext(NAN),
+    lambda: MediumSegment(INF, 1.0),
+    lambda: MediumSegment(NAN, 1.0),
+    lambda: MediumSegment(0.155, NAN),
+    lambda: MediumSegment(0.155, INF),
+    lambda: MediumSegment(0.155, -INF),
+], ids=["grid-center-nan", "grid-center-inf", "grid-center--inf",
+        "grid-half_width-inf", "grid-half_width-nan", "wavelength-inf",
+        "wavelength-nan", "segment-length-inf", "segment-length-nan",
+        "segment-index-nan", "segment-index-inf", "segment-index--inf"])
+def test_value_types_reject_non_finite_numbers(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
 
 
 def test_field_coerces_and_validates():

@@ -9,6 +9,9 @@ finite source genuinely part ways.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -19,6 +22,7 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
+import wavecorr
 from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
                       background_intensity, correlation_analytic,
                       correlation_analytic_2d, correlation_brute_force,
@@ -154,6 +158,34 @@ def test_path_mismatch_warns_once_where_the_spec_is_built():
         correlation_analytic(spec, make_grid(0.0, 0.5e-3, 64))
     assert [n.category for n in notices] == [EqualPathWarning]
     assert notices[0].filename == __file__
+
+
+# three constructions with a user warning between them; the default
+# filters show each warning once per line that raises it
+_REPEATED_NOTICE = """
+import warnings
+from wavecorr import InterferometerSpec, OpticsContext, double_slit, vacuum
+segments = (vacuum(0.4),)
+for _ in range(3):
+    InterferometerSpec(OpticsContext(589.3e-9), 0.2, 0.2 + 5e-4, segments,
+                       double_slit(125e-6, 300e-6), 0.01)
+    warnings.warn("a user notice")
+"""
+
+
+def test_repeated_construction_leaves_the_warning_filters_alone(tmp_path):
+    script = tmp_path / "repeat.py"
+    script.write_text(_REPEATED_NOTICE)
+    root = os.path.dirname(os.path.dirname(wavecorr.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert sum(": EqualPathWarning: " in line for line in lines) == 1
+    assert sum(": UserWarning: " in line for line in lines) == 1
 
 
 def test_uniform_object_gives_flat_modulus_at_any_defocus():

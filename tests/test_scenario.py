@@ -176,10 +176,11 @@ REJECTIONS = [
     (base_dict(mode="ensemble",
                ensemble={"n_realizations": 2 ** 20 + 1, "seed": 1}),
      "ensemble.n_realizations"),
-    # two outputs writing one file; a uniform value of modulus above 1
-    (base_dict(outputs=[{"kind": "correlation_csv", "path": "same.csv"},
-                        {"kind": "image_pgm", "path": "./same.csv"}]),
-     "outputs[1].path"),
+    # a coherent source of no known kind; a uniform value of modulus
+    # above 1
+    (base_dict(mode="coherent", coherent={"source": "laser"},
+               outputs=[{"kind": "ports_csv", "path": "p.csv"}]),
+     "coherent.source"),
     (base_dict(object={"kind": "uniform", "value": 2}), "object.value"),
     # a NUL character, which no file system path may hold
     (base_dict(outputs=[{"kind": "correlation_csv", "path": "a\0b.csv"}]),
@@ -322,6 +323,17 @@ def test_coherent_block_defaults_to_plane_wave():
     cfg = config_from_dict(base_dict(
         mode="coherent", outputs=[{"kind": "ports_csv", "path": "p.csv"}]))
     assert cfg.coherent_settings == ("plane_wave", None)
+
+
+def test_outputs_resolving_to_one_file_are_rejected_at_run_time(tmp_path):
+    cfg = config_from_dict(base_dict(outputs=[
+        {"kind": "correlation_csv", "path": "same.csv"},
+        {"kind": "image_pgm", "path": "./same.csv"}]))
+    with pytest.raises(ScenarioValidationError) as exc:
+        run_scenario(cfg, out_dir=tmp_path, echo=lambda s: None)
+    assert exc.value.field == "outputs[1].path"
+    assert "written by an earlier output" in str(exc.value)
+    assert not (tmp_path / "same.csv").exists()
 
 
 def test_mismatched_arms_are_rejected_at_run_time(tmp_path):
