@@ -1,20 +1,22 @@
 """Chirp quadrature and Fresnel integral kernels.
 
-chirp_sum(x_out, x_in, coeffs, alpha) returns, for each output point,
+chirp_sum(x_out, x_in, coeffs, alpha, counts) returns, for each output
+point,
 
     out[i] = sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2)
 
 which is the computational core of direct Fresnel quadrature (the caller
 folds kernel scale, global phase, and integration weights into coeffs
-and a scalar factor). The same sum is evaluated in one of two orders:
+and a scalar factor). x_out is a uniform lattice (a Grid's coordinates)
+and x_in is the nodes of propagation.midpoint_lattice, whose counts give
+the length of each uniform run, one per support interval. The same sum
+is evaluated in one of two orders:
 
 * the blocked loop, a matrix-vector product per block of output points,
-  N*M complex exponentials. It is the definition, and it runs for any
-  x_out that is not a uniform lattice and for input runs too short to
-  pay for an FFT.
-* the chirp-z (Bluestein) route, for a uniform x_out and each maximal
-  arithmetic run of x_in (midpoint_lattice emits one run per support
-  interval). With x_i = xc + i*d and y_j = yc + j*w,
+  N*M complex exponentials. It is the definition, and it runs for a
+  single output point or when any run is too short to pay for an FFT.
+* the chirp-z (Bluestein) route, one convolution per run of x_in.
+  With x_i = xc + i*d and y_j = yc + j*w,
 
       alpha (x_i - y_j)^2 = Q(i) + P(j) + beta (i - j)^2,  beta = alpha d w,
 
@@ -40,7 +42,7 @@ uses the chirp-z route directly, with one row of coefficients per source
 realization. _lattice_plan splits that route into the part fixed by the
 two lattices (the chirps and the kernel chirp's spectrum), computed once
 per run, and an apply step per batch of rows that can write its FFTs
-into the caller's buffer; _lattice_sum is the plan applied once.
+into the caller's buffer; chirp_sum applies one plan per run once.
 
 fresnel_steps(t) is the exact alternative to the quadrature for an
 object that is constant between edges: the kernel integral over one
@@ -78,9 +80,6 @@ from .errors import InvalidArgumentError
 
 # below this many pairs per transformed point, the loop is cheaper
 _MIN_PAIRS_PER_POINT = 16
-# a lattice point may sit this many ulps of u_max off its fitted line
-_LATTICE_ULPS = 16
-_EPS = np.finfo(np.float64).eps
 # fresnel_g: the asymptotic series runs from _FRESNEL_T up, with this many
 # terms; at t = 6 the first one it leaves out is below 1e-19 of G
 _FRESNEL_T = 6.0
@@ -91,7 +90,17 @@ _FRESNEL_STEP = 0.125
 _TAYLOR_TERMS = 20
 
 
-def chirp_sum(x_out, x_in, coeffs, alpha):
+def chirp_sum(x_out, x_in, coeffs, alpha, counts):
+    """sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2) for
+    each output point i.
+
+    x_out is a uniform lattice, and x_in is made of uniform runs, one per
+    entry of counts, in order: counts[k] nodes each (midpoint_lattice's
+    nodes and counts), sum(counts) == len(x_in). Each run is one chirp-z
+    convolution onto x_out, with the steps (x[-1] - x[0]) / (n - 1) of
+    both lattices. With one output point, or a run too short to pay for
+    its FFT, the whole sum takes the blocked loop instead.
+    """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
@@ -99,26 +108,16 @@ def chirp_sum(x_out, x_in, coeffs, alpha):
     out = np.zeros(n_out, dtype=np.complex128)
     if x_in.shape[0] == 0 or n_out == 0:
         return out
-    loose = np.ones(x_in.shape[0], dtype=bool)
-    # off-lattice points move a phase by 2 alpha u_max * offset: keep that
-    # at the loop's own rounding, eps * alpha * u_max^2
-    u_max = max(abs(x_out.max() - x_in.min()), abs(x_in.max() - x_out.min()))
-    tol = _LATTICE_ULPS * _EPS * u_max
-    w = _lattice_step(x_out, tol) if n_out > 1 else None
-    if w is not None:
-        for start, stop in _runs(x_in, tol):
-            m = stop - start
-            if n_out * m < _MIN_PAIRS_PER_POINT * (n_out + m):
-                continue
-            d = _lattice_step(x_in[start:stop], tol)
-            if d is not None:
-                out += _lattice_sum(x_out, w, x_in[start:stop], d,
-                                    coeffs[start:stop], alpha)
-                loose[start:stop] = False
-    if loose.all():
+    if n_out < 2 or any(n_out * m < _MIN_PAIRS_PER_POINT * (n_out + m)
+                        for m in counts):
         return _blocked_sum(x_out, x_in, coeffs, alpha)
-    if loose.any():
-        out += _blocked_sum(x_out, x_in[loose], coeffs[loose], alpha)
+    w = (x_out[-1] - x_out[0]) / (n_out - 1)
+    start = 0
+    for m in counts:
+        x = x_in[start:start + m]
+        out += _lattice_plan(x_out, w, x, (x[-1] - x[0]) / (m - 1),
+                             alpha)(coeffs[start:start + m])
+        start += m
     return out
 
 
@@ -134,58 +133,17 @@ def _blocked_sum(x_out, x_in, coeffs, alpha):
     return out
 
 
-def _runs(x, tol):
-    """Maximal [start, stop) ranges of x with steps equal to within 4 tol,
-    left to right.
-
-    A point where the step changes ends its run; the step into the next
-    run is not part of either.
-    """
-    n = x.shape[0]
-    if n < 3:
-        return [(0, n)]
-    # diff index k starts a new chain of equal steps
-    breaks = np.flatnonzero(np.abs(np.diff(x, 2)) > 4 * tol) + 1
-    runs = []
-    start = 0
-    b = 0
-    while start < n:
-        while b < breaks.shape[0] and breaks[b] <= start:
-            b += 1
-        end = breaks[b] if b < breaks.shape[0] else n - 1
-        runs.append((start, end + 1))
-        start = end + 1
-    return runs
-
-
-def _lattice_step(x, tol):
-    """The nonzero step of x if no point is more than tol off the line
-    through its ends, else None."""
-    step = (x[-1] - x[0]) / (x.shape[0] - 1)
-    fit = x[0] + np.arange(x.shape[0]) * step
-    if step == 0 or np.abs(x - fit).max() > tol:
-        return None
-    return step
-
-
-def _lattice_sum(y, w, x, d, c, alpha):
+def _lattice_plan(y, w, x, d, alpha):
     """sum_i c_i exp(i alpha (y_j - x_i)^2) for lattices y (step w) and
-    x (step d), by one linear FFT convolution (Bluestein).
+    x (step d), by one linear FFT convolution (Bluestein), as a function
+    apply(c, out=None) of the coefficients.
 
     c may carry leading batch axes, (..., m); the sum runs over its last
-    axis and the result is (..., n), one convolution per row.
-    """
-    return _lattice_plan(y, w, x, d, alpha)(c)
-
-
-def _lattice_plan(y, w, x, d, alpha):
-    """_lattice_sum over fixed lattices as a function of the coefficients:
-    apply(c, out=None) == _lattice_sum(y, w, x, d, c, alpha), bit for bit.
-
-    The chirps and the kernel spectrum are computed here, once. `out`, a
-    complex (..., apply.size) array shaped like c's batch axes, holds the
+    axis and the result is (..., n), one convolution per row. The chirps
+    and the kernel spectrum are computed here, once. `out`, a complex
+    (..., apply.size) array shaped like c's batch axes, holds the
     zero-padded coefficients and both FFTs in place (one is allocated
-    without it); the result is a new array either way.
+    without it, with the same bits); the result is a new array either way.
     """
     n, m = y.shape[0], x.shape[0]
     # index origins at the run's middle node xc and the output yc nearest

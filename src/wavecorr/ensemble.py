@@ -17,8 +17,8 @@ detector grid, so it is a chirp-z (Bluestein) convolution,
 O((n_det + n_src) log(n_det + n_src)) per realization in place of an
 n_det x n_src matrix product. A run builds its _kernels._lattice_plan
 once (chirps and kernel spectrum) and one batch-sized FFT buffer that
-every batch reuses; the results are bitwise those of one
-_kernels._lattice_sum per batch. The expectation of the resulting
+every batch reuses; the results are bitwise those of a fresh plan
+applied to each batch on its own. The expectation of the resulting
 estimator equals the finite-source brute-force integral on the same
 nodes.
 

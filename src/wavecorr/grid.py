@@ -6,6 +6,7 @@ never sit on the interval edges and a Riemann sum over them is the
 midpoint rule.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,16 @@ class Grid:
         if not (0 < self.half_width < np.inf):
             raise InvalidArgumentError(
                 "half_width must be positive and finite")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
+        n = self.n_samples
+        if not (isinstance(n, numbers.Real) and 2 <= n < np.inf
+                and int(n) == n):
             raise InvalidArgumentError("n_samples must be an integer >= 2")
+        object.__setattr__(self, "n_samples", int(n))
+        ends = (self.center - self.half_width, self.center + self.half_width)
+        if not np.isfinite((self.spacing,) + ends).all():
+            raise InvalidArgumentError(
+                "half_width overflows: the spacing or the grid's ends "
+                "are not finite")
 
     @property
     def spacing(self):
@@ -42,7 +51,7 @@ class Grid:
 
 def make_grid(center, half_width, n_samples):
     """Build a midpoint-sampled Grid; see Grid for the coordinate rule."""
-    return Grid(float(center), float(half_width), int(n_samples))
+    return Grid(float(center), float(half_width), n_samples)
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,10 @@ class OpticsContext:
     wavelength: float
 
     def __post_init__(self):
-        if not (0 < self.wavelength < np.inf):
+        if not (0 < self.wavelength < np.inf and np.isfinite(self.k0)):
             raise InvalidArgumentError(
-                "wavelength must be positive and finite")
+                "wavelength must be positive and finite, with a finite "
+                "wavenumber 2*pi/wavelength")
 
     @property
     def k0(self):

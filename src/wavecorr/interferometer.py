@@ -206,11 +206,11 @@ def correlation_analytic(spec, grid):
         # resolve the chirp out to the detector point farthest from the
         # support
         u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
-        nodes, weights = chirp_nodes(support, obj.min_feature(),
-                                     spec.ctx.wavelength, z_eff, u_max)
+        nodes, weights, counts = chirp_nodes(
+            support, obj.min_feature(), spec.ctx.wavelength, z_eff, u_max)
         coeffs = obj.sample(nodes) * weights
         pattern = kernel_scale(spec.ctx, z_arg, z_eff) * _kernels.chirp_sum(
-            x, nodes, coeffs, k0 / (2.0 * z_eff))
+            x, nodes, coeffs, k0 / (2.0 * z_eff), counts)
     return CorrelationResult(grid, pref * pattern, z_eff, pref)
 
 
@@ -270,7 +270,7 @@ def _source_nodes(spec, x_max, obj_extent):
     slope = (k0 * (x_max + w2) / abs(led.diffraction_length)
              + k0 * (obj_extent + w2) / spec.z_o1)
     spacing = (2 * np.pi / slope) / _NODE_OVERSAMPLE
-    nodes, weights = midpoint_lattice([(-w2, w2)], spacing, 16)
+    nodes, weights, _ = midpoint_lattice([(-w2, w2)], spacing, 16)
     return nodes, weights[0]
 
 
@@ -289,7 +289,8 @@ def _object_nodes(spec, x_max, grid):
     feature = spec.object.min_feature()
     if feature is not None:
         spacing = min(spacing, feature / 4)
-    return (*midpoint_lattice(support, spacing, 8), obj_extent)
+    nodes, weights, _ = midpoint_lattice(support, spacing, 8)
+    return nodes, weights, obj_extent
 
 
 def correlation_brute_force(spec, grid):

@@ -81,8 +81,10 @@ def midpoint_lattice(intervals, step, min_count):
     """Midpoint nodes over (lo, hi) intervals, at most `step` apart.
 
     Each interval gets m = max(ceil((hi - lo) / step), min_count) cells
-    of width (hi - lo) / m. Returns (nodes, weights); weights are the
-    per-node cell widths. Raises if the lattice would exceed MAX_NODES.
+    of width (hi - lo) / m. Returns (nodes, weights, counts): weights are
+    the per-node cell widths and counts the m of each interval, so the
+    nodes are one uniform run per interval, in order. Raises if the
+    lattice would exceed MAX_NODES.
     """
     counts = [max(int(np.ceil((hi - lo) / step)), min_count)
               for lo, hi in intervals]
@@ -96,7 +98,7 @@ def midpoint_lattice(intervals, step, min_count):
         w = (hi - lo) / m
         nodes.append(lo + (np.arange(m) + 0.5) * w)
         weights.append(np.full(m, w))
-    return np.concatenate(nodes), np.concatenate(weights)
+    return np.concatenate(nodes), np.concatenate(weights), counts
 
 
 def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max):
@@ -108,7 +110,8 @@ def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max):
     keeps _CHIRP_OVERSAMPLE nodes per local period. Aliasing ghosts of
     the midpoint rule are thereby displaced well off any output point.
 
-    Returns (nodes, weights); weights are per-node midpoint widths.
+    Returns (nodes, weights, counts) as midpoint_lattice does; a support
+    of no total width gives no nodes and a zero count per interval.
     Raises if the cap is exceeded (geometry needs a coarser request).
     """
     steps = []
@@ -119,5 +122,5 @@ def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max):
     if not steps:
         raise InvalidArgumentError("cannot choose a node spacing")
     if sum(hi - lo for lo, hi in intervals) <= 0:
-        return np.empty(0), np.empty(0)
+        return np.empty(0), np.empty(0), [0] * len(intervals)
     return midpoint_lattice(intervals, min(steps), 8)

@@ -338,6 +338,10 @@ def config_from_dict(raw):
             "object.path", "raster needs exactly one of path or pixels")
     _build_object(obj)
     n = values["grid_n_samples"]
+    # fields that each pass their own rule can still overflow together
+    _built("wavelength", OpticsContext, values["wavelength"])
+    _built("grid.half_width", make_grid, values["grid_center"],
+           values["grid_half_width"], n)
     if is_2d and n * n > MAX_NODES:
         raise ScenarioValidationError(
             "grid.n_samples", f"detector image of {n}**2 points exceeds "
@@ -380,11 +384,15 @@ def _build_object(descriptor, base_dir=None):
             args["pixels"] = read_pgm(os.path.join(base_dir, path))
         except (OSError, InvalidArgumentError) as exc:
             raise ScenarioValidationError("object.path", str(exc)) from exc
+    return _built("object." + kind.reported, kind.build, *args.values())
+
+
+def _built(path, build, *args):
+    """build(*args), its InvalidArgumentError reported on field path."""
     try:
-        return kind.build(*args.values())
+        return build(*args)
     except InvalidArgumentError as exc:
-        raise ScenarioValidationError("object." + kind.reported,
-                                      str(exc)) from exc
+        raise ScenarioValidationError(path, str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,9 @@ class DoubleSlit(Transmittance):
     d: float
 
     def __post_init__(self):
-        if not (self.b > 0 and self.d > 0):
-            raise InvalidArgumentError("slit width and spacing must be positive")
+        if not (0 < self.b < np.inf and 0 < self.d < np.inf):
+            raise InvalidArgumentError(
+                "slit width and spacing must be positive and finite")
         if self.b >= self.d:
             raise OverlappingApertureError(
                 f"slits of width {self.b} at spacing {self.d} overlap")
@@ -70,8 +71,11 @@ class PhaseHoles(Transmittance):
     dphi: float
 
     def __post_init__(self):
-        if not (self.hole_width > 0 and self.separation > 0):
-            raise InvalidArgumentError("hole width and separation must be positive")
+        if not (0 < self.hole_width < np.inf and 0 < self.separation < np.inf):
+            raise InvalidArgumentError(
+                "hole width and separation must be positive and finite")
+        if not np.isfinite(self.dphi):
+            raise InvalidArgumentError("phase shift must be finite")
         if self.hole_width >= self.separation:
             raise OverlappingApertureError(
                 f"holes of width {self.hole_width} at separation "
@@ -136,8 +140,8 @@ class Raster(Transmittance):
             raise InvalidArgumentError("raster must be a non-empty 2D map")
         if not (px.min() >= 0 and px.max() <= 1 + 1e-12):
             raise InvalidArgumentError("raster amplitudes must lie in [0, 1]")
-        if not (self.pitch > 0):
-            raise InvalidArgumentError("pitch must be positive")
+        if not (0 < self.pitch < np.inf):
+            raise InvalidArgumentError("pitch must be positive and finite")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 

@@ -130,11 +130,11 @@ def test_criterion_05_phase_reversal_identity():
     x = grid.coordinates()
     support = SLIT.support()
     u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
-    nodes, weights = chirp_nodes(support, SLIT.min_feature(), CTX.wavelength,
-                                 res.z_eff, u_max)
+    nodes, weights, counts = chirp_nodes(support, SLIT.min_feature(),
+                                         CTX.wavelength, res.z_eff, u_max)
     ze = abs(res.z_eff)
     forward = kernel_scale(CTX, 0.0, ze) * chirp_sum(
-        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze))
+        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts)
     normalized = res.correlation / res.prefactor
     rel = (np.linalg.norm(normalized - np.conj(forward))
            / np.linalg.norm(forward))

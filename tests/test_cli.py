@@ -199,6 +199,11 @@ IMAGE_OUT = [{"kind": "image_pgm", "path": "out.pgm"}]
 
 @pytest.mark.parametrize("over,field", [
     pytest.param({"wavelength": math.inf}, "wavelength", id="inf-wavelength"),
+    # finite fields whose wavenumber or grid spacing overflow
+    pytest.param({"wavelength": 1e-320}, "wavelength",
+                 id="overflowing-wavenumber"),
+    pytest.param({"grid": {"half_width": 1e308, "n_samples": 128}},
+                 "grid.half_width", id="overflowing-grid-spacing"),
     pytest.param({"grid": {"half_width": 0.5e-3, "n_samples": 128,
                            "center": math.nan}},
                  "grid.center", id="nan-grid-center"),

@@ -142,8 +142,8 @@ def test_run_ensemble_is_bitwise_reproducible():
 
 
 def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
-    # the batch loop rebuilt with one one-shot _lattice_sum per batch for
-    # the reference arm; n leaves a partial last batch, which takes a
+    # the batch loop rebuilt with a fresh _lattice_plan per batch for the
+    # reference arm; n leaves a partial last batch, which takes a
     # slice of run_ensemble's reused FFT buffer
     config = make_config(n=2 * _BATCH + 5)
     source, det = config.source_grid, config.detector_grid
@@ -158,9 +158,9 @@ def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
         src = _draw_values(config, start, min(start + _BATCH, n))
         e_o = (src @ mats.source_to_object.T * mats.t_object) \
             @ mats.object_to_detector.T
-        e_r = _kernels._lattice_sum(det.coordinates(), det.spacing,
-                                    source.coordinates(), source.spacing,
-                                    src * scale, alpha)
+        e_r = _kernels._lattice_plan(det.coordinates(), det.spacing,
+                                     source.coordinates(), source.spacing,
+                                     alpha)(src * scale)
         i_o = e_o.real ** 2 + e_o.imag ** 2
         i_r = e_r.real ** 2 + e_r.imag ** 2
         corr_sum += (np.conj(e_r) * e_o).sum(axis=0)

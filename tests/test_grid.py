@@ -54,7 +54,8 @@ NAN, INF = float("nan"), float("inf")
 
 
 # a NaN compares false against every bound, so each value type checks
-# finiteness itself; the config reader's own check covers only the CLI
+# finiteness itself; the config reader's own check covers only the CLI.
+# The last three take finite inputs whose spacing, grid end or k0 is not
 @pytest.mark.parametrize("build", [
     lambda: make_grid(NAN, 1e-3, 256),
     lambda: make_grid(INF, 1e-3, 256),
@@ -68,13 +69,27 @@ NAN, INF = float("nan"), float("inf")
     lambda: MediumSegment(0.155, NAN),
     lambda: MediumSegment(0.155, INF),
     lambda: MediumSegment(0.155, -INF),
+    lambda: make_grid(0.0, 1e308, 4),
+    lambda: make_grid(1.7e308, 1e307, 4),
+    lambda: OpticsContext(1e-320),
 ], ids=["grid-center-nan", "grid-center-inf", "grid-center--inf",
         "grid-half_width-inf", "grid-half_width-nan", "wavelength-inf",
         "wavelength-nan", "segment-length-inf", "segment-length-nan",
-        "segment-index-nan", "segment-index-inf", "segment-index--inf"])
+        "segment-index-nan", "segment-index-inf", "segment-index--inf",
+        "grid-spacing-overflow", "grid-end-overflow", "wavenumber-overflow"])
 def test_value_types_reject_non_finite_numbers(build):
     with pytest.raises(InvalidArgumentError):
         build()
+
+
+def test_make_grid_leaves_the_sample_count_to_grid():
+    with pytest.raises(InvalidArgumentError):
+        make_grid(0.0, 1e-3, 2.7)
+    with pytest.raises(InvalidArgumentError):
+        make_grid(0.0, 1e-3, NAN)
+    g = make_grid(0.0, 1e-3, 4.0)
+    assert g.n_samples == 4 and type(g.n_samples) is int
+    assert g.coordinates().shape == (4,)
 
 
 def test_field_coerces_and_validates():

@@ -208,11 +208,11 @@ def test_negative_z_eff_conjugates_the_forward_integral():
     x = grid.coordinates()
     support = SLIT.support()
     u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
-    nodes, weights = chirp_nodes(support, SLIT.min_feature(), CTX.wavelength,
-                                 spec.z_eff, u_max)
+    nodes, weights, counts = chirp_nodes(support, SLIT.min_feature(),
+                                         CTX.wavelength, spec.z_eff, u_max)
     ze = abs(spec.z_eff)
     forward = kernel_scale(CTX, 0.0, ze) * chirp_sum(
-        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze))
+        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts)
     normalized = res.correlation / res.prefactor
     scale = np.abs(forward).max()
     assert np.abs(normalized - np.conj(forward)).max() <= 1e-12 * scale
@@ -239,8 +239,8 @@ def test_near_focus_matches_the_explicit_midpoint_sum():
         spec = _spec_at_z_eff(z)
         assert spec.z_eff == pytest.approx(z, rel=1e-9)
         res = correlation_analytic(spec, grid)
-        nodes, weights = chirp_nodes(support, SLIT.min_feature(),
-                                     CTX.wavelength, spec.z_eff, u_max)
+        nodes, weights, counts = chirp_nodes(
+            support, SLIT.min_feature(), CTX.wavelength, spec.z_eff, u_max)
         assert 9000 < nodes.size < 10000
         coeffs = SLIT.sample(nodes) * weights
         alpha = CTX.k0 / (2 * spec.z_eff)
@@ -250,14 +250,14 @@ def test_near_focus_matches_the_explicit_midpoint_sum():
         pattern = res.correlation / res.prefactor
         scale = np.abs(pattern).max()
         assert np.abs(pattern[idx] - want).max() <= 1e-10 * scale
-        patterns[z] = (spec, nodes, coeffs, pattern)
+        patterns[z] = (spec, nodes, coeffs, counts, pattern)
 
     # the phase-reversed side is the conjugate of the forward quadrature
     # at +|Z_eff| over the same nodes
-    spec, nodes, coeffs, pattern = patterns[-0.8e-3]
+    spec, nodes, coeffs, counts, pattern = patterns[-0.8e-3]
     ze = abs(spec.z_eff)
     forward = kernel_scale(CTX, -spec.path_mismatch, ze) * chirp_sum(
-        x, nodes, coeffs, CTX.k0 / (2 * ze))
+        x, nodes, coeffs, CTX.k0 / (2 * ze), counts)
     scale = np.abs(forward).max()
     assert np.abs(pattern - np.conj(forward)).max() <= 1e-12 * scale
 
@@ -381,7 +381,7 @@ def _object_background_on_dense_source(spec, grid):
     xo, wo, obj_extent = _object_nodes(spec, x_max, grid)
     _, dx0 = _source_nodes(spec, x_max, obj_extent)
     w2 = spec.source_width / 2
-    x0, w0 = midpoint_lattice([(-w2, w2)], dx0 / 4, 16)
+    x0, w0, _ = midpoint_lattice([(-w2, w2)], dx0 / 4, 16)
     a = fresnel_kernel(CTX, x[:, None], xo[None, :], spec.z_o2, spec.z_o2)
     a *= spec.object.sample(xo) * wo
     out = np.zeros(x.size)
@@ -581,7 +581,7 @@ def _dense_2d_pattern(spec, grid, refine):
         u_max = max(abs(x[0] - half), abs(x[-1] + half))
         step = min(obj.pitch / 4, CTX.wavelength * abs(spec.z_eff)
                    / (_CHIRP_OVERSAMPLE * u_max)) / refine
-        nodes.append(midpoint_lattice([(-half, half)], step, 8))
+        nodes.append(midpoint_lattice([(-half, half)], step, 8)[:2])
     (nx, wx), (ny, wy) = nodes
     kx = fresnel_kernel(CTX, x[:, None], nx[None, :], spec.path_mismatch,
                         spec.z_eff) * wx

@@ -1,9 +1,11 @@
 """Checks for the chirp quadrature core and the Fresnel integrals.
 
-chirp_sum must match its definition to rounding, be deterministic, and
-handle empty input, single points and negative curvature. On lattice
-inputs (a uniform x_out, x_in made of uniform runs) it takes the FFT
-route, which must match the same definition. fresnel_g and
+The blocked loop (_blocked_sum) is the definition of the chirp sum: it
+must match the explicit sum to rounding on random coordinates, be
+deterministic, and handle single points and negative curvature.
+chirp_sum takes a uniform x_out and x_in as the uniform runs its counts
+name; its FFT route must match the same definition, and it must handle
+empty input and fall back to the loop when a run is short. fresnel_g and
 fresnel_steps must match mpmath and scipy's Fresnel integrals, across
 every join of fresnel_g's pieces too.
 """
@@ -18,7 +20,7 @@ import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import _kernels, grid, transmittance
-from wavecorr._kernels import chirp_sum
+from wavecorr._kernels import _blocked_sum, chirp_sum
 from wavecorr.errors import InvalidArgumentError
 
 
@@ -36,37 +38,40 @@ def test_reference_implementation_matches_definition():
     want = np.array([
         np.sum(coeffs * np.exp(1j * alpha * (xo - x_in) ** 2)) for xo in x_out
     ])
-    got = chirp_sum(x_out, x_in, coeffs, alpha)
+    got = _blocked_sum(x_out, x_in, coeffs, alpha)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_backend_is_deterministic():
     x_out, x_in, coeffs, alpha = _case(513, 301, seed=11)
-    a = chirp_sum(x_out, x_in, coeffs, alpha)
-    b = chirp_sum(x_out, x_in, coeffs, alpha)
+    a = _blocked_sum(x_out, x_in, coeffs, alpha)
+    b = _blocked_sum(x_out, x_in, coeffs, alpha)
     assert np.array_equal(a, b)
 
 
 def test_empty_input_gives_zeros():
-    out = chirp_sum(np.linspace(0, 1, 5), np.empty(0), np.empty(0, complex), 1.0)
+    out = chirp_sum(np.linspace(0, 1, 5), np.empty(0), np.empty(0, complex),
+                    1.0, [0, 0])
     assert out.shape == (5,)
     assert np.all(out == 0)
 
 
 def test_empty_output_gives_empty():
-    out = chirp_sum(np.empty(0), np.linspace(0, 1, 5), np.ones(5, complex), 1.0)
+    out = chirp_sum(np.empty(0), np.linspace(0, 1, 5), np.ones(5, complex),
+                    1.0, [5])
     assert out.shape == (0,)
 
 
 def test_negative_alpha_conjugates():
     x_out, x_in, coeffs, alpha = _case(64, 48, seed=3)
-    plus = chirp_sum(x_out, x_in, coeffs, alpha)
-    minus = chirp_sum(x_out, x_in, np.conj(coeffs), -alpha)
+    plus = _blocked_sum(x_out, x_in, coeffs, alpha)
+    minus = _blocked_sum(x_out, x_in, np.conj(coeffs), -alpha)
     assert np.allclose(minus, np.conj(plus), rtol=1e-12, atol=0)
 
 
 def test_single_point_matches_closed_form():
-    out = chirp_sum(np.array([0.5]), np.array([0.25]), np.array([2.0 + 0j]), 3.0)
+    out = _blocked_sum(np.array([0.5]), np.array([0.25]),
+                       np.array([2.0 + 0j]), 3.0)
     want = 2.0 * np.exp(1j * 3.0 * 0.0625)
     assert out.shape == (1,)
     assert abs(out[0] - want) < 1e-14
@@ -107,7 +112,7 @@ def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
     coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
     u_max = max(abs(x_out[-1] - x_in.min()), abs(x_in.max() - x_out[0]))
     alpha = sign * phase / u_max ** 2
-    got = chirp_sum(x_out, x_in, coeffs, alpha)
+    got = chirp_sum(x_out, x_in, coeffs, alpha, [m for m, _, _ in runs])
     idx = np.unique(np.linspace(0, n - 1, 48).astype(int))
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
@@ -126,31 +131,26 @@ def test_lattice_inputs_with_1e5_nodes_match_the_definition(monkeypatch):
     x_in = np.concatenate(runs)
     coeffs = np.full(x_in.size, 2.5e-9 + 0j)
     alpha = 2 * np.pi / 589.3e-9 / (2 * 1e-4)
-    got = chirp_sum(x_out, x_in, coeffs, alpha)
+    got = chirp_sum(x_out, x_in, coeffs, alpha, [50_000, 50_000])
     idx = np.arange(0, 4096, 64)
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
 
 
-def test_inputs_just_off_a_lattice_match_the_definition():
-    # 1e-15 m of jitter, or lattices 5 m from the origin, whose float
-    # coordinates round by about that much: evaluated on a fitted lattice,
-    # either would be off by 2e-10 to 2e-9 relative, so the loop must run
-    rng = np.random.default_rng(5)
-    x_out = (np.arange(2048) + 0.5) * 1e-6 - 1.024e-3
-    x_in = (np.arange(3000) + 0.5) * 1e-7 - 0.15e-3
-    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
-    alpha = 1e4 / 1.2e-3 ** 2
-    idx = np.arange(0, 2048, 32)
-    cases = [
-        (x_out + 1e-15 * rng.normal(size=x_out.size), x_in),
-        (x_out, x_in + 1e-15 * rng.normal(size=x_in.size)),
-        (x_out + 5.0, x_in + 5.0),
-    ]
-    for xo, xi in cases:
-        got = chirp_sum(xo, xi, coeffs, alpha)
-        want = _explicit(xo[idx], xi, coeffs, alpha)
-        assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
+def test_short_runs_and_single_points_take_the_blocked_loop():
+    # runs of 9 nodes (fig4e's slits) cost less in the loop than in an
+    # FFT, and a single output point is no lattice: either way chirp_sum
+    # is the loop over all nodes, bit for bit
+    rng = np.random.default_rng(9)
+    x_out = (np.arange(512) + 0.5) * 2e-6 - 0.512e-3
+    x_in = np.concatenate([lo + (np.arange(9) + 0.5) * 1e-5
+                           for lo in (-0.2e-3, 0.11e-3)])
+    coeffs = rng.normal(size=18) + 1j * rng.normal(size=18)
+    alpha = 1e4 / 1e-3 ** 2
+    for xo in (x_out, x_out[100:101]):
+        got = chirp_sum(xo, x_in, coeffs, alpha, [9, 9])
+        assert got.tobytes() == _blocked_sum(xo, x_in, coeffs,
+                                             alpha).tobytes()
 
 
 def test_large_chirp_phases_keep_their_rounding_error():
@@ -176,16 +176,17 @@ def test_lattice_sum_takes_batches_of_coefficient_rows():
     x = (np.arange(512) - 255.5) * 2e-5
     c = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
     alpha = np.pi / (589.3e-9 * 0.285)
-    got = _kernels._lattice_sum(y, 2e-6, x, 2e-5, c, alpha)
+    got = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(c)
     assert got.shape == (5, 300)
-    want = np.stack([_kernels._lattice_sum(y, 2e-6, x, 2e-5, row, alpha)
+    want = np.stack([_kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(row)
                      for row in c])
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
     # the ensemble's reference arm applies one plan per run to every batch,
-    # writing both FFTs into a slice of one reused buffer
+    # writing both FFTs into a slice of one reused buffer; each apply has
+    # the bits of a fresh plan applied once
     rng = np.random.default_rng(13)
     y = 3e-3 + (np.arange(300) - 149.5) * 2e-6
     x = (np.arange(512) - 255.5) * 2e-5
@@ -194,7 +195,7 @@ def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
     buf = np.empty((5, plan.size), dtype=np.complex128)
     rows = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
     for c, out in ((rows[0], buf[0]), (rows[:3], buf[:3])):
-        want = _kernels._lattice_sum(y, 2e-6, x, 2e-5, c, alpha)
+        want = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(c)
         for got in (plan(c), plan(c, out=out)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -202,8 +203,8 @@ def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
         kept = first.copy()
         again = plan(np.conj(c), out=out)
         assert first.tobytes() == kept.tobytes()
-        assert again.tobytes() == _kernels._lattice_sum(
-            y, 2e-6, x, 2e-5, np.conj(c), alpha).tobytes()
+        assert again.tobytes() == _kernels._lattice_plan(
+            y, 2e-6, x, 2e-5, alpha)(np.conj(c)).tobytes()
 
 
 # ------------------------------------------------------ Fresnel integrals

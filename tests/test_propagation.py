@@ -196,7 +196,8 @@ def test_propagate_rejects_non_finite_fields():
 # ---------------------------------------------------------- chirp nodes
 
 def test_chirp_nodes_respect_both_spacing_rules():
-    nodes, weights = chirp_nodes([(0.0, 1e-3)], 100e-6, 589.3e-9, 0.1, 2e-3)
+    nodes, weights, _ = chirp_nodes([(0.0, 1e-3)], 100e-6, 589.3e-9, 0.1,
+                                    2e-3)
     target = min(100e-6 / 4, 589.3e-9 * 0.1 / (8 * 2e-3))
     assert weights.max() <= target * (1 + 1e-12)
     assert nodes.min() > 0 and nodes.max() < 1e-3
@@ -204,15 +205,27 @@ def test_chirp_nodes_respect_both_spacing_rules():
 
 
 def test_chirp_nodes_minimum_count_per_interval():
-    nodes, _ = chirp_nodes([(0.0, 1e-6)], 1e-3, 589.3e-9, 0.0, 0.0)
+    nodes, _, counts = chirp_nodes([(0.0, 1e-6)], 1e-3, 589.3e-9, 0.0, 0.0)
     assert len(nodes) == 8
+    assert counts == [8]
 
 
 def test_chirp_nodes_multiple_intervals():
-    nodes, weights = chirp_nodes([(-4e-4, -1e-4), (1e-4, 4e-4)],
-                                 50e-6, 589.3e-9, 0.05, 1e-3)
+    # one uniform run of counts[k] nodes per interval, as chirp_sum reads
+    intervals = [(-4e-4, -1e-4), (1e-4, 4e-4)]
+    nodes, weights, counts = chirp_nodes(intervals, 50e-6, 589.3e-9, 0.05,
+                                         1e-3)
     assert np.all(np.abs(nodes) >= 1e-4)
     assert weights.sum() == pytest.approx(6e-4, rel=1e-12)
+    assert len(counts) == len(intervals) and sum(counts) == len(nodes)
+    start = 0
+    for (lo, hi), m in zip(intervals, counts):
+        run = slice(start, start + m)
+        assert lo < nodes[run].min() and nodes[run].max() < hi
+        assert np.all(weights[run] == weights[start])
+        assert np.allclose(np.diff(nodes[run]), weights[start],
+                           rtol=1e-9, atol=0)
+        start += m
 
 
 def test_chirp_nodes_cap_guard():
@@ -226,5 +239,5 @@ def test_chirp_nodes_need_some_scale():
 
 
 def test_chirp_nodes_empty_support():
-    nodes, weights = chirp_nodes([], 1e-4, 589.3e-9, 0.1, 1e-3)
-    assert nodes.size == 0 and weights.size == 0
+    nodes, weights, counts = chirp_nodes([], 1e-4, 589.3e-9, 0.1, 1e-3)
+    assert nodes.size == 0 and weights.size == 0 and counts == []

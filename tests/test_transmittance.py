@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from wavecorr import double_slit, phase_holes, raster_to_transmittance, read_pgm, uniform
+from wavecorr import (Raster, double_slit, phase_holes,
+                      raster_to_transmittance, read_pgm, uniform)
 from wavecorr.errors import InvalidArgumentError, OverlappingApertureError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_double_slit_sampling():
@@ -26,6 +29,22 @@ def test_double_slit_rejects_overlap():
         double_slit(300e-6, 300e-6)
     with pytest.raises(InvalidArgumentError):
         double_slit(-1e-6, 300e-6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: double_slit(1e-4, INF),
+    lambda: double_slit(NAN, 3e-4),
+    lambda: phase_holes(1e-4, INF, 0.0),
+    lambda: phase_holes(1e-4, 3e-4, NAN),
+    lambda: phase_holes(1e-4, 3e-4, INF),
+    lambda: Raster(np.ones((2, 2)), INF),
+    lambda: Raster(np.ones((2, 2)), NAN),
+], ids=["slit-spacing-inf", "slit-width-nan", "hole-separation-inf",
+        "phase-nan", "phase-inf", "raster-pitch-inf", "raster-pitch-nan"])
+def test_objects_reject_non_finite_parameters(build):
+    # a NaN phase would otherwise make every correlation NaN
+    with pytest.raises(InvalidArgumentError):
+        build()
 
 
 def test_phase_holes_values():
