@@ -9,33 +9,29 @@ which is the computational core of direct Fresnel quadrature (the caller
 folds kernel scale, global phase, and integration weights into coeffs
 and a scalar factor). x_out is a uniform lattice (a Grid's coordinates)
 and x_in is the nodes of propagation.midpoint_lattice, whose counts give
-the length of each uniform run, one per support interval. The same sum
-is evaluated in one of two orders:
+the length of each uniform run, one per support interval. Each run is
+one chirp-z (Bluestein) convolution. With x_i = xc + i*d and
+y_j = yc + j*w,
 
-* the blocked loop, a matrix-vector product per block of output points,
-  N*M complex exponentials. It is the definition, and it runs for a
-  single output point or when any run is too short to pay for an FFT.
-* the chirp-z (Bluestein) route, one convolution per run of x_in.
-  With x_i = xc + i*d and y_j = yc + j*w,
+    alpha (x_i - y_j)^2 = Q(i) + P(j) + beta (i - j)^2,  beta = alpha d w,
 
-      alpha (x_i - y_j)^2 = Q(i) + P(j) + beta (i - j)^2,  beta = alpha d w,
+so a run is one zero-padded FFT convolution of coeffs * exp(iQ) with the
+chirp exp(i beta k^2), times exp(iP): O((N + m) log(N + m)) in place of
+the N*m terms of the definition. The index origins xc, yc sit at the
+run's middle and the output nearest it, which keeps the alpha-parts of
+Q and P small; the beta k^2 parts grow as the spacing ratio times the
+squared extent and are carried with their rounding error (Dekker's
+exact product).
 
-  so a run is one zero-padded FFT convolution of coeffs * exp(iQ) with
-  the chirp exp(i beta k^2), times exp(iP): O((N + m) log(N + m)) in
-  place of N*m. The index origins xc, yc sit at the run's middle and the
-  output nearest it, which keeps the alpha-parts of Q and P small; the
-  beta k^2 parts grow as the spacing ratio times the squared extent and
-  are carried with their rounding error (Dekker's exact product).
-
-Both orders sum the same terms. On a 4096-point detector over +-2 mm and
-a 125/300 um double slit, the two agree to max|diff| / max|out| of
-1e-12 at Z_eff = 0.8 mm (9.4k nodes; 6 ms against 1.8 s on one x86-64
-vCPU), 5e-12 at 0.1 mm (75k nodes) and 6e-11 at 5 um (1.5M nodes; 0.5 s
-against an extrapolated 300 s). Against 80-bit extended-precision sums of the same
-terms, the lattice route is the more accurate of the two at each of
-these points (1e-13, 1e-12, 2e-11 against 2e-13, 2e-12, 6e-11): the
-loop's error grows as eps * alpha * u_max^2. Both orders are
-deterministic: the same inputs give the same bits.
+On a 4096-point detector over +-2 mm and a 125/300 um double slit, the
+route is within max|diff| / max|out| of 1e-13 of 80-bit
+extended-precision sums of the same terms at Z_eff = 0.8 mm (9.4k
+nodes; 6 ms where the N*M terms one by one take 1.8 s on one x86-64
+vCPU), 1e-12 at 0.1 mm (75k nodes) and 2e-11 at 5 um (1.5M nodes;
+0.5 s against an extrapolated 300 s). A double-precision sum of the
+terms one by one is off by 2e-13, 2e-12 and 6e-11 there: its error
+grows as eps * alpha * u_max^2. The route is deterministic: the same
+inputs give the same bits.
 
 The ensemble's reference arm maps one uniform grid onto another, so it
 uses the chirp-z route directly, with one row of coefficients per source
@@ -78,8 +74,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# below this many pairs per transformed point, the loop is cheaper
-_MIN_PAIRS_PER_POINT = 16
 # fresnel_g: the asymptotic series runs from _FRESNEL_T up, with this many
 # terms; at t = 6 the first one it leaves out is below 1e-19 of G
 _FRESNEL_T = 6.0
@@ -94,12 +88,13 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
     """sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2) for
     each output point i.
 
-    x_out is a uniform lattice, and x_in is made of uniform runs, one per
-    entry of counts, in order: counts[k] nodes each (midpoint_lattice's
-    nodes and counts), sum(counts) == len(x_in). Each run is one chirp-z
-    convolution onto x_out, with the steps (x[-1] - x[0]) / (n - 1) of
-    both lattices. With one output point, or a run too short to pay for
-    its FFT, the whole sum takes the blocked loop instead.
+    x_out is a uniform lattice of at least 2 points (a Grid's
+    coordinates), and x_in is made of uniform runs of at least 2 nodes,
+    one per entry of counts, in order: counts[k] nodes each
+    (midpoint_lattice's nodes and counts), sum(counts) == len(x_in). Each
+    run is one chirp-z convolution onto x_out, with the steps
+    (x[-1] - x[0]) / (n - 1) of both lattices. An empty x_out or x_in
+    gives zeros.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
@@ -108,9 +103,6 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
     out = np.zeros(n_out, dtype=np.complex128)
     if x_in.shape[0] == 0 or n_out == 0:
         return out
-    if n_out < 2 or any(n_out * m < _MIN_PAIRS_PER_POINT * (n_out + m)
-                        for m in counts):
-        return _blocked_sum(x_out, x_in, coeffs, alpha)
     w = (x_out[-1] - x_out[0]) / (n_out - 1)
     start = 0
     for m in counts:
@@ -118,18 +110,6 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
         out += _lattice_plan(x_out, w, x, (x[-1] - x[0]) / (m - 1),
                              alpha)(coeffs[start:start + m])
         start += m
-    return out
-
-
-def _blocked_sum(x_out, x_in, coeffs, alpha):
-    out = np.empty(x_out.shape[0], dtype=np.complex128)
-    # block the output loop to bound the (block x n_in) temporary
-    block = max(1, 4_000_000 // x_in.shape[0])
-    for start in range(0, x_out.shape[0], block):
-        u = x_out[start:start + block, None] - x_in[None, :]
-        u *= u
-        u *= alpha
-        out[start:start + block] = np.exp(1j * u) @ coeffs
     return out
 
 

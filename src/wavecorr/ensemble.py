@@ -26,6 +26,7 @@ run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidArgumentError, StatisticsWarning
+from .errors import InvalidArgumentError, ResolutionError, StatisticsWarning
 from .grid import ComplexField, Grid
 from .interferometer import PortIntensities, _object_nodes
 from .propagation import fresnel_kernel, kernel_scale, propagate
@@ -52,6 +53,8 @@ class EnsembleConfig:
     master_seed: int
 
     def __post_init__(self):
+        _require_int(self.n_realizations, "n_realizations")
+        _require_int(self.master_seed, "master_seed")
         if self.n_realizations < 1:
             raise InvalidArgumentError("n_realizations must be >= 1")
         if not (0 <= self.master_seed < 2 ** 64):
@@ -60,6 +63,12 @@ class EnsembleConfig:
         if abs(w - self.spec.source_width) > 1e-12 * self.spec.source_width:
             raise InvalidArgumentError(
                 "source_grid must span exactly spec.source_width")
+
+
+def _require_int(value, name):
+    """Raise InvalidArgumentError unless value is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,7 @@ def _draw_values(config, start, stop):
 
 def sample_source(config, realization_index):
     """Source realization `realization_index` as a ComplexField."""
+    _require_int(realization_index, "realization index")
     if not 0 <= realization_index < config.n_realizations:
         raise InvalidArgumentError(
             f"realization index {realization_index} outside "
@@ -224,7 +234,8 @@ def run_coherent(spec, grid, pinhole_width=None):
 
     The input is a unit-amplitude plane wave on the grid, or, given a
     positive pinhole_width, the same truncated to |x| <= pinhole_width/2;
-    any other width, NaN included, raises InvalidArgumentError. Each arm
+    any other width, NaN included, raises InvalidArgumentError, and a
+    pinhole that covers no grid sample raises ResolutionError. Each arm
     is propagated once; with total = |E_o + E_r|^2 and background =
     |E_o|^2 + |E_r|^2, the ports are i_plus = total/2, i_minus =
     background - total/2 and diff = total - background. There is no
@@ -238,6 +249,10 @@ def run_coherent(spec, grid, pinhole_width=None):
         values = np.ones(grid.n_samples, dtype=np.complex128)
     elif pinhole_width > 0:
         values = (np.abs(x) <= pinhole_width / 2).astype(np.complex128)
+        if not values.any():
+            raise ResolutionError(
+                f"pinhole_width {pinhole_width:.3g} m covers no grid sample "
+                f"(spacing {grid.spacing:.3g} m)")
     else:
         raise InvalidArgumentError("pinhole_width must be positive")
     e_in = ComplexField(grid, values)

@@ -82,12 +82,10 @@ class InterferometerSpec:
     def __post_init__(self):
         object.__setattr__(self, "reference_segments",
                            tuple(self.reference_segments))
-        if not (self.z_o1 > 0 and self.z_o2 > 0):
-            raise InvalidArgumentError("z_o1 and z_o2 must be positive")
-        if not (self.source_width > 0):
-            raise InvalidArgumentError("source_width must be positive")
-        if not (self.source_intensity > 0):
-            raise InvalidArgumentError("source_intensity must be positive")
+        for name in ("z_o1", "z_o2", "source_width", "source_intensity"):
+            if not (0 < getattr(self, name) < np.inf):
+                raise InvalidArgumentError(
+                    f"{name} must be positive and finite")
         led = ledger(self.reference_segments)
         z_eff = effective_diffraction_length(self.z_o1, self.z_o2, led)
         arm_path, Z = self.z_o1 + self.z_o2, led.optical_path

@@ -174,6 +174,20 @@ def test_runtime_failure_is_exit_4(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_pinhole_between_grid_samples_is_exit_4(tmp_path, capsys):
+    # fig3_coherent's grid spacing is 1.95 um: a 0.1 um pinhole lights no
+    # sample, which would write all-zero ports
+    assert main(["show-builtin", "fig3_coherent"]) == 0
+    cfg = json.loads(capsys.readouterr().out)
+    cfg["coherent"]["pinhole_width"] = 1e-7
+    cfg_path = tmp_path / "pinhole.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 4
+    assert "covers no grid sample" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b"P5\n3", id="header-cut-after-width"),
     pytest.param(b"P5\n3 2\nabc\n" + bytes(6), id="text-maxval"),

@@ -17,7 +17,8 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
 from wavecorr import _kernels
 from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
                                reference_field)
-from wavecorr.errors import InvalidArgumentError, StatisticsWarning
+from wavecorr.errors import (InvalidArgumentError, ResolutionError,
+                             StatisticsWarning)
 from wavecorr.propagation import kernel_scale
 
 CTX = OpticsContext(589.3e-9)
@@ -52,12 +53,32 @@ def test_config_validation():
         make_config(source_grid=make_grid(0.0, 0.004, 512))
 
 
+@pytest.mark.parametrize("n, seed", [
+    (2.5, 1), (True, 1), ("2", 1), (2, 1.5), (2, True), (2, None)],
+    ids=["n-float", "n-bool", "n-str", "seed-float", "seed-bool",
+         "seed-none"])
+def test_config_takes_integers_only(n, seed):
+    # a float count would fail later in run_ensemble, a float seed would
+    # run as its truncation, and True would count as 1
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        make_config(n=n, seed=seed)
+
+
+def test_config_takes_numpy_integers():
+    config = make_config(n=np.int64(2), seed=np.uint64(7))
+    assert run_ensemble(config).correlation_mean.tobytes() == run_ensemble(
+        make_config(n=2, seed=7)).correlation_mean.tobytes()
+
+
 def test_sample_source_index_validation():
     config = make_config(n=4)
     with pytest.raises(InvalidArgumentError):
         sample_source(config, -1)
     with pytest.raises(InvalidArgumentError):
         sample_source(config, 4)
+    for index in (1.5, True):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            sample_source(config, index)
 
 
 def test_sample_source_frozen_draw_convention():
@@ -318,6 +339,16 @@ def test_coherent_validation():
     for width in (0.0, -50e-6, float("nan")):
         with pytest.raises(InvalidArgumentError):
             run_coherent(spec, grid, pinhole_width=width)
+
+
+def test_coherent_pinhole_must_cover_a_sample():
+    # samples sit at +-7.8 um, half a 15.6 um spacing off the axis: a
+    # 15 um pinhole lights none of them, a 16 um one the middle two
+    spec = imaging_spec(uniform(1.0))
+    grid = make_grid(0.0, 2e-3, 256)
+    with pytest.raises(ResolutionError, match="covers no grid sample"):
+        run_coherent(spec, grid, pinhole_width=15e-6)
+    assert run_coherent(spec, grid, pinhole_width=16e-6).background.max() > 0
 
 
 def test_coherent_slit_diffraction_never_images():

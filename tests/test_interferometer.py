@@ -75,6 +75,21 @@ def test_spec_validation():
     assert "equal-optical-path" in str(exc.value)
 
 
+@pytest.mark.parametrize("field", ["z_o1", "z_o2", "source_width",
+                                   "source_intensity"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_spec_rejects_non_finite_numbers(field, value):
+    # an infinite source width would reach the background integral as an
+    # OverflowError, an infinite intensity a non-finite correlation
+    kw = dict(ctx=CTX, z_o1=REF.diffraction_length,
+              z_o2=REF.optical_path - REF.diffraction_length,
+              reference_segments=REF_SEGMENTS, object=SLIT,
+              source_width=0.01, source_intensity=1.0)
+    kw[field] = value
+    with pytest.raises(InvalidArgumentError, match=field):
+        InterferometerSpec(**kw)
+
+
 def test_psf_width_property():
     spec = imaging_spec(SLIT)
     assert spec.psf_width == pytest.approx(

@@ -1,13 +1,12 @@
 """Checks for the chirp quadrature core and the Fresnel integrals.
 
-The blocked loop (_blocked_sum) is the definition of the chirp sum: it
-must match the explicit sum to rounding on random coordinates, be
-deterministic, and handle single points and negative curvature.
 chirp_sum takes a uniform x_out and x_in as the uniform runs its counts
-name; its FFT route must match the same definition, and it must handle
-empty input and fall back to the loop when a run is short. fresnel_g and
-fresnel_steps must match mpmath and scipy's Fresnel integrals, across
-every join of fresnel_g's pieces too.
+name, and sums each run as one chirp-z convolution. It must match the
+explicit sum of its terms on detector-like lattices, short runs of 8 or
+9 nodes and two-point outputs included; be deterministic; conjugate
+under a negative curvature; and give zeros or nothing on empty input.
+fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
+integrals, across every join of fresnel_g's pieces too.
 """
 
 import math
@@ -20,33 +19,27 @@ import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import _kernels, grid, transmittance
-from wavecorr._kernels import _blocked_sum, chirp_sum
+from wavecorr._kernels import chirp_sum
 from wavecorr.errors import InvalidArgumentError
 
 
-def _case(n_out=257, n_in=191, seed=7):
+def _case(n_out, runs, seed):
+    # an output lattice of n_out points and `runs` lattices of m nodes
+    # each, spread across it, with random coefficients
     rng = np.random.default_rng(seed)
-    x_out = np.sort(rng.uniform(-2e-3, 2e-3, n_out))
-    x_in = np.sort(rng.uniform(-1e-3, 1e-3, n_in))
-    coeffs = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
-    alpha = 1.8e10
-    return x_out, x_in, coeffs, alpha
-
-
-def test_reference_implementation_matches_definition():
-    x_out, x_in, coeffs, alpha = _case(11, 7)
-    want = np.array([
-        np.sum(coeffs * np.exp(1j * alpha * (xo - x_in) ** 2)) for xo in x_out
-    ])
-    got = _blocked_sum(x_out, x_in, coeffs, alpha)
-    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    x_out = (np.arange(n_out) + 0.5) * 1e-6 - n_out * 0.5e-6
+    x_in = np.concatenate([lo + (np.arange(m) + 0.5) * 3e-6
+                           for lo, m in runs])
+    coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
+    return x_out, x_in, coeffs, 1.8e10, [m for _, m in runs]
 
 
 def test_backend_is_deterministic():
-    x_out, x_in, coeffs, alpha = _case(513, 301, seed=11)
-    a = _blocked_sum(x_out, x_in, coeffs, alpha)
-    b = _blocked_sum(x_out, x_in, coeffs, alpha)
-    assert np.array_equal(a, b)
+    x_out, x_in, coeffs, alpha, counts = _case(
+        513, [(-0.4e-3, 301), (0.1e-3, 9)], seed=11)
+    a = chirp_sum(x_out, x_in, coeffs, alpha, counts)
+    b = chirp_sum(x_out, x_in, coeffs, alpha, counts)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_empty_input_gives_zeros():
@@ -63,18 +56,11 @@ def test_empty_output_gives_empty():
 
 
 def test_negative_alpha_conjugates():
-    x_out, x_in, coeffs, alpha = _case(64, 48, seed=3)
-    plus = _blocked_sum(x_out, x_in, coeffs, alpha)
-    minus = _blocked_sum(x_out, x_in, np.conj(coeffs), -alpha)
+    x_out, x_in, coeffs, alpha, counts = _case(
+        64, [(-0.1e-3, 48), (0.02e-3, 8)], seed=3)
+    plus = chirp_sum(x_out, x_in, coeffs, alpha, counts)
+    minus = chirp_sum(x_out, x_in, np.conj(coeffs), -alpha, counts)
     assert np.allclose(minus, np.conj(plus), rtol=1e-12, atol=0)
-
-
-def test_single_point_matches_closed_form():
-    out = _blocked_sum(np.array([0.5]), np.array([0.25]),
-                       np.array([2.0 + 0j]), 3.0)
-    want = 2.0 * np.exp(1j * 3.0 * 0.0625)
-    assert out.shape == (1,)
-    assert abs(out[0] - want) < 1e-14
 
 
 def _explicit(x_out, x_in, coeffs, alpha):
@@ -84,7 +70,7 @@ def _explicit(x_out, x_in, coeffs, alpha):
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(n=st.integers(2, 4096),
-       runs=st.lists(st.tuples(st.integers(16, 5000),
+       runs=st.lists(st.tuples(st.integers(8, 5000),
                                st.floats(0.01, 100.0),
                                st.floats(-1.0, 1.0)),
                      min_size=1, max_size=3),
@@ -96,9 +82,16 @@ def _explicit(x_out, x_in, coeffs, alpha):
          sign=-1.0, seed=1)
 @example(n=4096, runs=[(4700, 0.11, -0.5), (4700, 0.11, 0.5)], phase=3e4,
          sign=1.0, seed=2)
+# fig4e: two 9-node slits on a 4096-point detector
+@example(n=4096, runs=[(9, 14.2, -0.0375), (9, 14.2, 0.0375)], phase=61.6,
+         sign=-1.0, seed=3)
+# the fewest output points, a Grid's minimum
+@example(n=2, runs=[(8, 1.0, 0.0), (300, 0.5, 0.7)], phase=50.0, sign=1.0,
+         seed=4)
 def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
     # detector-like output lattice (1 um pitch around a center) and
-    # midpoint runs with step ratio d/w, placed by `offset` across it
+    # midpoint runs of m >= 8 nodes (chirp_nodes' minimum) with step ratio
+    # d/w, placed by `offset` across it
     rng = np.random.default_rng(seed)
     w = 1e-6
     x_out = 0.3e-3 + (np.arange(n) - (n - 1) / 2) * w
@@ -118,13 +111,9 @@ def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
 
 
-def test_lattice_inputs_with_1e5_nodes_match_the_definition(monkeypatch):
+def test_lattice_inputs_with_1e5_nodes_match_the_definition():
     # two slits of 50k nodes each on a 4096-point detector, Z_eff ~ 0.1 mm;
-    # the N*M loop would take tens of seconds here, so it must not run
-    def no_loop(*args):
-        raise AssertionError("lattice input fell back to the blocked loop")
-
-    monkeypatch.setattr(_kernels, "_blocked_sum", no_loop)
+    # summing the N*M terms one by one would take tens of seconds here
     x_out = (np.arange(4096) + 0.5) * 1e-6 - 2.048e-3
     runs = [(lo + (np.arange(50_000) + 0.5) * 2.5e-9)
             for lo in (-0.2125e-3, 0.0875e-3)]
@@ -135,22 +124,6 @@ def test_lattice_inputs_with_1e5_nodes_match_the_definition(monkeypatch):
     idx = np.arange(0, 4096, 64)
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
-
-
-def test_short_runs_and_single_points_take_the_blocked_loop():
-    # runs of 9 nodes (fig4e's slits) cost less in the loop than in an
-    # FFT, and a single output point is no lattice: either way chirp_sum
-    # is the loop over all nodes, bit for bit
-    rng = np.random.default_rng(9)
-    x_out = (np.arange(512) + 0.5) * 2e-6 - 0.512e-3
-    x_in = np.concatenate([lo + (np.arange(9) + 0.5) * 1e-5
-                           for lo in (-0.2e-3, 0.11e-3)])
-    coeffs = rng.normal(size=18) + 1j * rng.normal(size=18)
-    alpha = 1e4 / 1e-3 ** 2
-    for xo in (x_out, x_out[100:101]):
-        got = chirp_sum(xo, x_in, coeffs, alpha, [9, 9])
-        assert got.tobytes() == _blocked_sum(xo, x_in, coeffs,
-                                             alpha).tobytes()
 
 
 def test_large_chirp_phases_keep_their_rounding_error():
