@@ -88,13 +88,12 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
     """sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2) for
     each output point i.
 
-    x_out is a uniform lattice of at least 2 points (a Grid's
-    coordinates), and x_in is made of uniform runs of at least 2 nodes,
-    one per entry of counts, in order: counts[k] nodes each
-    (midpoint_lattice's nodes and counts), sum(counts) == len(x_in). Each
-    run is one chirp-z convolution onto x_out, with the steps
-    (x[-1] - x[0]) / (n - 1) of both lattices. An empty x_out or x_in
-    gives zeros.
+    x_out is a uniform lattice (a Grid's coordinates) or a single point,
+    and x_in is made of uniform runs of at least 2 nodes, one per entry of
+    counts, in order: counts[k] nodes each (midpoint_lattice's nodes and
+    counts), sum(counts) == len(x_in). Each run is one chirp-z
+    convolution onto x_out, with the steps (x[-1] - x[0]) / (n - 1) of
+    both lattices. An empty x_out or x_in gives zeros.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
@@ -103,12 +102,13 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
     out = np.zeros(n_out, dtype=np.complex128)
     if x_in.shape[0] == 0 or n_out == 0:
         return out
-    w = (x_out[-1] - x_out[0]) / (n_out - 1)
     start = 0
     for m in counts:
         x = x_in[start:start + m]
-        out += _lattice_plan(x_out, w, x, (x[-1] - x[0]) / (m - 1),
-                             alpha)(coeffs[start:start + m])
+        d = (x[-1] - x[0]) / (m - 1)
+        # any step spans a single output point; the run's keeps beta small
+        w = (x_out[-1] - x_out[0]) / (n_out - 1) if n_out > 1 else d
+        out += _lattice_plan(x_out, w, x, d, alpha)(coeffs[start:start + m])
         start += m
     return out
 

@@ -3,7 +3,7 @@
 chirp_sum takes a uniform x_out and x_in as the uniform runs its counts
 name, and sums each run as one chirp-z convolution. It must match the
 explicit sum of its terms on detector-like lattices, short runs of 8 or
-9 nodes and two-point outputs included; be deterministic; conjugate
+9 nodes and one- and two-point outputs included; be deterministic; conjugate
 under a negative curvature; and give zeros or nothing on empty input.
 fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
 integrals, across every join of fresnel_g's pieces too.
@@ -124,6 +124,23 @@ def test_lattice_inputs_with_1e5_nodes_match_the_definition():
     idx = np.arange(0, 4096, 64)
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
+
+
+def test_short_runs_and_single_points_take_the_blocked_loop():
+    # runs of 9 nodes (fig4e's slits) and a single output point once took
+    # a blocked N x M loop; chirp-z now sums them and must give that
+    # loop's sum, the explicit one, to rounding
+    rng = np.random.default_rng(9)
+    x_out = (np.arange(512) + 0.5) * 2e-6 - 0.512e-3
+    x_in = np.concatenate([lo + (np.arange(9) + 0.5) * 1e-5
+                           for lo in (-0.2e-3, 0.11e-3)])
+    coeffs = rng.normal(size=18) + 1j * rng.normal(size=18)
+    alpha = 1e4 / 1e-3 ** 2
+    for xo in (x_out, x_out[100:101], x_out[-1:]):
+        got = chirp_sum(xo, x_in, coeffs, alpha, [9, 9])
+        want = _explicit(xo, x_in, coeffs, alpha)
+        assert got.shape == xo.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_large_chirp_phases_keep_their_rounding_error():
