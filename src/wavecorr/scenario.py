@@ -105,24 +105,29 @@ OBJECT_KINDS = {
 _KIND = Field("kind", str, _one_of(OBJECT_KINDS))
 
 
-def _write_csv(path, header, *columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+def _csv(header, *columns):
+    """The bytes np.savetxt(fmt="%.17g", delimiter=",", comments="")
+    writes for these columns under this header, from one % operation."""
+    table = np.column_stack(columns)
+    rows, cols = table.shape
+    row = ",".join(["%.17g"] * cols) + "\n"
+    text = header + "\n" + row * rows % tuple(table.ravel().tolist())
+    return text.encode("ascii")
 
 
-def _write_correlation_csv(result, path):
+def _correlation_csv(result):
     c = result.correlation
-    _write_csv(path, "x_m,re,im,abs2", result.grid.coordinates(), c.real,
-               c.imag, c.real * c.real + c.imag * c.imag)
+    return _csv("x_m,re,im,abs2", result.grid.coordinates(), c.real, c.imag,
+                c.real * c.real + c.imag * c.imag)
 
 
-def _write_ports_csv(result, path):
-    _write_csv(path, "x_m,i_plus,i_minus,diff,sum", result.grid.coordinates(),
-               result.i_plus, result.i_minus, result.diff,
-               result.i_plus + result.i_minus)
+def _ports_csv(result):
+    return _csv("x_m,i_plus,i_minus,diff,sum", result.grid.coordinates(),
+                result.i_plus, result.i_minus, result.diff,
+                result.i_plus + result.i_minus)
 
 
-def _write_image_pgm(result, path):
+def _image_pgm(result):
     if hasattr(result, "correlation"):
         data = np.abs(result.correlation)
     elif hasattr(result, "i_plus"):
@@ -138,21 +143,18 @@ def _write_image_pgm(result, path):
     img = np.rint(scaled).astype(np.uint8)
     img = img[None, :] if img.ndim == 1 else img[::-1, :]
     rows, cols = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    return f"P5\n{cols} {rows}\n255\n".encode("ascii") + img.tobytes()
 
 
 #: an output kind: the results it can write (it writes the first one a
-#: run makes) and its writer
-OutputKind = namedtuple("OutputKind", "reads write")
+#: run makes) and the function giving the file's bytes for one
+OutputKind = namedtuple("OutputKind", "reads render")
 
 
 OUTPUT_KINDS = {
-    "correlation_csv": OutputKind(("correlation",), _write_correlation_csv),
-    "ports_csv": OutputKind(("ports",), _write_ports_csv),
-    "image_pgm": OutputKind(("image", "correlation", "ports"),
-                            _write_image_pgm),
+    "correlation_csv": OutputKind(("correlation",), _correlation_csv),
+    "ports_csv": OutputKind(("ports",), _ports_csv),
+    "image_pgm": OutputKind(("image", "correlation", "ports"), _image_pgm),
 }
 
 FIELDS = (
@@ -415,10 +417,18 @@ def export(result, kind, path):
     written top row first (descending y); constant data maps to zeros.
     All numbers use 17 significant digits.
     """
+    _write(result, kind, path)
+    return path
+
+
+def _write(result, kind, path):
+    """export's body; returns the bytes it wrote."""
     if kind not in OUTPUT_KINDS:
         raise ScenarioValidationError("outputs.kind", f"unknown kind {kind}")
-    OUTPUT_KINDS[kind].write(result, path)
-    return path
+    data = OUTPUT_KINDS[kind].render(result)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def run_scenario(config, out_dir=None, echo=print):
@@ -510,9 +520,8 @@ def run_scenario(config, out_dir=None, echo=print):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        export(results[source], kind, path)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        data = _write(results[source], kind, path)
+        digest = hashlib.sha256(data).hexdigest()
         files.append((path, digest))
         echo(f"wrote {path} sha256={digest}")
 

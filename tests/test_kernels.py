@@ -148,7 +148,7 @@ def test_large_chirp_phases_keep_their_rounding_error():
     # against exact rational arithmetic reduced modulo 2 pi
     beta = 0.123456789012345
     k = np.arange(28_000, 28_200)
-    got = _kernels._chirp(0.0, beta, k)
+    got = _kernels._chirp_table(beta, k[-1])[2][k]
     two_pi = Fraction("6.283185307179586476925286766559005768394")
     want = []
     for kk in k.tolist():
@@ -156,6 +156,60 @@ def test_large_chirp_phases_keep_their_rounding_error():
         t -= two_pi * math.floor(t / two_pi)
         want.append(np.exp(1j * float(t)))
     assert np.abs(got - np.array(want)).max() <= 1e-12
+
+
+def _three_chirp_sum(y, w, x, d, alpha, c):
+    """The lattice sum with q, p and r each from its own Dekker product and
+    two complex exponentials, as the plan built them before its chirps
+    came from one table; the reference for the table's bits."""
+    def chirp(phase, beta, k):
+        k2 = (k * k).astype(np.float64)
+        hi = beta * k2
+        b_hi, b_lo = _kernels._split(beta)
+        k_hi, k_lo = _kernels._split(k2)
+        lo = ((b_hi * k_hi - hi) + b_hi * k_lo + b_lo * k_hi) + b_lo * k_lo
+        return np.exp(1j * (phase + lo)) * np.exp(1j * hi)
+
+    n, m = y.shape[0], x.shape[0]
+    i0 = m // 2
+    j0 = int(np.clip(np.rint((x[i0] - y[0]) / w), 0, n - 1))
+    xc, yc = x[i0], y[j0]
+    beta = alpha * d * w
+    q = chirp(alpha * (x - yc) ** 2, -beta, np.arange(m) - i0)
+    p = chirp(alpha * ((y - xc) ** 2 - (yc - xc) ** 2), -beta,
+              np.arange(n) - j0)
+    r = chirp(0.0, beta, np.arange(-(m - 1), n) - (j0 - i0))
+    size = _kernels._fft_size(n + m - 1)
+    buf = np.zeros(size, dtype=np.complex128)
+    buf[:m] = c * q
+    buf = np.fft.ifft(np.fft.fft(buf) * np.fft.fft(r, size))
+    return p * buf[m - 1:m - 1 + n]
+
+
+@pytest.mark.parametrize("n, m, lo_y, lo_x, ratio, alpha", [
+    (300, 512, 0.0, -0.3e-3, 10.0, 1e10),     # even m, alpha > 0
+    (300, 511, 0.0, -0.3e-3, 10.0, -1e10),    # odd m, alpha < 0
+    (256, 97, 0.0, -2e-3, 3.0, 2e10),         # support left of y: j0 = 0
+    (256, 96, 0.0, 2e-3, 3.0, -2e10),         # right of y: j0 = n - 1
+    (1, 40, 1e-4, 0.0, 1.0, 5e9),             # one output point, w = d
+    (1, 41, 1e-4, 0.0, 1.0, -5e9),
+    (32768, 8000, -16e-3, -4e-3, 1.0, 4e11),  # beta k^2 up to 1.7e8 rad
+])
+def test_table_plan_gives_the_three_chirp_bits(n, m, lo_y, lo_x, ratio,
+                                                alpha):
+    rng = np.random.default_rng(n + m)
+    w = 1e-6
+    d = ratio * w
+    y = lo_y + np.arange(n) * w
+    x = lo_x + (np.arange(m) + 0.5) * d
+    c = rng.normal(size=m) + 1j * rng.normal(size=m)
+    got = _kernels._lattice_plan(y, w, x, d, alpha)(c)
+    assert got.tobytes() == _three_chirp_sum(y, w, x, d, alpha, c).tobytes()
+    if n == 32768:
+        # the taps reach |k| = 20766, beta k^2 = 1.7e8 rad > 2**27: there
+        # the rounding errors lo reach 1e-8 rad
+        lo = _kernels._chirp_table(alpha * d * w, 20_766)[0]
+        assert np.abs(lo).max() >= 1e-8
 
 
 def test_lattice_sum_takes_batches_of_coefficient_rows():
@@ -195,6 +249,14 @@ def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
         assert first.tobytes() == kept.tobytes()
         assert again.tobytes() == _kernels._lattice_plan(
             y, 2e-6, x, 2e-5, alpha)(np.conj(c)).tobytes()
+
+
+def test_fft_size_is_the_next_5_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(15) for b in range(10) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 20_000)
+    want = [smooth[np.searchsorted(smooth, n)] for n in range(1, 10_001)]
+    assert [_kernels._fft_size(n) for n in range(1, 10_001)] == want
 
 
 # ------------------------------------------------------ Fresnel integrals

@@ -377,6 +377,25 @@ def test_ports_csv_format(tmp_path):
         assert row[4] == row[1] + row[2]
 
 
+def test_csv_bytes_are_those_of_savetxt(tmp_path):
+    # the writer formats a file in one % operation; its bytes are those of
+    # np.savetxt with the same format, special values included
+    grid = make_grid(0.0, 1e-3, 6)
+    i_plus = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
+    i_minus = np.array([1e308, -0.0, 5e-324, np.nan, 0.1, -np.inf])
+    diff = np.array([-0.0, 5e-324, np.nan, 1e308, -np.inf, np.inf])
+    ports = PortIntensities(grid, i_plus=i_plus, i_minus=i_minus, diff=diff,
+                            background=i_plus + i_minus)
+    path = tmp_path / "p.csv"
+    export(ports, "ports_csv", str(path))
+    want = tmp_path / "want.csv"
+    np.savetxt(want, np.column_stack([grid.coordinates(), i_plus, i_minus,
+                                      diff, i_plus + i_minus]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="x_m,i_plus,i_minus,diff,sum")
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_pgm_export_constant_data(tmp_path):
     path = tmp_path / "flat.pgm"
     export(np.full(16, 7.25), "image_pgm", str(path))
