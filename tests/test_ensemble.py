@@ -5,6 +5,8 @@ Every statistical assertion runs under a frozen master seed, so the
 tolerances only need to clear the one realization that actually runs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,8 +17,8 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       ledger, make_grid, run_coherent, run_ensemble,
                       sample_source, uniform, vacuum)
 from wavecorr import _kernels
-from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
-                               reference_field)
+from wavecorr.ensemble import (_BATCH, _draw_values, _reference_arm,
+                               propagation_matrices, reference_field)
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -108,6 +110,30 @@ def test_batched_draws_are_the_per_realization_streams():
         assert np.array_equal(got[k], sigma * (a[0] + 1j * a[1]))
 
 
+def test_draws_into_caller_buffers_keep_their_bits():
+    # buffers longer than the block, reused across blocks, among them one
+    # crossing a batch boundary and a partial last batch: each row is
+    # bitwise a fresh call's, sample_source's and sigma * (a0 + 1j * a1)
+    n = 2 * _BATCH + 3
+    config = make_config(n=n, seed=2 ** 64 - 5,
+                         source_grid=make_grid(0.0, 0.005, 33))
+    sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))
+    out = np.full((_BATCH + 4, 33), np.nan, dtype=np.complex128)
+    raw = np.full((_BATCH + 4, 2, 33), np.nan)
+    blocks = ((0, _BATCH), (_BATCH - 7, _BATCH + 9), (2 * _BATCH, n))
+    for start, stop in blocks:
+        got = _draw_values(config, start, stop, out, raw)
+        assert got.shape == (stop - start, 33)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == _draw_values(config, start, stop).tobytes()
+        for k, i in enumerate(range(start, stop)):
+            bitgen = np.random.Philox(key=2 ** 64 - 5, counter=i << 64)
+            a = np.random.Generator(bitgen).standard_normal((2, 33))
+            assert got[k].tobytes() == (sigma * (a[0] + 1j * a[1])).tobytes()
+            assert got[k].tobytes() == \
+                sample_source(config, i).values.tobytes()
+
+
 def test_sample_source_is_deterministic_and_indexed():
     config = make_config(n=8)
     a = sample_source(config, 2).values
@@ -197,6 +223,32 @@ def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
                  (got.intensity_r, ir_sum / n),
                  (got.standard_error, np.sqrt(variance / n))):
         assert a.tobytes() == b.tobytes()
+
+
+def test_run_ensemble_peak_stays_within_its_workspace():
+    # a run holds its two matrices, the reference arm's plan (two chirps
+    # and the kernel spectrum) and one _BATCH-row workspace: the normal
+    # draws, the source and scaled rows, the object-node fields, E_o and
+    # the plan's E_r, |E_o|^2, |E_r|^2 and one scratch block, and the FFT
+    # buffer; its traced peak stays within 1.5x of those bytes
+    det = make_grid(0.0, 0.25e-3, 1024)
+    config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det,
+                            8 * _BATCH + 5, 20260816)
+    mats = propagation_matrices(config)
+    plan, _ = _reference_arm(config)
+    n_src, n_det, m = SOURCE_GRID.n_samples, det.n_samples, mats.t_object.size
+    row = 8 * 2 * n_src + 16 * 2 * n_src + 16 * m + 16 * 2 * n_det \
+        + 8 * 3 * n_det + 16 * plan.size
+    held = _BATCH * row + sum(a.nbytes for a in mats) \
+        + 16 * (n_src + n_det + plan.size)
+    del mats, plan
+    tracemalloc.start()
+    try:
+        run_ensemble(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * held
 
 
 def test_opaque_object_gives_exactly_zero_mean():
