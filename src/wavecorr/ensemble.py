@@ -10,31 +10,46 @@ therefore yields the same field bitwise on any worker layout, and the
 accumulation below runs in a fixed batch order, so a whole run is
 reproducible.
 
-Propagation inside a run applies two fixed matrices (source -> object
-plane, object plane -> detector) to batches of realizations, one row
-each. The reference arm maps the uniform source grid onto the uniform
-detector grid, so it is a chirp-z (Bluestein) convolution,
-O((n_det + n_src) log(n_det + n_src)) per realization in place of an
-n_det x n_src matrix product. A run builds its _kernels._lattice_plan
-once (chirps and kernel spectrum) and the results are bitwise those of
-a fresh plan applied to each batch on its own. The expectation of the
-resulting estimator equals the finite-source brute-force integral on
-the same nodes.
+The object arm is two fixed matrices, h1 (source -> object nodes, then
+the transmittance t) and H2 (object nodes -> detector); the reference
+arm A maps the uniform source grid onto the uniform detector grid, a
+chirp-z convolution (_kernels._lattice_plan, built once per run). Both
+arms are linear in the draws, so a run accumulates only their second
+moments. With s_k the draws of realization k and y_k = t * (h1 s_k) its
+field at the M object nodes, the batches sum
 
-A run allocates its whole workspace once, _BATCH = 32 rows of
+    G = sum_k conj(y_k) s_k^T (M x n_src),  YY = sum_k y_k conj(y_k)^T,
+    power = sum_k |fft(v_k)|^2,  v_k = scale exp(i alpha (x - y_c)^2) s_k,
 
-    16 n_src (normal draws) + 32 n_src (source and scaled rows)
-    + 16 M (object-node fields) + 16 n_det (E_o)
-    + 24 n_det (|E_o|^2, |E_r|^2, scratch) + 16 size (FFT buffer)
+the FFT zero-padded to L = _fft_size(2 n_src - 1), and once per run
 
-bytes, M the object nodes and size the plan's FFT length. A batch of b
-rows writes into their first b with out= ufuncs and matmuls in the
-operand order of the plain expressions, so each element keeps its bits.
-Besides it a run holds the two matrices, the plan and, per batch, the
-plan's E_r (16 n_det bytes a row), which the conjugate product then
-overwrites. At 512 source cells and 1024 detector points (M = 38)
-that is 2.8 MiB of workspace, 3.3 MiB with E_r, and a traced peak of
-4.5 MiB.
+* sum_k conj(E_r) E_o = rowsum(H2 * conj(A G^T)), one plan apply on
+  G's M rows;
+* sum_k |E_o|^2 = Re rowsum((H2 YY) * conj(H2));
+* sum_k |E_r[j]|^2 = sum_d rho_d exp(-2i beta jj d), rho = ifft(power)
+  the draws' summed autocorrelation (Wiener-Khinchin), one chirp-z over
+  unit lattices. Here y_c is the detector point j0 nearest the source's
+  middle, jj = j - j0 and beta = alpha dx_s dx_d, so that
+  |E_r[j]|^2 = |sum_i v_i exp(-2i beta jj i)|^2.
+
+No field on the detector grid is formed per realization. The sums
+equal the per-realization ones to rounding (about 2e-15 of each array's
+peak), and the mean's expectation is the finite-source brute-force
+integral on the same nodes. The draws are circular complex Gaussian and
+both arms linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point
+(the Gaussian moment theorem: Goodman, Statistical Optics, sec. 2.8;
+Reed, IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
+sqrt(intensity_o * intensity_r / n).
+
+The batches share one workspace of _BATCH = 32 rows of
+16 n_src (normal draws) + 16 n_src (source rows) + 32 M (node fields
+and their conjugates) + 16 L (FFT buffer) bytes, beside the sums and one
+batch's terms (32 M n_src + 32 M^2 + 16 L). It is freed before the
+once-per-run products, whose largest is the plan on G's M rows:
+16 M (size + n_det) bytes beside G, size the plan's FFT length. A run also holds
+the two matrices and the plan. At 512 source cells and 1024 detector
+points (M = 38) that is 1.7 MiB in the loop, 1.5 MiB after it, and a
+traced peak of 3.1 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -87,7 +102,13 @@ def _require_int(value, name):
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Averages over n_used realizations on the detector grid."""
+    """Averages over n_used realizations on the detector grid.
+
+    standard_error is sqrt(intensity_o * intensity_r / n_used), the
+    standard error of correlation_mean by the Gaussian moment theorem
+    (each realization's E_r* E_o has variance I_o I_r); a single
+    realization gives inf.
+    """
 
     correlation_mean: np.ndarray
     intensity_o: np.ndarray
@@ -183,21 +204,22 @@ def propagation_matrices(config):
 
 
 def _reference_arm(config):
-    """(plan, scale) of the reference arm: E_r of source rows src is
-    plan(src * scale).
+    """(plan, scale, alpha) of the reference arm: E_r of source rows src
+    is plan(src * scale).
 
     scale is the Fresnel kernel's amplitude times dx_s; plan is the
-    _kernels._lattice_plan from the source grid onto the detector grid.
+    _kernels._lattice_plan from the source grid onto the detector grid,
+    with the kernel's chirp rate alpha = k0 / (2 Zbar).
     """
     spec = config.spec
     led = spec.reference_ledger
     source, det = config.source_grid, config.detector_grid
     scale = kernel_scale(spec.ctx, led.optical_path,
                          led.diffraction_length) * source.spacing
-    plan = _kernels._lattice_plan(
-        det.coordinates(), det.spacing, source.coordinates(),
-        source.spacing, spec.ctx.k0 / (2.0 * led.diffraction_length))
-    return plan, scale
+    alpha = spec.ctx.k0 / (2.0 * led.diffraction_length)
+    plan = _kernels._lattice_plan(det.coordinates(), det.spacing,
+                                  source.coordinates(), source.spacing, alpha)
+    return plan, scale, alpha
 
 
 def reference_field(config, src):
@@ -207,78 +229,109 @@ def reference_field(config, src):
     grid, evaluated as one chirp-z convolution per row: both grids are
     uniform lattices.
     """
-    plan, scale = _reference_arm(config)
+    plan, scale, _ = _reference_arm(config)
     return plan(src * scale)
 
 
 def run_ensemble(config):
     """Average E_r* E_o, |E_o|^2, |E_r|^2 over all realizations.
 
-    Fixed batch width and in-order accumulation: rerunning the same
-    config reproduces the estimate bitwise. Every batch writes into one
-    workspace of _BATCH rows allocated here; a partial last batch uses
-    its first rows.
+    The batches accumulate second moments of the draws, which give the
+    three sums once per run (see the module docstring). Fixed batch
+    width and in-order accumulation: rerunning the same config
+    reproduces the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
     mats = propagation_matrices(config)
-    plan, scale = _reference_arm(config)
-    n_det = config.detector_grid.n_samples
-    n_src = config.source_grid.n_samples
+    plan, scale, alpha = _reference_arm(config)
+    source, det = config.source_grid, config.detector_grid
+    n_src, n_det = source.n_samples, det.n_samples
     n = config.n_realizations
-    h1_t = mats.source_to_object.T
-    h2_t = mats.object_to_detector.T
-    raw = np.empty((_BATCH, 2, n_src))
-    src, scaled = (np.empty((_BATCH, n_src), dtype=np.complex128)
-                   for _ in range(2))
-    y = np.empty((_BATCH, h1_t.shape[1]), dtype=np.complex128)
-    e_o = np.empty((_BATCH, n_det), dtype=np.complex128)
-    i_o, i_r, tmp = (np.empty((_BATCH, n_det)) for _ in range(3))
-    # the reference arm's FFT buffer
-    work = np.empty((_BATCH, plan.size), dtype=np.complex128)
-    corr_sum = np.zeros(n_det, dtype=np.complex128)
-    abs2_sum = np.zeros(n_det)
-    io_sum = np.zeros(n_det)
-    ir_sum = np.zeros(n_det)
-    for start in range(0, n, _BATCH):
-        b = min(_BATCH, n - start)
-        s = _draw_values(config, start, start + b, src, raw)
-        # each product keeps the operand order of
-        # e_o = (s @ h1_t * t_object) @ h2_t, so each element keeps its bits
-        yb = np.matmul(s, h1_t, out=y[:b])
-        yb *= mats.t_object
-        eo = np.matmul(yb, h2_t, out=e_o[:b])
-        e_r = plan(np.multiply(s, scale, out=scaled[:b]), work[:b])
-        io = _abs2(eo, i_o[:b], tmp[:b])
-        ir = _abs2(e_r, i_r[:b], tmp[:b])
-        # conj(E_r) * E_o, written over E_r
-        corr_sum += np.multiply(np.conjugate(e_r, out=e_r), eo,
-                                out=e_r).sum(axis=0)
-        # |E_r* E_o|^2 = |E_r|^2 |E_o|^2
-        abs2_sum += np.multiply(io, ir, out=tmp[:b]).sum(axis=0)
-        io_sum += io.sum(axis=0)
-        ir_sum += ir.sum(axis=0)
-        del e_r  # plan's result, freed before the next batch makes its own
-    mean = corr_sum / n
-    mean_abs2 = mean.real ** 2 + mean.imag ** 2
+    # the detector index origin j0 at the point nearest the source's
+    # middle, clipped to the grid, as in _lattice_plan
+    x_src, x_det = source.coordinates(), det.coordinates()
+    j0 = int(np.clip(np.rint((x_src[n_src // 2] - x_det[0]) / det.spacing),
+                     0, n_det - 1))
+    # sum_d rho_d exp(-2i beta jj d) is the modulus of the chirp-z sum
+    # sum_d rho_d exp(-i beta d^2) exp(i beta (jj - d)^2) over unit
+    # lattices; its plan, like the FFT length of _second_moments, is made
+    # before the workspace
+    lags = np.arange(1 - n_src, n_src)
+    beta = alpha * source.spacing * det.spacing
+    chirp = np.conjugate(_kernels._chirp_table(beta, n_src - 1)[2])
+    ir_plan = _kernels._lattice_plan(
+        np.arange(-j0, n_det - j0, dtype=np.float64), 1.0,
+        lags.astype(np.float64), 1.0, beta)
+    g, yy, power = _second_moments(
+        config, mats, scale * np.exp(1j * alpha * (x_src - x_det[j0]) ** 2))
+    h2 = mats.object_to_detector
+    # (A G^T)^T: one plan apply on the M rows of G
+    g *= scale
+    e_rg = plan(g)
+    corr_sum = np.einsum("jm,mj->j", h2, np.conjugate(e_rg, out=e_rg))
+    del e_rg
+    # the float views pair real with real and imaginary with imaginary
+    # parts: Re((H2 YY) * conj(H2)) summed over the nodes
+    io_sum = np.einsum("jk,jk->j", (h2 @ yy).view(np.float64),
+                       h2.view(np.float64))
+    rho = np.fft.ifft(power[0::2] + power[1::2])
+    ir_sum = np.abs(ir_plan(rho[lags] * chirp[np.abs(lags)]))
+    mean, i_o, i_r = corr_sum / n, io_sum / n, ir_sum / n
     if n > 1:
-        variance = np.maximum(abs2_sum / n - mean_abs2, 0.0) * n / (n - 1)
-        std_err = np.sqrt(variance / n)
+        std_err = np.sqrt(i_o * i_r / n)
     else:
         std_err = np.full(n_det, np.inf)
-    if np.all(std_err > np.sqrt(mean_abs2)):
+    if np.all(std_err > np.abs(mean)):
         warnings.warn(
             f"standard error exceeds |mean| everywhere at n = {n}; "
             "increase n_realizations", StatisticsWarning, stacklevel=2)
-    return EnsembleEstimate(mean, io_sum / n, ir_sum / n, std_err, n)
+    return EnsembleEstimate(mean, i_o, i_r, std_err, n)
 
 
-def _abs2(z, out, scratch):
-    """z.real ** 2 + z.imag ** 2 written into out, with scratch (float,
-    z's shape) for the second square."""
-    np.square(z.real, out=out)
-    out += np.square(z.imag, out=scratch)
-    return out
+def _second_moments(config, mats, weights):
+    """(G, YY, power) summed over all realizations, in batches of _BATCH.
+
+    With s a realization's draws and y = t_object * (h1 s) its field at
+    the object nodes: G = sum conj(y) s^T (M x n_source), YY = sum
+    y conj(y)^T (M x M) and power = sum |fft(weights * s, size)|^2,
+    size = _fft_size(2 n_source - 1), as the float pairs of its complex
+    bins. Every batch writes into one workspace of _BATCH rows allocated
+    here, a partial last batch into its first rows; it is freed on
+    return, before the caller's once-per-run products.
+    """
+    n = config.n_realizations
+    n_src = config.source_grid.n_samples
+    h1_t = mats.source_to_object.T
+    m = h1_t.shape[1]
+    size = _kernels._fft_size(2 * n_src - 1)
+    # numpy keeps each FFT length's twiddles for the life of the process;
+    # making them before the workspace keeps that block below it in the
+    # heap, so the workspace's memory is reusable once the run is done
+    np.fft.fft(np.zeros(size, dtype=np.complex128))
+    raw = np.empty((_BATCH, 2, n_src))
+    src = np.empty((_BATCH, n_src), dtype=np.complex128)
+    y, y_conj = (np.empty((_BATCH, m), dtype=np.complex128)
+                 for _ in range(2))
+    work = np.empty((_BATCH, size), dtype=np.complex128)
+    g, g_b = (np.zeros((m, n_src), dtype=np.complex128) for _ in range(2))
+    yy, yy_b = (np.zeros((m, m), dtype=np.complex128) for _ in range(2))
+    power = np.zeros(2 * size)
+    for start in range(0, n, _BATCH):
+        b = min(_BATCH, n - start)
+        s = _draw_values(config, start, start + b, src, raw)
+        yb = np.matmul(s, h1_t, out=y[:b])
+        yb *= mats.t_object
+        yc = np.conjugate(yb, out=y_conj[:b])
+        g += np.matmul(yc.T, s, out=g_b)
+        yy += np.matmul(yb.T, yc, out=yy_b)
+        v = work[:b]
+        np.multiply(s, weights, out=v[:, :n_src])
+        v[:, n_src:] = 0
+        np.fft.fft(v, out=v)
+        f = v.view(np.float64)
+        power += np.square(f, out=f).sum(axis=0)
+    return g, yy, power
 
 
 def run_coherent(spec, grid, pinhole_width=None):
