@@ -41,8 +41,8 @@ The ensemble's reference arm maps one uniform grid onto another, so it
 uses the chirp-z route directly, with one row of coefficients per source
 realization. _lattice_plan splits that route into the part fixed by the
 two lattices (the chirps and the kernel chirp's spectrum), computed once
-per run, and an apply step per batch of rows that can write its FFTs
-into the caller's buffer; chirp_sum applies one plan per run once.
+per run, and an apply step on rows of coefficients; chirp_sum applies
+one plan per run once.
 
 fresnel_steps(t) is the exact alternative to the quadrature for an
 object that is constant between edges: the kernel integral over one
@@ -120,7 +120,7 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts):
 def _lattice_plan(y, w, x, d, alpha):
     """sum_i c_i exp(i alpha (y_j - x_i)^2) for lattices y (step w) and
     x (step d), by one linear FFT convolution (Bluestein), as a function
-    apply(c, out=None) of the coefficients.
+    apply(c) of the coefficients.
 
     c may carry leading batch axes, (..., m); the sum runs over its last
     axis and the result is (..., n), one convolution per row. The chirps
@@ -129,10 +129,7 @@ def _lattice_plan(y, w, x, d, alpha):
     which bounds every |ii| and |jj|: the kernel chirp is the table's
     exp(i beta k^2) at |k|, and Q and P each add their alpha part to the
     table's -lo before one exponential, times the conjugate of
-    exp(i hi). `out`, a complex
-    (..., apply.size) array shaped like c's batch axes, holds the
-    zero-padded coefficients and both FFTs in place (one is allocated
-    without it, with the same bits); the result is a new array either way.
+    exp(i hi). apply leaves c untouched and returns a new array.
     """
     n, m = y.shape[0], x.shape[0]
     # index origins at the run's middle node xc and the output yc nearest
@@ -155,13 +152,11 @@ def _lattice_plan(y, w, x, d, alpha):
     size = _fft_size(n + m - 1)
     spectrum = np.fft.fft(r, size)
 
-    def apply(c, out=None):
+    def apply(c):
         # c * q goes straight into the zero-padded buffer and both FFTs run
-        # in place, so a batch allocates no padded copy; the operand order
-        # of each product is part of the result's bits (complex multiply
-        # is not bitwise commutative)
-        if out is None:
-            out = np.empty(np.shape(c)[:-1] + (size,), dtype=np.complex128)
+        # in place; the operand order of each product is part of the
+        # result's bits (complex multiply is not bitwise commutative)
+        out = np.empty(np.shape(c)[:-1] + (size,), dtype=np.complex128)
         np.multiply(c, q, out=out[..., :m])
         out[..., m:] = 0
         np.fft.fft(out, out=out)
@@ -169,7 +164,6 @@ def _lattice_plan(y, w, x, d, alpha):
         np.fft.ifft(out, out=out)
         return p * out[..., m - 1:m - 1 + n]
 
-    apply.size = size
     return apply
 
 

@@ -41,15 +41,11 @@ both arms linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point
 Reed, IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
 sqrt(intensity_o * intensity_r / n).
 
-The batches share one workspace of _BATCH = 32 rows of
-16 n_src (normal draws) + 16 n_src (source rows) + 32 M (node fields
-and their conjugates) + 16 L (FFT buffer) bytes, beside the sums and one
-batch's terms (32 M n_src + 32 M^2 + 16 L). It is freed before the
-once-per-run products, whose largest is the plan on G's M rows:
-16 M (size + n_det) bytes beside G, size the plan's FFT length. A run also holds
-the two matrices and the plan. At 512 source cells and 1024 detector
-points (M = 38) that is 1.7 MiB in the loop, 1.5 MiB after it, and a
-traced peak of 3.1 MiB.
+A run holds the two matrices, the plan and the sums; each batch of
+_BATCH = 32 realizations adds its draws, their node fields and their
+zero-padded spectra, and the largest once-per-run product, the plan on
+G's M rows, sets the peak. At 512 source cells and 1024 detector points
+(M = 38) a run's traced peak is 3.0 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -73,7 +69,11 @@ _BATCH = 32  # fixed batch width; part of the determinism contract
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """One reproducible Monte-Carlo run."""
+    """One reproducible Monte-Carlo run.
+
+    source_grid spans spec.source_width and is centred on the axis, the
+    source that brute force and the closed form integrate.
+    """
 
     spec: object
     source_grid: Grid
@@ -92,6 +92,10 @@ class EnsembleConfig:
         if abs(w - self.spec.source_width) > 1e-12 * self.spec.source_width:
             raise InvalidArgumentError(
                 "source_grid must span exactly spec.source_width")
+        # brute force, background_intensity and the closed form all take
+        # the source centred on the axis
+        if abs(self.source_grid.center) > 1e-12 * self.spec.source_width:
+            raise InvalidArgumentError("source_grid must be centred at 0")
 
 
 def _require_int(value, name):
@@ -116,45 +120,29 @@ class EnsembleEstimate:
     standard_error: np.ndarray
     n_used: int
 
-    def ghost_image(self):
-        """|correlation_mean|^2, a biased estimate of |C|^2.
 
-        For circular Gaussian fields each realization's E_r* E_o has
-        variance I_o I_r, so the expectation of |mean|^2 is
-        |C|^2 + I_o I_r / n. A two-detector coincidence measurement
-        records the intensity covariance <I_o I_r> - <I_o><I_r>, whose
-        expectation is |C|^2 itself; this is not that quantity.
-        """
-        m = self.correlation_mean
-        return m.real ** 2 + m.imag ** 2
-
-
-def _draw_values(config, start, stop, out=None, raw=None):
+def _draw_values(config, start, stop):
     """Raw complex samples of realizations start..stop-1, one row each
     (no validation).
 
     Row k draws exactly what a fresh Philox(key=master_seed,
     counter=(start + k) << 64) would: one bit generator is reset to that
-    counter, with an empty buffer, before each row. out, a complex
-    (>= stop - start, n_source) array, and raw, a float
-    (>= stop - start, 2, n_source) array for the normal draws, are
-    written in their first stop - start rows, and out's are returned;
-    each is allocated when not given, with the same bits.
+    counter, with an empty buffer, before each row.
     """
-    b, s = stop - start, config.source_grid.n_samples
+    s = config.source_grid.n_samples
     sigma = np.sqrt(config.spec.source_intensity
                     / (2.0 * config.source_grid.spacing))
     bitgen = np.random.Philox(key=config.master_seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh generator's: empty buffer
     counter = state["state"]["counter"]
-    a = np.empty((b, 2, s)) if raw is None else raw[:b]
+    a = np.empty((stop - start, 2, s))
     for k, i in enumerate(range(start, stop)):
         counter[1] = i  # the 256-bit counter i << 64, low word first
         bitgen.state = state
         gen.standard_normal(out=a[k])
     # the bits of sigma * (a0 + 1j * a1)
-    values = np.empty((b, s), dtype=np.complex128) if out is None else out[:b]
+    values = np.empty((stop - start, s), dtype=np.complex128)
     values.real = a[:, 0]
     values.imag = a[:, 1]
     values *= sigma
@@ -253,16 +241,6 @@ def run_ensemble(config):
     x_src, x_det = source.coordinates(), det.coordinates()
     j0 = int(np.clip(np.rint((x_src[n_src // 2] - x_det[0]) / det.spacing),
                      0, n_det - 1))
-    # sum_d rho_d exp(-2i beta jj d) is the modulus of the chirp-z sum
-    # sum_d rho_d exp(-i beta d^2) exp(i beta (jj - d)^2) over unit
-    # lattices; its plan, like the FFT length of _second_moments, is made
-    # before the workspace
-    lags = np.arange(1 - n_src, n_src)
-    beta = alpha * source.spacing * det.spacing
-    chirp = np.conjugate(_kernels._chirp_table(beta, n_src - 1)[2])
-    ir_plan = _kernels._lattice_plan(
-        np.arange(-j0, n_det - j0, dtype=np.float64), 1.0,
-        lags.astype(np.float64), 1.0, beta)
     g, yy, power = _second_moments(
         config, mats, scale * np.exp(1j * alpha * (x_src - x_det[j0]) ** 2))
     h2 = mats.object_to_detector
@@ -275,7 +253,16 @@ def run_ensemble(config):
     # parts: Re((H2 YY) * conj(H2)) summed over the nodes
     io_sum = np.einsum("jk,jk->j", (h2 @ yy).view(np.float64),
                        h2.view(np.float64))
+    # sum_d rho_d exp(-2i beta jj d) is the modulus of the chirp-z sum
+    # sum_d rho_d exp(-i beta d^2) exp(i beta (jj - d)^2) over unit
+    # lattices
     rho = np.fft.ifft(power[0::2] + power[1::2])
+    lags = np.arange(1 - n_src, n_src)
+    beta = alpha * source.spacing * det.spacing
+    chirp = np.conjugate(_kernels._chirp_table(beta, n_src - 1)[2])
+    ir_plan = _kernels._lattice_plan(
+        np.arange(-j0, n_det - j0, dtype=np.float64), 1.0,
+        lags.astype(np.float64), 1.0, beta)
     ir_sum = np.abs(ir_plan(rho[lags] * chirp[np.abs(lags)]))
     mean, i_o, i_r = corr_sum / n, io_sum / n, ir_sum / n
     if n > 1:
@@ -294,42 +281,27 @@ def _second_moments(config, mats, weights):
 
     With s a realization's draws and y = t_object * (h1 s) its field at
     the object nodes: G = sum conj(y) s^T (M x n_source), YY = sum
-    y conj(y)^T (M x M) and power = sum |fft(weights * s, size)|^2,
+    y conj(y)^T (M x M) and power = sum |fft(s * weights, size)|^2,
     size = _fft_size(2 n_source - 1), as the float pairs of its complex
-    bins. Every batch writes into one workspace of _BATCH rows allocated
-    here, a partial last batch into its first rows; it is freed on
-    return, before the caller's once-per-run products.
+    bins.
     """
     n = config.n_realizations
     n_src = config.source_grid.n_samples
     h1_t = mats.source_to_object.T
     m = h1_t.shape[1]
     size = _kernels._fft_size(2 * n_src - 1)
-    # numpy keeps each FFT length's twiddles for the life of the process;
-    # making them before the workspace keeps that block below it in the
-    # heap, so the workspace's memory is reusable once the run is done
-    np.fft.fft(np.zeros(size, dtype=np.complex128))
-    raw = np.empty((_BATCH, 2, n_src))
-    src = np.empty((_BATCH, n_src), dtype=np.complex128)
-    y, y_conj = (np.empty((_BATCH, m), dtype=np.complex128)
-                 for _ in range(2))
-    work = np.empty((_BATCH, size), dtype=np.complex128)
-    g, g_b = (np.zeros((m, n_src), dtype=np.complex128) for _ in range(2))
-    yy, yy_b = (np.zeros((m, m), dtype=np.complex128) for _ in range(2))
+    g = np.zeros((m, n_src), dtype=np.complex128)
+    yy = np.zeros((m, m), dtype=np.complex128)
     power = np.zeros(2 * size)
     for start in range(0, n, _BATCH):
-        b = min(_BATCH, n - start)
-        s = _draw_values(config, start, start + b, src, raw)
-        yb = np.matmul(s, h1_t, out=y[:b])
-        yb *= mats.t_object
-        yc = np.conjugate(yb, out=y_conj[:b])
-        g += np.matmul(yc.T, s, out=g_b)
-        yy += np.matmul(yb.T, yc, out=yy_b)
-        v = work[:b]
-        np.multiply(s, weights, out=v[:, :n_src])
-        v[:, n_src:] = 0
-        np.fft.fft(v, out=v)
-        f = v.view(np.float64)
+        s = _draw_values(config, start, min(start + _BATCH, n))
+        y = s @ h1_t
+        y *= mats.t_object
+        yc = np.conjugate(y)
+        g += yc.T @ s
+        yy += y.T @ yc
+        # the float view sums re^2 and im^2 of each bin apart
+        f = np.fft.fft(s * weights, size).view(np.float64)
         power += np.square(f, out=f).sum(axis=0)
     return g, yy, power
 

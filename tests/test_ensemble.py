@@ -17,8 +17,8 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       ledger, make_grid, run_coherent, run_ensemble,
                       sample_source, uniform, vacuum)
 from wavecorr import _kernels
-from wavecorr.ensemble import (_BATCH, _draw_values, _reference_arm,
-                               propagation_matrices, reference_field)
+from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
+                               reference_field)
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -53,6 +53,15 @@ def test_config_validation():
         make_config(seed=2 ** 64)
     with pytest.raises(InvalidArgumentError):
         make_config(source_grid=make_grid(0.0, 0.004, 512))
+    # brute force, background_intensity and the closed form all take the
+    # source centred on the axis; on this slit at z_o1 = 0.242 m (4000
+    # realizations, 1024 points over +-0.5 mm) an ensemble whose grid
+    # sits 4 mm off it is 5.9 standard errors from brute force at its
+    # worst point, against 2.1 when centred
+    for center in (1e-6, -4e-3, 20e-3):
+        with pytest.raises(InvalidArgumentError, match="centred"):
+            make_config(source_grid=make_grid(center, 0.005, 512))
+    make_config(source_grid=make_grid(1e-16, 0.005, 512))
 
 
 @pytest.mark.parametrize("n, seed", [
@@ -110,30 +119,6 @@ def test_batched_draws_are_the_per_realization_streams():
         assert np.array_equal(got[k], sigma * (a[0] + 1j * a[1]))
 
 
-def test_draws_into_caller_buffers_keep_their_bits():
-    # buffers longer than the block, reused across blocks, among them one
-    # crossing a batch boundary and a partial last batch: each row is
-    # bitwise a fresh call's, sample_source's and sigma * (a0 + 1j * a1)
-    n = 2 * _BATCH + 3
-    config = make_config(n=n, seed=2 ** 64 - 5,
-                         source_grid=make_grid(0.0, 0.005, 33))
-    sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))
-    out = np.full((_BATCH + 4, 33), np.nan, dtype=np.complex128)
-    raw = np.full((_BATCH + 4, 2, 33), np.nan)
-    blocks = ((0, _BATCH), (_BATCH - 7, _BATCH + 9), (2 * _BATCH, n))
-    for start, stop in blocks:
-        got = _draw_values(config, start, stop, out, raw)
-        assert got.shape == (stop - start, 33)
-        assert np.shares_memory(got, out)
-        assert got.tobytes() == _draw_values(config, start, stop).tobytes()
-        for k, i in enumerate(range(start, stop)):
-            bitgen = np.random.Philox(key=2 ** 64 - 5, counter=i << 64)
-            a = np.random.Generator(bitgen).standard_normal((2, 33))
-            assert got[k].tobytes() == (sigma * (a[0] + 1j * a[1])).tobytes()
-            assert got[k].tobytes() == \
-                sample_source(config, i).values.tobytes()
-
-
 def test_sample_source_is_deterministic_and_indexed():
     config = make_config(n=8)
     a = sample_source(config, 2).values
@@ -141,6 +126,17 @@ def test_sample_source_is_deterministic_and_indexed():
     c = sample_source(config, 3).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_draws_are_circular_in_every_cell():
+    # the standard error rests on circular draws, <s^2> = 0 in each cell;
+    # per cell |mean(s^2)| / mean(|s|^2) reads at most 0.082 over seeds
+    # 1-4, and 1 for real draws (imaginary part zeroed)
+    config = make_config(n=2048, seed=1,
+                         source_grid=make_grid(0.0, 0.005, 64))
+    s = _draw_values(config, 0, 2048)
+    ratio = np.abs((s * s).mean(axis=0)) / (np.abs(s) ** 2).mean(axis=0)
+    assert ratio.max() <= 0.2
 
 
 def test_source_moments():
@@ -271,27 +267,29 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
 
 def test_run_ensemble_peak_stays_within_its_workspace():
     # a run holds its two matrices and the reference arm's plan (two
-    # chirps and the kernel spectrum). Its batches share one _BATCH-row
-    # workspace: the normal draws, the source rows, the object-node
-    # fields and their conjugates, and the zero-padded FFT buffer; with
-    # them the accumulated moments G (and one batch's product), YY (and
-    # one batch's) and the summed power spectrum. That is freed before
-    # the run's products, whose largest is the plan on G's M rows: G, its
-    # FFT buffer and the result. The traced peak is the larger of the
-    # two, plus ufunc buffers
+    # chirps and the kernel spectrum). Its batches hold the accumulated
+    # moments G, YY and the summed power spectrum, and per-batch
+    # temporaries: the source rows and their weighted copy, the
+    # object-node fields and their conjugates, and the zero-padded
+    # spectrum. The run's products come after the loop, the largest the
+    # plan on G's M rows: G, its FFT buffer and the result. The traced
+    # peak is the larger of the two, plus ufunc buffers
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det,
                             8 * _BATCH + 5, 20260816)
     mats = propagation_matrices(config)
-    plan, _, _ = _reference_arm(config)
     n_src, n_det, m = SOURCE_GRID.n_samples, det.n_samples, mats.t_object.size
     size = _kernels._fft_size(2 * n_src - 1)
-    fixed = sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan.size)
-    loop = _BATCH * (16 * 2 * n_src + 16 * 2 * m + 16 * size) \
-        + 16 * 2 * m * n_src + 16 * 2 * m * m + 16 * size
-    products = 16 * m * (n_src + plan.size + n_det)
-    held = fixed + max(loop, products)
-    del mats, plan
+    plan_size = _kernels._fft_size(n_det + n_src - 1)
+    fixed = sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
+    accumulators = 16 * m * n_src + 16 * m * m + 16 * size
+    per_batch = _BATCH * (16 * 2 * n_src + 16 * 2 * m + 16 * size)
+    products = 16 * m * (n_src + plan_size + n_det)
+    held = fixed + max(accumulators + per_batch, products)
+    del mats
+    # numpy keeps each FFT length's twiddles for the life of the process;
+    # a first run makes them, so the traced run holds only its own arrays
+    run_ensemble(config)
     tracemalloc.start()
     try:
         run_ensemble(config)
@@ -305,19 +303,12 @@ def test_opaque_object_gives_exactly_zero_mean():
     res = run_ensemble(make_config(obj=uniform(0.0), n=4))
     assert np.all(res.correlation_mean == 0)
     assert np.all(res.intensity_o == 0)
-    assert np.all(res.ghost_image() == 0)
 
 
 def test_single_realization_has_infinite_standard_error():
     with pytest.warns(StatisticsWarning):
         res = run_ensemble(make_config(n=1))
     assert np.all(np.isinf(res.standard_error))
-
-
-def test_ghost_image_is_squared_modulus():
-    res = run_ensemble(make_config(n=16))
-    assert np.allclose(res.ghost_image(), np.abs(res.correlation_mean) ** 2,
-                       rtol=1e-12)
 
 
 def test_reference_intensity_matches_closed_form():

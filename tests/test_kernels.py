@@ -227,28 +227,25 @@ def test_lattice_sum_takes_batches_of_coefficient_rows():
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_lattice_plan_gives_the_lattice_sum_bits_with_and_without_out():
-    # the ensemble's reference arm applies one plan per run to every batch,
-    # writing both FFTs into a slice of one reused buffer; each apply has
-    # the bits of a fresh plan applied once
+def test_reused_lattice_plan_gives_a_fresh_plans_bits():
+    # chirp_sum and the ensemble build a plan once and apply it again;
+    # each apply has the bits of a fresh plan applied once, and leaves an
+    # earlier apply's result intact
     rng = np.random.default_rng(13)
     y = 3e-3 + (np.arange(300) - 149.5) * 2e-6
     x = (np.arange(512) - 255.5) * 2e-5
     alpha = np.pi / (589.3e-9 * 0.285)
     plan = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)
-    buf = np.empty((5, plan.size), dtype=np.complex128)
     rows = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
-    for c, out in ((rows[0], buf[0]), (rows[:3], buf[:3])):
-        want = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(c)
-        for got in (plan(c), plan(c, out=out)):
+    for c in (rows[0], rows[:3]):
+        first = plan(c)
+        kept = first.copy()
+        again = plan(np.conj(c))
+        assert first.tobytes() == kept.tobytes()
+        for got, coeffs in ((first, c), (again, np.conj(c))):
+            want = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(coeffs)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        first = plan(c, out=out)
-        kept = first.copy()
-        again = plan(np.conj(c), out=out)
-        assert first.tobytes() == kept.tobytes()
-        assert again.tobytes() == _kernels._lattice_plan(
-            y, 2e-6, x, 2e-5, alpha)(np.conj(c)).tobytes()
 
 
 def test_fft_size_is_the_next_5_smooth_length():
