@@ -1,48 +1,56 @@
 """Chirp quadrature and Fresnel integral kernels.
 
-chirp_sum(x_out, x_in, coeffs, alpha, counts) returns, for each output
-point,
+chirp_sum(x_out, x_in, coeffs, alpha, counts, steps) returns, for each
+output point,
 
     out[i] = sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2)
 
 which is the computational core of direct Fresnel quadrature (the caller
 folds kernel scale, global phase, and integration weights into coeffs
 and a scalar factor). x_out is a uniform lattice (a Grid's coordinates)
-and x_in is the nodes of propagation.midpoint_lattice, whose counts give
-the length of each uniform run, one per support interval. Each run is
-one chirp-z (Bluestein) convolution. With x_i = xc + i*d and
-y_j = yc + j*w,
+and x_in is the nodes of propagation.midpoint_lattice: uniform runs, one
+per support interval, whose counts and steps (the cell widths) the
+caller passes. Neighbouring runs of one count and one step, bitwise,
+form a group, and each group is one chirp-z (Bluestein) plan (Rabiner,
+Schafer and Rader, Bell Syst. Tech. J. 48:1249, 1969; Bluestein, IEEE
+Trans. Audio Electroacoust. 18:451, 1970). With x_i = xc + i*d the nodes
+of one run and y_j = yc + j*w the outputs,
 
-    alpha (x_i - y_j)^2 = Q(i) + P(j) + beta (i - j)^2,  beta = alpha d w,
+    alpha (y_j - x_i)^2 = Q(i) + P(j) + beta (j - i)^2,  beta = alpha d w,
 
 so a run is one zero-padded FFT convolution of coeffs * exp(iQ) with the
-chirp exp(i beta k^2), times exp(iP): O((N + m) log(N + m)) in place of
-the N*m terms of the definition. The index origins xc, yc sit at the
-run's middle and the output nearest it, which keeps the alpha-parts of
-Q and P small; the beta k^2 parts grow as the spacing ratio times the
-squared extent and are carried with their rounding error (Dekker's
-exact product). All three chirps depend on their index k only through
-beta k^2, and the chirp of -beta is the exact conjugate of that of beta,
-so a run builds one table over 0 <= k <= K, K < N + m the largest |k|
-the kernel's taps reach, and takes about 2K + N + m complex
-exponentials in all.
+kernel chirp exp(i beta k^2), times exp(iP): O((N + m) log(N + m)) in
+place of the N*m terms of the definition. The kernel depends only on
+beta and the index ranges, so the runs of a group share it: one output
+origin yc, the output nearest the middle of the runs, one table and one
+kernel spectrum, and one FFT each way over the group's rows, one row per
+run. Each run keeps its own Q and P, with xc its middle node. The
+beta k^2 parts grow as the spacing ratio times the squared extent and
+are carried with their rounding error (Dekker's exact product). All three chirps depend on their index k only
+through beta k^2, and the chirp of -beta is the exact conjugate of that
+of beta, so a plan builds one table over 0 <= k <= K, K < N + m the
+largest |k| the kernel's taps reach, and takes about 2K + R N + R m
+complex exponentials in all for R runs. A double slit or a pair of holes
+is two mirror-image runs of one count and one cell width, so it is one
+plan of two rows: five FFTs and one table where two plans take six
+FFTs and two tables.
 
 On a 4096-point detector over +-2 mm and a 125/300 um double slit, the
-route is within max|diff| / max|out| of 1e-13 of 80-bit
-extended-precision sums of the same terms at Z_eff = 0.8 mm (9.4k
-nodes; about 4 ms where the N*M terms one by one take 1.8 s on one
-x86-64 vCPU), 1e-12 at 0.1 mm (75k nodes) and 2e-11 at 5 um (1.5M nodes;
-0.5 s against an extrapolated 300 s). A double-precision sum of the
-terms one by one is off by 2e-13, 2e-12 and 6e-11 there: its error
+route is within max|diff| / max of 1.5e-13 of 80-bit extended-precision
+sums of the same terms at Z_eff = 0.8 mm (9.4k nodes; 3.8 ms), 1.1e-12 at
+0.1 mm (75k nodes; 15 ms) and 2.4e-11 at 5 um (1.5M nodes; 0.4 s), over
+every 64th output point on one x86-64 vCPU. A double-precision sum of the
+terms one by one is off by 5.8e-13, 6.0e-12 and 7.1e-11 there: its error
 grows as eps * alpha * u_max^2. The route is deterministic: the same
 inputs give the same bits.
 
 The ensemble's reference arm maps one uniform grid onto another, so it
 uses the chirp-z route directly, with one row of coefficients per source
 realization. _lattice_plan splits that route into the part fixed by the
-two lattices (the chirps and the kernel chirp's spectrum), computed once
-per run, and an apply step on rows of coefficients; chirp_sum applies
-one plan per run once.
+lattices (the chirps and the kernel chirp's spectrum), computed once,
+and an apply step on rows of coefficients; chirp_sum builds and applies
+one plan per group of runs, and the ensemble applies one single-lattice
+plan to all its rows.
 
 fresnel_steps(t) is the exact alternative to the quadrature for an
 object that is constant between edges: the kernel integral over one
@@ -72,6 +80,7 @@ The joins are the cell boundaries (k + 1/2)/8 and t = 6. Against
 the joins included. A negative or NaN t raises InvalidArgumentError.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -88,32 +97,49 @@ _FRESNEL_STEP = 0.125
 _TAYLOR_TERMS = 20
 
 
-def chirp_sum(x_out, x_in, coeffs, alpha, counts):
+def chirp_sum(x_out, x_in, coeffs, alpha, counts, steps):
     """sum_j coeffs[j] * exp(1j * alpha * (x_out[i] - x_in[j])**2) for
     each output point i.
 
     x_out is a uniform lattice (a Grid's coordinates) or a single point,
     and x_in is made of uniform runs of at least 2 nodes, one per entry of
-    counts, in order: counts[k] nodes each (midpoint_lattice's nodes and
-    counts), sum(counts) == len(x_in). Each run is one chirp-z
-    convolution onto x_out, with the steps (x[-1] - x[0]) / (n - 1) of
-    both lattices. An empty x_out or x_in gives zeros.
+    counts and steps, in order: counts[k] nodes steps[k] apart
+    (midpoint_lattice's counts and cell widths), sum(counts) ==
+    len(x_in). Neighbouring runs of equal count and bitwise-equal step
+    form a group, such as a double slit's two mirror-image runs; each
+    group is one _lattice_plan onto x_out, whose step is
+    (x_out[-1] - x_out[0]) / (N - 1). An empty x_out or x_in gives
+    zeros.
+
+    Temporaries, for a group of R runs of m nodes onto N points and
+    L = _fft_size(N + m - 1): the plan holds the R rows of P (16 R N
+    bytes) and the kernel spectrum (16 L), and the apply adds the R-row
+    FFT block (16 R L) and the group's sum (16 N). The chirp table (40 K
+    bytes for the kernel's |k| <= K) is freed once it has given the
+    spectrum and P's share of it, and P is built row by row through one
+    phase buffer (8 N), so the apply sets the peak.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     n_out = x_out.shape[0]
-    out = np.zeros(n_out, dtype=np.complex128)
     if x_in.shape[0] == 0 or n_out == 0:
-        return out
+        return np.zeros(n_out, dtype=np.complex128)
+    out = None
     start = 0
-    for m in counts:
-        x = x_in[start:start + m]
-        d = (x[-1] - x[0]) / (m - 1)
-        # any step spans a single output point; the run's keeps beta small
+    for (m, d), group in itertools.groupby(zip(counts, steps)):
+        runs = len(tuple(group))
+        stop = start + runs * m
+        # any step spans a single output point; the runs' keeps beta small
         w = (x_out[-1] - x_out[0]) / (n_out - 1) if n_out > 1 else d
-        out += _lattice_plan(x_out, w, x, d, alpha)(coeffs[start:start + m])
-        start += m
+        plan = _lattice_plan(x_out, w, x_in[start:stop].reshape(runs, m), d,
+                             alpha)
+        part = plan(coeffs[start:stop].reshape(runs, m))
+        if out is None:
+            out = part
+        else:
+            out += part
+        start = stop
     return out
 
 
@@ -122,47 +148,72 @@ def _lattice_plan(y, w, x, d, alpha):
     x (step d), by one linear FFT convolution (Bluestein), as a function
     apply(c) of the coefficients.
 
-    c may carry leading batch axes, (..., m); the sum runs over its last
-    axis and the result is (..., n), one convolution per row. The chirps
-    and the kernel spectrum are computed here, once, from one
-    _chirp_table over the largest |k| of the kernel's taps k = jj - ii,
-    which bounds every |ii| and |jj|: the kernel chirp is the table's
-    exp(i beta k^2) at |k|, and Q and P each add their alpha part to the
-    table's -lo before one exponential, times the conjugate of
-    exp(i hi). apply leaves c untouched and returns a new array.
+    x is one lattice of m nodes, (m,), or R lattices of m nodes and one
+    step d, (R, m). c has x's shape after any leading batch axes; the sum
+    runs over its last axis and over the R lattices, so the result is
+    (..., n). The plan has one output origin, the point of y nearest the
+    middle of the lattices, one _chirp_table over the largest |k| of the
+    kernel's taps k = jj - ii, which bounds every |ii| and |jj|, and one
+    kernel spectrum, the table's exp(i beta k^2) at |k|. Each lattice has
+    its own Q and P, each adding its alpha part to the table's -lo before
+    one exponential, times the conjugate of exp(i hi). apply runs the R
+    rows through one FFT each way, multiplies each row by its P and adds
+    the rows in place; it leaves c untouched and returns a new array. For
+    one lattice that is a single row, with the bits of a plan over x
+    alone.
     """
-    n, m = y.shape[0], x.shape[0]
-    # index origins at the run's middle node xc and the output yc nearest
-    # it: x_i = xc + ii d, y_j = yc + jj w
+    n = y.shape[0]
+    lattices = x.reshape(-1, x.shape[-1])
+    runs, m = lattices.shape
+    # index origins at each lattice's middle node xc and at the output yc
+    # nearest the middle of the lattices: x_i = xc + ii d, y_j = yc + jj w
     i0 = m // 2
-    j0 = int(np.clip(np.rint((x[i0] - y[0]) / w), 0, n - 1))
-    xc, yc = x[i0], y[j0]
+    xc = lattices[:, i0]
+    j0 = int(np.clip(np.rint((0.5 * (xc[0] + xc[-1]) - y[0]) / w), 0, n - 1))
+    yc = y[j0]
     beta = alpha * d * w
     # the kernel's taps k = jj - ii; every |ii| and |jj| is within theirs
-    k = np.arange(-(m - 1), n) - (j0 - i0)
-    lo, e_hi, e = _chirp_table(beta, max(-k[0], k[-1]))
+    k = np.abs(np.arange(-(m - 1), n) - (j0 - i0))
+    lo, e_hi, e = _chirp_table(beta, k.max())
+    size = _fft_size(n + m - 1)
+    spectrum = np.fft.fft(e[k], size)
+    del e, k
     # Q(i) = alpha (x_i - yc)^2 - beta ii^2,
     # P(j) = alpha ((y_j - xc)^2 - (yc - xc)^2) - beta jj^2
     ki = np.abs(np.arange(m) - i0)
+    q = (np.exp(1j * (alpha * (lattices - yc) ** 2 - lo[ki]))
+         * np.conj(e_hi[ki]))
     kj = np.abs(np.arange(n) - j0)
-    q = np.exp(1j * (alpha * (x - yc) ** 2 - lo[ki])) * np.conj(e_hi[ki])
-    p = (np.exp(1j * (alpha * ((y - xc) ** 2 - (yc - xc) ** 2) - lo[kj]))
-         * np.conj(e_hi[kj]))
-    r = e[np.abs(k)]
-    size = _fft_size(n + m - 1)
-    spectrum = np.fft.fft(r, size)
+    lo, e_hi = lo[kj], np.conj(e_hi[kj])
+    # each lattice's P is built in its row of p through one phase buffer,
+    # in the order of operations of the formula above
+    p = np.empty((runs, n), dtype=np.complex128)
+    phase = np.empty(n)
+    for row, x0 in zip(p, xc):
+        np.square(np.subtract(y, x0, out=phase), out=phase)
+        phase -= (yc - x0) ** 2
+        phase *= alpha
+        phase -= lo
+        np.exp(np.multiply(1j, phase, out=row), out=row)
+        row *= e_hi
 
     def apply(c):
-        # c * q goes straight into the zero-padded buffer and both FFTs run
+        # c * q goes straight into the zero-padded block and both FFTs run
         # in place; the operand order of each product is part of the
         # result's bits (complex multiply is not bitwise commutative)
-        out = np.empty(np.shape(c)[:-1] + (size,), dtype=np.complex128)
-        np.multiply(c, q, out=out[..., :m])
+        lead = np.shape(c)[:np.ndim(c) - x.ndim]
+        out = np.empty(lead + (runs, size), dtype=np.complex128)
+        np.multiply(np.reshape(c, lead + (runs, m)), q, out=out[..., :m])
         out[..., m:] = 0
         np.fft.fft(out, out=out)
         out *= spectrum
         np.fft.ifft(out, out=out)
-        return p * out[..., m - 1:m - 1 + n]
+        rows = out[..., m - 1:m - 1 + n]
+        total = p[0] * rows[..., 0, :]
+        for r in range(1, runs):
+            np.multiply(p[r], rows[..., r, :], out=rows[..., r, :])
+            total += rows[..., r, :]
+        return total
 
     return apply
 

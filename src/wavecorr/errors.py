@@ -27,7 +27,9 @@ class DegenerateGeometryError(WaveCorrError):
 
 
 class ResolutionError(WaveCorrError):
-    """Detector grid too coarse to resolve the object's smallest feature."""
+    """The geometry cannot be resolved here: the detector grid is too
+    coarse for the object's smallest feature, or the quadrature would need
+    more nodes than propagation.MAX_NODES."""
 
 
 class NegativeIntensityError(WaveCorrError):

@@ -207,8 +207,11 @@ def correlation_analytic(spec, grid):
         nodes, weights, counts = chirp_nodes(
             support, obj.min_feature(), spec.ctx.wavelength, z_eff, u_max)
         coeffs = obj.sample(nodes) * weights
+        # each run's step is its cell width, bitwise the same for the
+        # mirror-image intervals of a double slit or a pair of holes
+        steps = weights[np.cumsum(counts) - counts]
         pattern = kernel_scale(spec.ctx, z_arg, z_eff) * _kernels.chirp_sum(
-            x, nodes, coeffs, k0 / (2.0 * z_eff), counts)
+            x, nodes, coeffs, k0 / (2.0 * z_eff), counts, steps)
     return CorrelationResult(grid, pref * pattern, z_eff, pref)
 
 

@@ -20,7 +20,8 @@ kernel above it (Voelz and Roggemann, Appl. Opt. 48, 6132 (2009)).
 
 import numpy as np
 
-from .errors import DegenerateKernelError, InvalidArgumentError
+from .errors import (DegenerateKernelError, InvalidArgumentError,
+                     ResolutionError)
 from .grid import ComplexField
 
 # chirp phase advance per quadrature node <= 2*pi / _CHIRP_OVERSAMPLE
@@ -83,13 +84,14 @@ def midpoint_lattice(intervals, step, min_count):
     Each interval gets m = max(ceil((hi - lo) / step), min_count) cells
     of width (hi - lo) / m. Returns (nodes, weights, counts): weights are
     the per-node cell widths and counts the m of each interval, so the
-    nodes are one uniform run per interval, in order. Raises if the
-    lattice would exceed MAX_NODES.
+    nodes are one uniform run per interval, in order. Raises
+    ResolutionError if the lattice would exceed MAX_NODES: the input is
+    valid, only too costly to resolve.
     """
     counts = [max(int(np.ceil((hi - lo) / step)), min_count)
               for lo, hi in intervals]
     if sum(counts) > MAX_NODES:
-        raise InvalidArgumentError(
+        raise ResolutionError(
             f"quadrature would need {sum(counts)} nodes (cap {MAX_NODES}); "
             "reduce the extents")
     nodes = []
@@ -112,7 +114,8 @@ def chirp_nodes(intervals, min_feature, wavelength, zbar, u_max):
 
     Returns (nodes, weights, counts) as midpoint_lattice does; a support
     of no total width gives no nodes and a zero count per interval.
-    Raises if the cap is exceeded (geometry needs a coarser request).
+    Raises ResolutionError if the cap is exceeded (geometry needs a
+    coarser request).
     """
     steps = []
     if min_feature is not None:

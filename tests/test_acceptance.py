@@ -134,7 +134,8 @@ def test_criterion_05_phase_reversal_identity():
                                          CTX.wavelength, res.z_eff, u_max)
     ze = abs(res.z_eff)
     forward = kernel_scale(CTX, 0.0, ze) * chirp_sum(
-        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts)
+        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts,
+        weights[np.cumsum(counts) - counts])
     normalized = res.correlation / res.prefactor
     rel = (np.linalg.norm(normalized - np.conj(forward))
            / np.linalg.norm(forward))

@@ -299,6 +299,21 @@ def test_run_ensemble_peak_stays_within_its_workspace():
     assert held <= peak <= 1.25 * held
 
 
+def test_run_ensemble_builds_two_single_lattice_plans(monkeypatch):
+    # the reference arm's plan and intensity_r's, each over one lattice,
+    # plus the lag chirp intensity_r's coefficients take: three tables
+    plans, tables = [], []
+    plan, table = _kernels._lattice_plan, _kernels._chirp_table
+    monkeypatch.setattr(_kernels, "_lattice_plan",
+                        lambda *a: plans.append(a[2].shape) or plan(*a))
+    monkeypatch.setattr(_kernels, "_chirp_table",
+                        lambda *a: tables.append(a) or table(*a))
+    run_ensemble(make_config(n=4))
+    assert plans == [(SOURCE_GRID.n_samples,),
+                     (2 * SOURCE_GRID.n_samples - 1,)]
+    assert len(tables) == 3
+
+
 def test_opaque_object_gives_exactly_zero_mean():
     res = run_ensemble(make_config(obj=uniform(0.0), n=4))
     assert np.all(res.correlation_mean == 0)

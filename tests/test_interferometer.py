@@ -23,6 +23,7 @@ import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 import wavecorr
+from wavecorr import _kernels
 from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
                       background_intensity, correlation_analytic,
                       correlation_analytic_2d, correlation_brute_force,
@@ -227,7 +228,8 @@ def test_negative_z_eff_conjugates_the_forward_integral():
                                          CTX.wavelength, spec.z_eff, u_max)
     ze = abs(spec.z_eff)
     forward = kernel_scale(CTX, 0.0, ze) * chirp_sum(
-        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts)
+        x, nodes, SLIT.sample(nodes) * weights, CTX.k0 / (2 * ze), counts,
+        weights[np.cumsum(counts) - counts])
     normalized = res.correlation / res.prefactor
     scale = np.abs(forward).max()
     assert np.abs(normalized - np.conj(forward)).max() <= 1e-12 * scale
@@ -265,16 +267,45 @@ def test_near_focus_matches_the_explicit_midpoint_sum():
         pattern = res.correlation / res.prefactor
         scale = np.abs(pattern).max()
         assert np.abs(pattern[idx] - want).max() <= 1e-10 * scale
-        patterns[z] = (spec, nodes, coeffs, counts, pattern)
+        patterns[z] = (spec, nodes, weights, coeffs, counts, pattern)
 
     # the phase-reversed side is the conjugate of the forward quadrature
     # at +|Z_eff| over the same nodes
-    spec, nodes, coeffs, counts, pattern = patterns[-0.8e-3]
+    spec, nodes, weights, coeffs, counts, pattern = patterns[-0.8e-3]
     ze = abs(spec.z_eff)
     forward = kernel_scale(CTX, -spec.path_mismatch, ze) * chirp_sum(
-        x, nodes, coeffs, CTX.k0 / (2 * ze), counts)
+        x, nodes, coeffs, CTX.k0 / (2 * ze), counts,
+        weights[np.cumsum(counts) - counts])
     scale = np.abs(forward).max()
     assert np.abs(pattern - np.conj(forward)).max() <= 1e-12 * scale
+
+
+def test_one_chirp_plan_per_correlation(monkeypatch):
+    # the two runs of a double slit or a pair of holes are mirror images,
+    # of one count and one cell width, so chirp_sum sums them through one
+    # plan: one chirp table per call
+    calls = []
+    table = _kernels._chirp_table
+    monkeypatch.setattr(_kernels, "_chirp_table",
+                        lambda *a: calls.append(a) or table(*a))
+    grid = make_grid(0.0, 2e-3, 4096)
+    # fig4a, fig4e, and holes on the phase-reversed side
+    for z_o1, obj in ((0.310, SLIT), (0.106, SLIT),
+                      (0.242, phase_holes(60e-6, 200e-6, 2.0))):
+        calls.clear()
+        correlation_analytic(make_spec(z_o1, obj), grid)
+        assert len(calls) == 1
+    # at fig4e's geometry the steps (x[-1] - x[0]) / (m - 1) of the two
+    # 9-node runs are 1 ulp apart; the cell widths are bitwise equal
+    x = grid.coordinates()
+    support = SLIT.support()
+    u_max = max(abs(x[0] - support[-1][1]), abs(x[-1] - support[0][0]))
+    nodes, weights, counts = chirp_nodes(
+        support, SLIT.min_feature(), CTX.wavelength,
+        make_spec(0.106, SLIT).z_eff, u_max)
+    assert counts == [9, 9] and weights[0] == weights[-1]
+    spans = nodes[[8, 17]] - nodes[[0, 9]]
+    assert spans[0] / 8 != spans[1] / 8
 
 
 BRUTE_CONFIGS = [

@@ -1,15 +1,18 @@
 """Checks for the chirp quadrature core and the Fresnel integrals.
 
 chirp_sum takes a uniform x_out and x_in as the uniform runs its counts
-name, and sums each run as one chirp-z convolution. It must match the
-explicit sum of its terms on detector-like lattices, short runs of 8 or
-9 nodes and one- and two-point outputs included; be deterministic; conjugate
-under a negative curvature; and give zeros or nothing on empty input.
+and steps name, and sums each group of neighbouring runs of one count and
+one step through one chirp-z plan. It must match the explicit sum of its
+terms on detector-like lattices, short runs of 8 or 9 nodes, mirror-image
+pairs and one- and two-point outputs included; be deterministic;
+conjugate under a negative curvature; hold no more than its stated
+temporaries; and give zeros or nothing on empty input.
 fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
 integrals, across every join of fresnel_g's pieces too.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -31,35 +34,36 @@ def _case(n_out, runs, seed):
     x_in = np.concatenate([lo + (np.arange(m) + 0.5) * 3e-6
                            for lo, m in runs])
     coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
-    return x_out, x_in, coeffs, 1.8e10, [m for _, m in runs]
+    counts = [m for _, m in runs]
+    return x_out, x_in, coeffs, 1.8e10, counts, [3e-6] * len(runs)
 
 
 def test_backend_is_deterministic():
-    x_out, x_in, coeffs, alpha, counts = _case(
+    x_out, x_in, coeffs, alpha, counts, steps = _case(
         513, [(-0.4e-3, 301), (0.1e-3, 9)], seed=11)
-    a = chirp_sum(x_out, x_in, coeffs, alpha, counts)
-    b = chirp_sum(x_out, x_in, coeffs, alpha, counts)
+    a = chirp_sum(x_out, x_in, coeffs, alpha, counts, steps)
+    b = chirp_sum(x_out, x_in, coeffs, alpha, counts, steps)
     assert a.tobytes() == b.tobytes()
 
 
 def test_empty_input_gives_zeros():
     out = chirp_sum(np.linspace(0, 1, 5), np.empty(0), np.empty(0, complex),
-                    1.0, [0, 0])
+                    1.0, [0, 0], [0.0, 0.0])
     assert out.shape == (5,)
     assert np.all(out == 0)
 
 
 def test_empty_output_gives_empty():
     out = chirp_sum(np.empty(0), np.linspace(0, 1, 5), np.ones(5, complex),
-                    1.0, [5])
+                    1.0, [5], [0.25])
     assert out.shape == (0,)
 
 
 def test_negative_alpha_conjugates():
-    x_out, x_in, coeffs, alpha, counts = _case(
+    x_out, x_in, coeffs, alpha, counts, steps = _case(
         64, [(-0.1e-3, 48), (0.02e-3, 8)], seed=3)
-    plus = chirp_sum(x_out, x_in, coeffs, alpha, counts)
-    minus = chirp_sum(x_out, x_in, np.conj(coeffs), -alpha, counts)
+    plus = chirp_sum(x_out, x_in, coeffs, alpha, counts, steps)
+    minus = chirp_sum(x_out, x_in, np.conj(coeffs), -alpha, counts, steps)
     assert np.allclose(minus, np.conj(plus), rtol=1e-12, atol=0)
 
 
@@ -88,6 +92,21 @@ def _explicit(x_out, x_in, coeffs, alpha):
 # the fewest output points, a Grid's minimum
 @example(n=2, runs=[(8, 1.0, 0.0), (300, 0.5, 0.7)], phase=50.0, sign=1.0,
          seed=4)
+# mirror-image runs of one count and one step: one plan of two rows, on
+# either sign of alpha, down to two output points, and next to a run of
+# its own; runs of one count and two steps take a plan each
+@example(n=4096, runs=[(600, 0.5, -0.4), (600, 0.5, 0.4)], phase=1e4,
+         sign=1.0, seed=5)
+@example(n=4096, runs=[(600, 0.5, -0.4), (600, 0.5, 0.4)], phase=1e4,
+         sign=-1.0, seed=6)
+@example(n=2, runs=[(8, 1.0, -0.3), (8, 1.0, 0.3)], phase=50.0, sign=-1.0,
+         seed=7)
+@example(n=2, runs=[(300, 0.5, -0.7), (300, 0.5, 0.7)], phase=50.0,
+         sign=1.0, seed=8)
+@example(n=1024, runs=[(40, 2.0, -0.2), (40, 2.0, 0.2), (9, 14.2, 0.5)],
+         phase=3e3, sign=-1.0, seed=9)
+@example(n=1024, runs=[(40, 2.0, -0.2), (40, 3.0, 0.2)], phase=3e3,
+         sign=1.0, seed=10)
 def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
     # detector-like output lattice (1 um pitch around a center) and
     # midpoint runs of m >= 8 nodes (chirp_nodes' minimum) with step ratio
@@ -105,7 +124,8 @@ def test_lattice_inputs_match_the_definition(n, runs, phase, sign, seed):
     coeffs = rng.normal(size=x_in.size) + 1j * rng.normal(size=x_in.size)
     u_max = max(abs(x_out[-1] - x_in.min()), abs(x_in.max() - x_out[0]))
     alpha = sign * phase / u_max ** 2
-    got = chirp_sum(x_out, x_in, coeffs, alpha, [m for m, _, _ in runs])
+    got = chirp_sum(x_out, x_in, coeffs, alpha, [m for m, _, _ in runs],
+                    [ratio * w for _, ratio, _ in runs])
     idx = np.unique(np.linspace(0, n - 1, 48).astype(int))
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
@@ -120,7 +140,8 @@ def test_lattice_inputs_with_1e5_nodes_match_the_definition():
     x_in = np.concatenate(runs)
     coeffs = np.full(x_in.size, 2.5e-9 + 0j)
     alpha = 2 * np.pi / 589.3e-9 / (2 * 1e-4)
-    got = chirp_sum(x_out, x_in, coeffs, alpha, [50_000, 50_000])
+    got = chirp_sum(x_out, x_in, coeffs, alpha, [50_000, 50_000],
+                    [2.5e-9, 2.5e-9])
     idx = np.arange(0, 4096, 64)
     want = _explicit(x_out[idx], x_in, coeffs, alpha)
     assert np.abs(got[idx] - want).max() <= 1e-10 * np.abs(got).max()
@@ -137,10 +158,36 @@ def test_short_runs_and_single_points_take_the_blocked_loop():
     coeffs = rng.normal(size=18) + 1j * rng.normal(size=18)
     alpha = 1e4 / 1e-3 ** 2
     for xo in (x_out, x_out[100:101], x_out[-1:]):
-        got = chirp_sum(xo, x_in, coeffs, alpha, [9, 9])
+        got = chirp_sum(xo, x_in, coeffs, alpha, [9, 9], [1e-5, 1e-5])
         want = _explicit(xo, x_in, coeffs, alpha)
         assert got.shape == xo.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_chirp_sum_peak_stays_within_its_temporaries():
+    # defocus_sweep's far-field op: a double slit's two mirror-image runs
+    # of m nodes on N = 32,768 points, one plan of R = 2 rows. The plan
+    # holds P and the kernel spectrum, its apply the R-row FFT block and
+    # the sum; the chirp table is gone before the block is made
+    n, m, runs = 32768, 114, 2
+    x_out = (np.arange(n) - n // 2) * (4e-3 / n)
+    d = 125e-6 / m
+    x_in = np.concatenate([lo + (np.arange(m) + 0.5) * d
+                           for lo in (-212.5e-6, 87.5e-6)])
+    coeffs = np.full(runs * m, d + 0j)
+    alpha = np.pi / (589.3e-9 * 32e-3)
+    size = _kernels._fft_size(n + m - 1)
+    held = 16 * (runs * n + size + runs * size + n)
+    # numpy keeps each FFT length's twiddles for the life of the process;
+    # a first call makes them, so the traced call holds only its own arrays
+    chirp_sum(x_out, x_in, coeffs, alpha, [m, m], [d, d])
+    tracemalloc.start()
+    try:
+        chirp_sum(x_out, x_in, coeffs, alpha, [m, m], [d, d])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= peak <= 1.25 * held
 
 
 def test_large_chirp_phases_keep_their_rounding_error():
