@@ -41,11 +41,12 @@ both arms linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point
 Reed, IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
 sqrt(intensity_o * intensity_r / n).
 
-A run holds the two matrices, the plan and the sums; each batch of
-_BATCH = 32 realizations adds its draws, their node fields and their
-zero-padded spectra, and the largest once-per-run product, the plan on
-G's M rows, sets the peak. At 512 source cells and 1024 detector points
-(M = 38) a run's traced peak is 3.0 MiB.
+A run holds the two matrices, the plan, the sums and buffers that every
+batch reuses: _BATCH = 128 source rows, and the normals and the
+zero-padded FFT block of one draw call of _CHUNK = 32 rows. Each batch
+adds its node fields and one conj(Y)^T S product; the loop, not the
+once-per-run plan on G's M rows, sets the peak. At 512 source cells and
+1024 detector points (M = 38) a run's traced peak is 3.8 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -64,7 +65,9 @@ from .grid import ComplexField, Grid
 from .interferometer import PortIntensities, _object_nodes
 from .propagation import fresnel_kernel, kernel_scale, propagate
 
-_BATCH = 32  # fixed batch width; part of the determinism contract
+# fixed batch width and draw-call width; part of the determinism contract
+_BATCH = 128
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -121,32 +124,48 @@ class EnsembleEstimate:
     n_used: int
 
 
-def _draw_values(config, start, stop):
+def _draw_values(config, start, stop, out=None, raw=None, stream=None,
+                 scaled=True):
     """Raw complex samples of realizations start..stop-1, one row each
     (no validation).
 
     Row k draws exactly what a fresh Philox(key=master_seed,
     counter=(start + k) << 64) would: one bit generator is reset to that
-    counter, with an empty buffer, before each row.
+    counter, with an empty buffer, before each row. Each row is sigma *
+    (a0 + 1j * a1) of its two standard-normal blocks, or a0 + 1j * a1
+    with scaled=False. out, a complex (>= stop - start, n_source) array,
+    and raw, a float (>= stop - start, 2, n_source) one for the normals,
+    are written in their first stop - start rows, and out's are
+    returned; stream is _stream(config). Each is made when not given,
+    with the same bits.
     """
-    s = config.source_grid.n_samples
-    sigma = np.sqrt(config.spec.source_intensity
-                    / (2.0 * config.source_grid.spacing))
-    bitgen = np.random.Philox(key=config.master_seed)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh generator's: empty buffer
+    b, s = stop - start, config.source_grid.n_samples
+    gen, state = _stream(config) if stream is None else stream
     counter = state["state"]["counter"]
-    a = np.empty((stop - start, 2, s))
+    a = np.empty((b, 2, s)) if raw is None else raw[:b]
     for k, i in enumerate(range(start, stop)):
         counter[1] = i  # the 256-bit counter i << 64, low word first
-        bitgen.state = state
+        gen.bit_generator.state = state
         gen.standard_normal(out=a[k])
-    # the bits of sigma * (a0 + 1j * a1)
-    values = np.empty((stop - start, s), dtype=np.complex128)
+    values = np.empty((b, s), dtype=np.complex128) if out is None else out[:b]
     values.real = a[:, 0]
     values.imag = a[:, 1]
-    values *= sigma
+    if scaled:
+        values *= _sigma(config)
     return values
+
+
+def _stream(config):
+    """(generator, state): a Philox generator keyed by master_seed and
+    its fresh state (empty buffer), which _draw_values resets per row."""
+    gen = np.random.Generator(np.random.Philox(key=config.master_seed))
+    return gen, gen.bit_generator.state
+
+
+def _sigma(config):
+    """Standard deviation of each draw's real and imaginary parts."""
+    return np.sqrt(config.spec.source_intensity
+                   / (2.0 * config.source_grid.spacing))
 
 
 def sample_source(config, realization_index):
@@ -284,25 +303,44 @@ def _second_moments(config, mats, weights):
     y conj(y)^T (M x M) and power = sum |fft(s * weights, size)|^2,
     size = _fft_size(2 n_source - 1), as the float pairs of its complex
     bins.
+
+    The draws stay unscaled: sigma and t_object are folded into h1 and
+    sigma into weights once per run, and G takes sigma at the end. Every
+    batch reuses the run's buffers: _BATCH source rows, and the normals
+    and the zero-padded FFT block of one _CHUNK-row draw call each.
     """
     n = config.n_realizations
     n_src = config.source_grid.n_samples
-    h1_t = mats.source_to_object.T
+    sigma = _sigma(config)
+    h1_t = mats.source_to_object.T * (sigma * mats.t_object)
+    weights = weights * sigma
     m = h1_t.shape[1]
     size = _kernels._fft_size(2 * n_src - 1)
+    stream = _stream(config)
+    rows = np.empty((_BATCH, n_src), dtype=np.complex128)
+    raw = np.empty((_CHUNK, 2, n_src))
+    block = np.empty((_CHUNK, size), dtype=np.complex128)
     g = np.zeros((m, n_src), dtype=np.complex128)
     yy = np.zeros((m, m), dtype=np.complex128)
     power = np.zeros(2 * size)
     for start in range(0, n, _BATCH):
-        s = _draw_values(config, start, min(start + _BATCH, n))
+        s = rows[:min(_BATCH, n - start)]
+        for lo in range(0, len(s), _CHUNK):
+            c = _draw_values(config, start + lo,
+                             start + min(lo + _CHUNK, len(s)),
+                             s[lo:], raw, stream, scaled=False)
+            v = block[:len(c)]
+            np.multiply(c, weights, out=v[:, :n_src])
+            v[:, n_src:] = 0
+            np.fft.fft(v, out=v)
+            # the float view sums re^2 and im^2 of each bin apart
+            f = v.view(np.float64)
+            power += np.einsum("ij,ij->j", f, f)
         y = s @ h1_t
-        y *= mats.t_object
         yc = np.conjugate(y)
         g += yc.T @ s
         yy += y.T @ yc
-        # the float view sums re^2 and im^2 of each bin apart
-        f = np.fft.fft(s * weights, size).view(np.float64)
-        power += np.square(f, out=f).sum(axis=0)
+    g *= sigma
     return g, yy, power
 
 

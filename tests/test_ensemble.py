@@ -16,9 +16,9 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       correlation_analytic, double_slit, fresnel_kernel,
                       ledger, make_grid, run_coherent, run_ensemble,
                       sample_source, uniform, vacuum)
-from wavecorr import _kernels
-from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
-                               reference_field)
+from wavecorr import _kernels, ensemble
+from wavecorr.ensemble import (_BATCH, _CHUNK, _draw_values,
+                               propagation_matrices, reference_field)
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -119,6 +119,36 @@ def test_batched_draws_are_the_per_realization_streams():
         assert np.array_equal(got[k], sigma * (a[0] + 1j * a[1]))
 
 
+def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
+    # a run draws _CHUNK rows per call into reused buffers, unscaled and
+    # from one generator; a block that crosses a _CHUNK boundary and a
+    # _BATCH boundary, written over stale rows, is still sample_source's
+    config = make_config(n=_BATCH + 40, seed=2 ** 63 + 11,
+                         source_grid=make_grid(0.0, 0.005, 33))
+    start, stop = _BATCH - _CHUNK - 5, _BATCH + 9
+    want = np.stack([sample_source(config, i).values
+                     for i in range(start, stop)])
+    out = np.full((stop - start + 3, 33), np.nan, dtype=np.complex128)
+    raw = np.full((stop - start + 3, 2, 33), np.nan)
+    got = _draw_values(config, start, stop, out, raw)
+    assert np.shares_memory(got, out) and got.shape == want.shape
+    assert np.array_equal(got, want)
+    stream = ensemble._stream(config)
+    _draw_values(config, 0, 5, out, raw, stream)  # leaves stale rows
+    got = _draw_values(config, start, stop, out, raw, stream, scaled=False)
+    assert np.array_equal(got * ensemble._sigma(config), want)
+
+    # run_ensemble makes one _draw_values call per _CHUNK rows
+    calls = []
+    draw = ensemble._draw_values
+    monkeypatch.setattr(ensemble, "_draw_values",
+                        lambda c, a, b, *r, **k: calls.append((a, b))
+                        or draw(c, a, b, *r, **k))
+    n = config.n_realizations
+    run_ensemble(config)
+    assert calls == [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
 def test_sample_source_is_deterministic_and_indexed():
     config = make_config(n=8)
     a = sample_source(config, 2).values
@@ -188,34 +218,35 @@ def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
     # the estimator's definition, realization by realization: both fields
     # of every draw, with a fresh _lattice_plan per batch for the
     # reference arm; run_ensemble sums second moments of the draws
-    # instead, so the two agree to rounding; n leaves a partial last
-    # batch
-    config = make_config(n=2 * _BATCH + 5)
-    source, det = config.source_grid, config.detector_grid
-    scale = kernel_scale(CTX, REF.optical_path,
-                         REF.diffraction_length) * source.spacing
-    alpha = CTX.k0 / (2.0 * REF.diffraction_length)
-    mats = propagation_matrices(config)
-    n = config.n_realizations
-    corr_sum = np.zeros(det.n_samples, dtype=np.complex128)
-    io_sum, ir_sum = (np.zeros(det.n_samples) for _ in range(2))
-    for start in range(0, n, _BATCH):
-        src = _draw_values(config, start, min(start + _BATCH, n))
-        e_o = (src @ mats.source_to_object.T * mats.t_object) \
-            @ mats.object_to_detector.T
-        e_r = _kernels._lattice_plan(det.coordinates(), det.spacing,
-                                     source.coordinates(), source.spacing,
-                                     alpha)(src * scale)
-        corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
-        io_sum += (e_o.real ** 2 + e_o.imag ** 2).sum(axis=0)
-        ir_sum += (e_r.real ** 2 + e_r.imag ** 2).sum(axis=0)
-    got = run_ensemble(config)
-    assert got.n_used == n
-    for a, b in ((got.correlation_mean, corr_sum / n),
-                 (got.intensity_o, io_sum / n),
-                 (got.intensity_r, ir_sum / n),
-                 (got.standard_error, np.sqrt(io_sum * ir_sum) / n ** 1.5)):
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    # instead, so the two agree to rounding; each n leaves a partial last
+    # batch, at _BATCH + 40 one longer than a _CHUNK-row draw call
+    for n in (2 * _BATCH + 5, _BATCH + 40):
+        config = make_config(n=n)
+        source, det = config.source_grid, config.detector_grid
+        scale = kernel_scale(CTX, REF.optical_path,
+                             REF.diffraction_length) * source.spacing
+        alpha = CTX.k0 / (2.0 * REF.diffraction_length)
+        mats = propagation_matrices(config)
+        corr_sum = np.zeros(det.n_samples, dtype=np.complex128)
+        io_sum, ir_sum = (np.zeros(det.n_samples) for _ in range(2))
+        for start in range(0, n, _BATCH):
+            src = _draw_values(config, start, min(start + _BATCH, n))
+            e_o = (src @ mats.source_to_object.T * mats.t_object) \
+                @ mats.object_to_detector.T
+            e_r = _kernels._lattice_plan(
+                det.coordinates(), det.spacing, source.coordinates(),
+                source.spacing, alpha)(src * scale)
+            corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
+            io_sum += (e_o.real ** 2 + e_o.imag ** 2).sum(axis=0)
+            ir_sum += (e_r.real ** 2 + e_r.imag ** 2).sum(axis=0)
+        got = run_ensemble(config)
+        assert got.n_used == n
+        for a, b in ((got.correlation_mean, corr_sum / n),
+                     (got.intensity_o, io_sum / n),
+                     (got.intensity_r, ir_sum / n),
+                     (got.standard_error,
+                      np.sqrt(io_sum * ir_sum) / n ** 1.5)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_standard_error_matches_the_sample_variance():
@@ -268,12 +299,13 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
 def test_run_ensemble_peak_stays_within_its_workspace():
     # a run holds its two matrices and the reference arm's plan (two
     # chirps and the kernel spectrum). Its batches hold the accumulated
-    # moments G, YY and the summed power spectrum, and per-batch
-    # temporaries: the source rows and their weighted copy, the
-    # object-node fields and their conjugates, and the zero-padded
-    # spectrum. The run's products come after the loop, the largest the
-    # plan on G's M rows: G, its FFT buffer and the result. The traced
-    # peak is the larger of the two, plus ufunc buffers
+    # moments G, YY and the summed power spectrum, the run's buffers (h1
+    # with sigma and t folded in, _BATCH source rows, and the normals and
+    # the zero-padded FFT block of one _CHUNK-row draw call) and per-batch
+    # temporaries: the object-node fields, their conjugates and one
+    # conj(Y)^T S product. The run's products come after the loop, the
+    # largest the plan on G's M rows: G, its FFT buffer and the result.
+    # The traced peak is the larger of the two, plus ufunc buffers
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det,
                             8 * _BATCH + 5, 20260816)
@@ -283,9 +315,11 @@ def test_run_ensemble_peak_stays_within_its_workspace():
     plan_size = _kernels._fft_size(n_det + n_src - 1)
     fixed = sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
     accumulators = 16 * m * n_src + 16 * m * m + 16 * size
-    per_batch = _BATCH * (16 * 2 * n_src + 16 * 2 * m + 16 * size)
+    buffers = 16 * (m * n_src + _BATCH * n_src
+                    + _CHUNK * n_src + _CHUNK * size)
+    per_batch = 16 * (2 * _BATCH * m + m * n_src)
     products = 16 * m * (n_src + plan_size + n_det)
-    held = fixed + max(accumulators + per_batch, products)
+    held = fixed + max(accumulators + buffers + per_batch, products)
     del mats
     # numpy keeps each FFT length's twiddles for the life of the process;
     # a first run makes them, so the traced run holds only its own arrays
