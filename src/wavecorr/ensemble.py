@@ -6,9 +6,7 @@ I_s / dx_s, so the discrete correlation sum(<E* E'>) dx reproduces the
 delta correlation I_s * delta(x - x'). Realization i draws from a
 counter-based stream derived from (master_seed, i): Philox keyed by the
 master seed with the block counter offset by i * 2**64. The same pair
-therefore yields the same field bitwise on any worker layout, and the
-accumulation below runs in a fixed batch order, so a whole run is
-reproducible.
+therefore yields the same field bitwise on any worker layout.
 
 The object arm is two fixed matrices, h1 (source -> object nodes, then
 the transmittance t) and H2 (object nodes -> detector); the reference
@@ -33,13 +31,33 @@ the FFT zero-padded to L = _fft_size(2 n_src - 1), and once per run
   |E_r[j]|^2 = |sum_i v_i exp(-2i beta jj i)|^2.
 
 No field on the detector grid is formed per realization. The sums
-equal the per-realization ones to rounding (about 2e-15 of each array's
-peak), and the mean's expectation is the finite-source brute-force
-integral on the same nodes. The draws are circular complex Gaussian and
-both arms linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point
-(the Gaussian moment theorem: Goodman, Statistical Optics, sec. 2.8;
-Reed, IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
+equal the per-row ones to rounding (about 2e-15 of each array's peak),
+and the mean's expectation is the finite-source brute-force integral on
+the same nodes. The draws are circular complex Gaussian and both arms
+linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point (the
+Gaussian moment theorem: Goodman, Statistical Optics, sec. 2.8; Reed,
+IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
 sqrt(intensity_o * intensity_r / n).
+
+Every sum above depends on the draws only through S = sum_k s_k s_k^H,
+which for n unscaled draws (real and imaginary parts standard normal)
+is complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist. 34:152,
+1963). So a run sums min(n, n_src) rows r_k in place of the n
+realizations:
+
+* n <= n_src: row k is realization k;
+* n > n_src: row k is realization k with its first k entries zeroed and
+  entry k set to sqrt(2 Gamma(n - k, 1)). These rows are the columns of
+  sqrt(2) L in Bartlett's decomposition S = 2 L L^H (Proc. R. Soc.
+  Edinb. 53:260, 1933), so sum_k r_k r_k^H has S's distribution exactly.
+  The n_src gammas come from one Philox stream at counter 1 << 128,
+  which no realization reaches.
+
+A run costs min(n, n_src) rows, not n, and its outputs have the same
+joint distribution as the per-realization sums. Determinism is bitwise
+per (master_seed, n): the rows, and the batch order they are summed in,
+are fixed by the pair. For n <= n_src a run sums sample_source's
+realizations; for n > n_src it does not, and its sample changes with n.
 
 A run holds the two matrices, the plan, the sums and buffers that every
 batch reuses: _BATCH = 128 source rows, and the normals and the
@@ -168,6 +186,39 @@ def _sigma(config):
                    / (2.0 * config.source_grid.spacing))
 
 
+def _bartlett_diagonal(config):
+    """sqrt(2 Gamma(n - k, 1)) for k < n_source, drawn from
+    Philox(key=master_seed, counter=1 << 128), or None when n <=
+    n_source and a run's rows are its realizations."""
+    n, n_src = config.n_realizations, config.source_grid.n_samples
+    if n <= n_src:
+        return None
+    gen = np.random.Generator(
+        np.random.Philox(key=config.master_seed, counter=1 << 128))
+    return np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
+
+
+def _rows(config, start, stop, diagonal, out=None, raw=None, stream=None):
+    """Unscaled rows start..stop-1 of the min(n, n_source) that a run
+    sums; diagonal is _bartlett_diagonal(config), and out, raw and
+    stream are _draw_values'.
+
+    Row k is realization k, or with a diagonal, realization k with its
+    first k entries zeroed and entry k set to diagonal[k] (the Bartlett
+    rows of the module docstring).
+    """
+    values = _draw_values(config, start, stop, out, raw, stream,
+                          scaled=False)
+    if diagonal is not None:
+        # row i is row k = start + i: its first k entries are the columns
+        # before start and those below the square block's diagonal
+        values[:, :start] = 0
+        square = values[:, start:stop]
+        square[np.tri(stop - start, k=-1, dtype=bool)] = 0
+        np.fill_diagonal(square, diagonal[start:stop])
+    return values
+
+
 def sample_source(config, realization_index):
     """Source realization `realization_index` as a ComplexField."""
     _require_int(realization_index, "realization index")
@@ -243,10 +294,10 @@ def reference_field(config, src):
 def run_ensemble(config):
     """Average E_r* E_o, |E_o|^2, |E_r|^2 over all realizations.
 
-    The batches accumulate second moments of the draws, which give the
-    three sums once per run (see the module docstring). Fixed batch
-    width and in-order accumulation: rerunning the same config
-    reproduces the estimate bitwise.
+    The batches accumulate second moments of min(n, n_source) rows,
+    which give the three sums once per run (see the module docstring).
+    Fixed rows, batch width and accumulation order: rerunning the same
+    config reproduces the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
@@ -296,15 +347,15 @@ def run_ensemble(config):
 
 
 def _second_moments(config, mats, weights):
-    """(G, YY, power) summed over all realizations, in batches of _BATCH.
+    """(G, YY, power) summed over the run's rows, in batches of _BATCH.
 
-    With s a realization's draws and y = t_object * (h1 s) its field at
-    the object nodes: G = sum conj(y) s^T (M x n_source), YY = sum
-    y conj(y)^T (M x M) and power = sum |fft(s * weights, size)|^2,
-    size = _fft_size(2 n_source - 1), as the float pairs of its complex
-    bins.
+    The rows are _rows', min(n, n_source) of them. With s a row and y =
+    t_object * (h1 s) its field at the object nodes: G = sum conj(y) s^T
+    (M x n_source), YY = sum y conj(y)^T (M x M) and power = sum |fft(s
+    * weights, size)|^2, size = _fft_size(2 n_source - 1), as the float
+    pairs of its complex bins.
 
-    The draws stay unscaled: sigma and t_object are folded into h1 and
+    The rows stay unscaled: sigma and t_object are folded into h1 and
     sigma into weights once per run, and G takes sigma at the end. Every
     batch reuses the run's buffers: _BATCH source rows, and the normals
     and the zero-padded FFT block of one _CHUNK-row draw call each.
@@ -317,18 +368,19 @@ def _second_moments(config, mats, weights):
     m = h1_t.shape[1]
     size = _kernels._fft_size(2 * n_src - 1)
     stream = _stream(config)
+    diagonal = _bartlett_diagonal(config)
+    n_rows = min(n, n_src)
     rows = np.empty((_BATCH, n_src), dtype=np.complex128)
     raw = np.empty((_CHUNK, 2, n_src))
     block = np.empty((_CHUNK, size), dtype=np.complex128)
     g = np.zeros((m, n_src), dtype=np.complex128)
     yy = np.zeros((m, m), dtype=np.complex128)
     power = np.zeros(2 * size)
-    for start in range(0, n, _BATCH):
-        s = rows[:min(_BATCH, n - start)]
+    for start in range(0, n_rows, _BATCH):
+        s = rows[:min(_BATCH, n_rows - start)]
         for lo in range(0, len(s), _CHUNK):
-            c = _draw_values(config, start + lo,
-                             start + min(lo + _CHUNK, len(s)),
-                             s[lo:], raw, stream, scaled=False)
+            c = _rows(config, start + lo, start + min(lo + _CHUNK, len(s)),
+                      diagonal, s[lo:], raw, stream)
             v = block[:len(c)]
             np.multiply(c, weights, out=v[:, :n_src])
             v[:, n_src:] = 0

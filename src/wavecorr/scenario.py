@@ -36,8 +36,9 @@ from .transmittance import (Transmittance, double_slit, phase_holes,
 
 #: source-grid sampling used for ensemble scenarios
 _SOURCE_SAMPLES = 512
-#: most realizations an ensemble scenario may ask for; fig3_incoherent
-#: draws 2000, and 2**20 at its size is several minutes of work
+#: most realizations an ensemble scenario may ask for; a run sums
+#: min(n, _SOURCE_SAMPLES) source rows, so any n above 512, the cap
+#: included, costs what fig3_incoherent's 2000 does
 MAX_REALIZATIONS = 2 ** 20
 #: the results a run of each mode makes; an analytic run on a raster
 #: makes only the 2D correlation, "image"

@@ -179,32 +179,44 @@ def test_criterion_07_background_cancellation():
 
 
 def test_criterion_08_monte_carlo_convergence():
+    # one seed pair is too noisy to gate on: over 100 single pairs rel <=
+    # 0.05 held for 67 % and the 1.6-2.4 band for 94 %. So both read the
+    # RMS over k independent pairs (about 0.047 and 1.98 over those 100).
+    # Over 60 draws of k = 64 pairs from random seed bases none failed:
+    # RMS rel read 0.0434-0.0476 (std 0.0010, 4.2 std below 0.05) and
+    # the ratio 1.93-2.07 (std 0.03), a false-failure rate near 1e-5 on
+    # a normal tail
     spec = _spec(REF.diffraction_length, SLIT)
     source_grid = make_grid(0.0, 0.005, 512)
     detector_grid = make_grid(0.0, 0.25e-3, 1024)
+    k = 64
     start = time.perf_counter()
-    big = run_ensemble(EnsembleConfig(spec, source_grid, detector_grid,
-                                      n_realizations=5000, master_seed=314159))
-    small = run_ensemble(EnsembleConfig(spec, source_grid, detector_grid,
-                                        n_realizations=1250,
-                                        master_seed=951413))
     brute = correlation_brute_force(spec, detector_grid)
-    elapsed = time.perf_counter() - start
-
     # camera-pixel averages (62.5 um = 128 grid samples each), complex
     # means first so speckle noise cancels instead of rectifying
     analytic = correlation_analytic(spec, detector_grid).correlation
     pix = lambda c: c.reshape(8, 128).mean(axis=1)
-    rel = (np.linalg.norm(pix(big.correlation_mean) - pix(analytic))
-           / np.linalg.norm(pix(analytic)))
+    rel2 = err2_big = err2_small = 0.0
+    for i in range(k):
+        big = run_ensemble(EnsembleConfig(spec, source_grid, detector_grid,
+                                          n_realizations=5000,
+                                          master_seed=314159 + i))
+        small = run_ensemble(EnsembleConfig(spec, source_grid, detector_grid,
+                                            n_realizations=1250,
+                                            master_seed=951413 + i))
+        rel2 += (np.linalg.norm(pix(big.correlation_mean) - pix(analytic))
+                 / np.linalg.norm(pix(analytic))) ** 2
+        err2_big += np.linalg.norm(big.correlation_mean - brute) ** 2
+        err2_small += np.linalg.norm(small.correlation_mean - brute) ** 2
+    elapsed = time.perf_counter() - start
 
-    err_big = np.linalg.norm(big.correlation_mean - brute)
-    err_small = np.linalg.norm(small.correlation_mean - brute)
-    ratio = err_small / err_big
+    rel = np.sqrt(rel2 / k)
+    ratio = np.sqrt(err2_small / err2_big)
     ok = rel <= 0.05 and 1.6 <= ratio <= 2.4 and elapsed <= 120.0
     _report(8, "monte-carlo-convergence", ok,
-            f"N=5000 vs analytic rel L2 = {rel:.4f} (tol 0.05), error ratio "
-            f"N=1250/N=5000 = {ratio:.3f} vs 2.0 +-20%, {elapsed:.1f} s")
+            f"RMS over {k} seed pairs: N=5000 vs analytic rel L2 = "
+            f"{rel:.4f} (tol 0.05), error ratio N=1250/N=5000 = "
+            f"{ratio:.3f} vs 2.0 +-20%, {elapsed:.1f} s")
 
 
 def test_criterion_09_coherent_contrast():
