@@ -12,36 +12,37 @@ The object arm is two fixed matrices, h1 (source -> object nodes, then
 the transmittance t) and H2 (object nodes -> detector); the reference
 arm A maps the uniform source grid onto the uniform detector grid, a
 chirp-z convolution (_kernels._lattice_plan, built once per run). Both
-arms are linear in the draws, so a run accumulates only their second
-moments. With s_k the draws of realization k and y_k = t * (h1 s_k) its
-field at the M object nodes, the batches sum
+arms are linear in the draws, so a run samples only the correlation's
+second moment. With s_k the unscaled draws of realization k (real and
+imaginary parts standard normal), sigma the draws' scale and y_k =
+sigma t * (h1 s_k) its field at the M object nodes, the batches sum
 
-    G = sum_k conj(y_k) s_k^T (M x n_src),  YY = sum_k y_k conj(y_k)^T,
-    power = sum_k |fft(v_k)|^2,  v_k = scale exp(i alpha (x - y_c)^2) s_k,
+    G = sum_k conj(y_k) s_k^T (M x n_src),
 
-the FFT zero-padded to L = _fft_size(2 n_src - 1), and once per run
+and once per run sum_k conj(E_r) E_o = rowsum(H2 * conj(A (sigma G)^T)),
+one plan apply on G's M rows. No field on the detector grid is formed
+per realization; the sum equals the per-row one to rounding (about
+2e-15 of its peak), and the mean's expectation is the finite-source
+brute-force integral on the same nodes.
 
-* sum_k conj(E_r) E_o = rowsum(H2 * conj(A G^T)), one plan apply on
-  G's M rows;
-* sum_k |E_o|^2 = Re rowsum((H2 YY) * conj(H2));
-* sum_k |E_r[j]|^2 = sum_d rho_d exp(-2i beta jj d), rho = ifft(power)
-  the draws' summed autocorrelation (Wiener-Khinchin), one chirp-z over
-  unit lattices. Here y_c is the detector point j0 nearest the source's
-  middle, jj = j - j0 and beta = alpha dx_s dx_d, so that
-  |E_r[j]|^2 = |sum_i v_i exp(-2i beta jj i)|^2.
+The two intensities are not sampled: each is a linear-Gaussian
+expectation the run writes down exactly on its own nodes. With S =
+sum_k s_k s_k^H, E[S] = 2 n I, so
 
-No field on the detector grid is formed per realization. The sums
-equal the per-row ones to rounding (about 2e-15 of each array's peak),
-and the mean's expectation is the finite-source brute-force integral on
-the same nodes. The draws are circular complex Gaussian and both arms
-linear, so Var(E_r* E_o) = <|E_r|^2><|E_o|^2> at every point (the
-Gaussian moment theorem: Goodman, Statistical Optics, sec. 2.8; Reed,
-IRE Trans. Inf. Theory 8:194, 1962), and the standard error is
-sqrt(intensity_o * intensity_r / n).
+* intensity_o = Re rowsum((H2 Ybar) * conj(H2)), Ybar = 2 B B^H and
+  B = sigma t * h1 (M x n_src), one product per run;
+* intensity_r = 2 sigma^2 n_src |scale|^2 at every point: the reference
+  kernel has constant modulus |scale| (its amplitude times dx_s), and
+  this is the closed form I_s k0 W / (2 pi |Zbar|) on the source grid.
 
-Every sum above depends on the draws only through S = sum_k s_k s_k^H,
-which for n unscaled draws (real and imaginary parts standard normal)
-is complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist. 34:152,
+The draws are circular complex Gaussian and both arms linear, so
+Var(E_r* E_o) = I_o I_r at every point (the Gaussian moment theorem:
+Goodman, Statistical Optics, sec. 2.8; Reed, IRE Trans. Inf. Theory
+8:194, 1962), and the standard error sqrt(intensity_o * intensity_r /
+n) is exact for the run's nodes and does not move with the draw.
+
+G depends on the draws only through S, which for n unscaled draws is
+complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist. 34:152,
 1963). So a run sums min(n, n_src) rows r_k in place of the n
 realizations:
 
@@ -53,18 +54,18 @@ realizations:
   The n_src gammas come from one Philox stream at counter 1 << 128,
   which no realization reaches.
 
-A run costs min(n, n_src) rows, not n, and its outputs have the same
-joint distribution as the per-realization sums. Determinism is bitwise
-per (master_seed, n): the rows, and the batch order they are summed in,
-are fixed by the pair. For n <= n_src a run sums sample_source's
+A run costs min(n, n_src) rows, not n, and its mean has the same
+distribution as the per-realization one. Determinism is bitwise per
+(master_seed, n): the rows, and the batch order they are summed in, are
+fixed by the pair. For n <= n_src a run sums sample_source's
 realizations; for n > n_src it does not, and its sample changes with n.
 
-A run holds the two matrices, the plan, the sums and buffers that every
-batch reuses: _BATCH = 128 source rows, and the normals and the
-zero-padded FFT block of one draw call of _CHUNK = 32 rows. Each batch
-adds its node fields and one conj(Y)^T S product; the loop, not the
-once-per-run plan on G's M rows, sets the peak. At 512 source cells and
-1024 detector points (M = 38) a run's traced peak is 3.8 MiB.
+A run holds the two matrices, the plan, G and the buffers that every
+batch reuses: _BATCH = 128 source rows and their normals, drawn in one
+call per batch. Each batch adds its node fields and one conj(Y)^T S
+product; the loop, not the once-per-run plan on G's M rows, sets the
+peak. At 512 source cells and 1024 detector points (M = 38) a run's
+traced peak is 3.9 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -83,9 +84,8 @@ from .grid import ComplexField, Grid
 from .interferometer import PortIntensities, _object_nodes
 from .propagation import fresnel_kernel, kernel_scale, propagate
 
-# fixed batch width and draw-call width; part of the determinism contract
+# fixed batch width; part of the determinism contract
 _BATCH = 128
-_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,9 @@ class EnsembleConfig:
     def __post_init__(self):
         _require_int(self.n_realizations, "n_realizations")
         _require_int(self.master_seed, "master_seed")
-        if self.n_realizations < 1:
-            raise InvalidArgumentError("n_realizations must be >= 1")
+        if not 1 <= self.n_realizations < 2 ** 63:
+            raise InvalidArgumentError(
+                "n_realizations must be in [1, 2**63)")
         if not (0 <= self.master_seed < 2 ** 64):
             raise InvalidArgumentError("master_seed must fit in 64 bits")
         w = 2 * self.source_grid.half_width
@@ -127,12 +128,14 @@ def _require_int(value, name):
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Averages over n_used realizations on the detector grid.
+    """An n_used-realization run on the detector grid.
 
-    standard_error is sqrt(intensity_o * intensity_r / n_used), the
-    standard error of correlation_mean by the Gaussian moment theorem
-    (each realization's E_r* E_o has variance I_o I_r); a single
-    realization gives inf.
+    correlation_mean is the sampled mean of E_r* E_o. intensity_o and
+    intensity_r are the exact expectations of |E_o|^2 and |E_r|^2 on
+    the run's nodes, not sampled. standard_error is sqrt(intensity_o *
+    intensity_r / n_used), the standard error of correlation_mean by
+    the Gaussian moment theorem (each realization's E_r* E_o has
+    variance I_o I_r); a single realization gives inf.
     """
 
     correlation_mean: np.ndarray
@@ -142,16 +145,15 @@ class EnsembleEstimate:
     n_used: int
 
 
-def _draw_values(config, start, stop, out=None, raw=None, stream=None,
-                 scaled=True):
-    """Raw complex samples of realizations start..stop-1, one row each
-    (no validation).
+def _draw_values(config, start, stop, out=None, raw=None, stream=None):
+    """Unscaled complex samples of realizations start..stop-1, one row
+    each (no validation).
 
     Row k draws exactly what a fresh Philox(key=master_seed,
     counter=(start + k) << 64) would: one bit generator is reset to that
-    counter, with an empty buffer, before each row. Each row is sigma *
-    (a0 + 1j * a1) of its two standard-normal blocks, or a0 + 1j * a1
-    with scaled=False. out, a complex (>= stop - start, n_source) array,
+    counter, with an empty buffer, before each row. Each row is a0 + 1j
+    * a1 of its two standard-normal blocks; _sigma(config) scales it to
+    the source's draws. out, a complex (>= stop - start, n_source) array,
     and raw, a float (>= stop - start, 2, n_source) one for the normals,
     are written in their first stop - start rows, and out's are
     returned; stream is _stream(config). Each is made when not given,
@@ -168,8 +170,6 @@ def _draw_values(config, start, stop, out=None, raw=None, stream=None,
     values = np.empty((b, s), dtype=np.complex128) if out is None else out[:b]
     values.real = a[:, 0]
     values.imag = a[:, 1]
-    if scaled:
-        values *= _sigma(config)
     return values
 
 
@@ -207,8 +207,7 @@ def _rows(config, start, stop, diagonal, out=None, raw=None, stream=None):
     first k entries zeroed and entry k set to diagonal[k] (the Bartlett
     rows of the module docstring).
     """
-    values = _draw_values(config, start, stop, out, raw, stream,
-                          scaled=False)
+    values = _draw_values(config, start, stop, out, raw, stream)
     if diagonal is not None:
         # row i is row k = start + i: its first k entries are the columns
         # before start and those below the square block's diagonal
@@ -227,7 +226,7 @@ def sample_source(config, realization_index):
             f"realization index {realization_index} outside "
             f"[0, {config.n_realizations})")
     values = _draw_values(config, realization_index, realization_index + 1)
-    return ComplexField(config.source_grid, values[0])
+    return ComplexField(config.source_grid, values[0] * _sigma(config))
 
 
 class PropagationMatrices(NamedTuple):
@@ -262,12 +261,12 @@ def propagation_matrices(config):
 
 
 def _reference_arm(config):
-    """(plan, scale, alpha) of the reference arm: E_r of source rows src
-    is plan(src * scale).
+    """(plan, scale) of the reference arm: E_r of source rows src is
+    plan(src * scale).
 
     scale is the Fresnel kernel's amplitude times dx_s; plan is the
     _kernels._lattice_plan from the source grid onto the detector grid,
-    with the kernel's chirp rate alpha = k0 / (2 Zbar).
+    with the kernel's chirp rate k0 / (2 Zbar).
     """
     spec = config.spec
     led = spec.reference_ledger
@@ -277,7 +276,7 @@ def _reference_arm(config):
     alpha = spec.ctx.k0 / (2.0 * led.diffraction_length)
     plan = _kernels._lattice_plan(det.coordinates(), det.spacing,
                                   source.coordinates(), source.spacing, alpha)
-    return plan, scale, alpha
+    return plan, scale
 
 
 def reference_field(config, src):
@@ -287,54 +286,46 @@ def reference_field(config, src):
     grid, evaluated as one chirp-z convolution per row: both grids are
     uniform lattices.
     """
-    plan, scale, _ = _reference_arm(config)
+    plan, scale = _reference_arm(config)
     return plan(src * scale)
 
 
 def run_ensemble(config):
-    """Average E_r* E_o, |E_o|^2, |E_r|^2 over all realizations.
+    """Average E_r* E_o over all realizations, with the exact
+    intensities and standard error on the run's nodes.
 
-    The batches accumulate second moments of min(n, n_source) rows,
-    which give the three sums once per run (see the module docstring).
-    Fixed rows, batch width and accumulation order: rerunning the same
-    config reproduces the estimate bitwise.
+    The batches accumulate the correlation's second moment over
+    min(n, n_source) rows, which gives the mean once per run; the
+    intensities take E[S] = 2 n I (see the module docstring). Fixed
+    rows, batch width and accumulation order: rerunning the same config
+    reproduces the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
     mats = propagation_matrices(config)
-    plan, scale, alpha = _reference_arm(config)
-    source, det = config.source_grid, config.detector_grid
-    n_src, n_det = source.n_samples, det.n_samples
+    plan, scale = _reference_arm(config)
+    n_src = config.source_grid.n_samples
+    n_det = config.detector_grid.n_samples
     n = config.n_realizations
-    # the detector index origin j0 at the point nearest the source's
-    # middle, clipped to the grid, as in _lattice_plan
-    x_src, x_det = source.coordinates(), det.coordinates()
-    j0 = int(np.clip(np.rint((x_src[n_src // 2] - x_det[0]) / det.spacing),
-                     0, n_det - 1))
-    g, yy, power = _second_moments(
-        config, mats, scale * np.exp(1j * alpha * (x_src - x_det[j0]) ** 2))
+    sigma = _sigma(config)
+    # B^T: sigma and t_object folded into h1 once per run
+    b_t = mats.source_to_object.T * (sigma * mats.t_object)
+    g = _second_moment(config, b_t)
     h2 = mats.object_to_detector
-    # (A G^T)^T: one plan apply on the M rows of G
+    # (A (sigma G)^T)^T: one plan apply on the M rows of G; sigma and
+    # scale apply one at a time, an order the mean's bits depend on
+    g *= sigma
     g *= scale
     e_rg = plan(g)
     corr_sum = np.einsum("jm,mj->j", h2, np.conjugate(e_rg, out=e_rg))
     del e_rg
     # the float views pair real with real and imaginary with imaginary
-    # parts: Re((H2 YY) * conj(H2)) summed over the nodes
-    io_sum = np.einsum("jk,jk->j", (h2 @ yy).view(np.float64),
-                       h2.view(np.float64))
-    # sum_d rho_d exp(-2i beta jj d) is the modulus of the chirp-z sum
-    # sum_d rho_d exp(-i beta d^2) exp(i beta (jj - d)^2) over unit
-    # lattices
-    rho = np.fft.ifft(power[0::2] + power[1::2])
-    lags = np.arange(1 - n_src, n_src)
-    beta = alpha * source.spacing * det.spacing
-    chirp = np.conjugate(_kernels._chirp_table(beta, n_src - 1)[2])
-    ir_plan = _kernels._lattice_plan(
-        np.arange(-j0, n_det - j0, dtype=np.float64), 1.0,
-        lags.astype(np.float64), 1.0, beta)
-    ir_sum = np.abs(ir_plan(rho[lags] * chirp[np.abs(lags)]))
-    mean, i_o, i_r = corr_sum / n, io_sum / n, ir_sum / n
+    # parts: Re((H2 Ybar) * conj(H2)) summed over the nodes
+    y_bar = 2.0 * (b_t.T @ np.conjugate(b_t))
+    i_o = np.einsum("jk,jk->j", (h2 @ y_bar).view(np.float64),
+                    h2.view(np.float64))
+    i_r = np.full(n_det, 2.0 * sigma ** 2 * n_src * abs(scale) ** 2)
+    mean = corr_sum / n
     if n > 1:
         std_err = np.sqrt(i_o * i_r / n)
     else:
@@ -346,54 +337,26 @@ def run_ensemble(config):
     return EnsembleEstimate(mean, i_o, i_r, std_err, n)
 
 
-def _second_moments(config, mats, weights):
-    """(G, YY, power) summed over the run's rows, in batches of _BATCH.
+def _second_moment(config, b_t):
+    """G = sum conj(B r) r^T (M x n_source) over the run's rows, in
+    batches of _BATCH.
 
-    The rows are _rows', min(n, n_source) of them. With s a row and y =
-    t_object * (h1 s) its field at the object nodes: G = sum conj(y) s^T
-    (M x n_source), YY = sum y conj(y)^T (M x M) and power = sum |fft(s
-    * weights, size)|^2, size = _fft_size(2 n_source - 1), as the float
-    pairs of its complex bins.
-
-    The rows stay unscaled: sigma and t_object are folded into h1 and
-    sigma into weights once per run, and G takes sigma at the end. Every
-    batch reuses the run's buffers: _BATCH source rows, and the normals
-    and the zero-padded FFT block of one _CHUNK-row draw call each.
+    The rows r are _rows', min(n, n_source) of them, unscaled; b_t is
+    B^T (n_source x M). Every batch reuses the run's buffers: _BATCH
+    source rows and their normals, drawn in one call.
     """
-    n = config.n_realizations
     n_src = config.source_grid.n_samples
-    sigma = _sigma(config)
-    h1_t = mats.source_to_object.T * (sigma * mats.t_object)
-    weights = weights * sigma
-    m = h1_t.shape[1]
-    size = _kernels._fft_size(2 * n_src - 1)
     stream = _stream(config)
     diagonal = _bartlett_diagonal(config)
-    n_rows = min(n, n_src)
+    n_rows = min(config.n_realizations, n_src)
     rows = np.empty((_BATCH, n_src), dtype=np.complex128)
-    raw = np.empty((_CHUNK, 2, n_src))
-    block = np.empty((_CHUNK, size), dtype=np.complex128)
-    g = np.zeros((m, n_src), dtype=np.complex128)
-    yy = np.zeros((m, m), dtype=np.complex128)
-    power = np.zeros(2 * size)
+    raw = np.empty((_BATCH, 2, n_src))
+    g = np.zeros((b_t.shape[1], n_src), dtype=np.complex128)
     for start in range(0, n_rows, _BATCH):
-        s = rows[:min(_BATCH, n_rows - start)]
-        for lo in range(0, len(s), _CHUNK):
-            c = _rows(config, start + lo, start + min(lo + _CHUNK, len(s)),
-                      diagonal, s[lo:], raw, stream)
-            v = block[:len(c)]
-            np.multiply(c, weights, out=v[:, :n_src])
-            v[:, n_src:] = 0
-            np.fft.fft(v, out=v)
-            # the float view sums re^2 and im^2 of each bin apart
-            f = v.view(np.float64)
-            power += np.einsum("ij,ij->j", f, f)
-        y = s @ h1_t
-        yc = np.conjugate(y)
-        g += yc.T @ s
-        yy += y.T @ yc
-    g *= sigma
-    return g, yy, power
+        s = _rows(config, start, min(start + _BATCH, n_rows), diagonal,
+                  rows, raw, stream)
+        g += np.conjugate(s @ b_t).T @ s
+    return g
 
 
 def run_coherent(spec, grid, pinhole_width=None):

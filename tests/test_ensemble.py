@@ -19,8 +19,8 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       run_coherent, run_ensemble, sample_source, uniform,
                       vacuum)
 from wavecorr import _kernels, ensemble
-from wavecorr.ensemble import (_BATCH, _CHUNK, _draw_values,
-                               propagation_matrices, reference_field)
+from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
+                               reference_field)
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -48,8 +48,10 @@ def make_config(obj=SLIT, n=8, seed=20260816, source_grid=SOURCE_GRID):
 # -------------------------------------------------------------- sampling
 
 def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        make_config(n=0)
+    # counts past int64 would overflow numpy's integer conversion
+    for n in (0, 2 ** 63, 10 ** 30):
+        with pytest.raises(InvalidArgumentError, match="n_realizations"):
+            make_config(n=n)
     with pytest.raises(InvalidArgumentError):
         make_config(seed=-1)
     with pytest.raises(InvalidArgumentError):
@@ -109,39 +111,39 @@ def test_sample_source_frozen_draw_convention():
 
 def test_batched_draws_are_the_per_realization_streams():
     # a block that starts off zero and crosses a batch boundary: row k is
-    # what a fresh Philox(key, counter=(start + k) << 64) draws
+    # what a fresh Philox(key, counter=(start + k) << 64) draws, unscaled
     config = make_config(n=3 * _BATCH, seed=2 ** 64 - 5,
                          source_grid=make_grid(0.0, 0.005, 33))
     start, stop = _BATCH - 7, _BATCH + 9
     got = _draw_values(config, start, stop)
     assert got.shape == (stop - start, 33)
-    sigma = np.sqrt(1.0 / (2.0 * config.source_grid.spacing))
     for k, i in enumerate(range(start, stop)):
         bitgen = np.random.Philox(key=2 ** 64 - 5, counter=i << 64)
         a = np.random.Generator(bitgen).standard_normal((2, 33))
-        assert np.array_equal(got[k], sigma * (a[0] + 1j * a[1]))
+        assert np.array_equal(got[k], a[0] + 1j * a[1])
 
 
 def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
-    # a run draws _CHUNK rows per call into reused buffers, unscaled and
-    # from one generator; a block that crosses a _CHUNK boundary and a
-    # _BATCH boundary, written over stale rows, is still sample_source's
+    # a run draws _BATCH rows per call into reused buffers, unscaled and
+    # from one generator; a block that crosses a _BATCH boundary, written
+    # over stale rows, is still sample_source's once scaled
     config = make_config(n=_BATCH + 40, seed=2 ** 63 + 11,
                          source_grid=make_grid(0.0, 0.005, 33))
-    start, stop = _BATCH - _CHUNK - 5, _BATCH + 9
+    start, stop = _BATCH - 37, _BATCH + 9
+    sigma = ensemble._sigma(config)
     want = np.stack([sample_source(config, i).values
                      for i in range(start, stop)])
     out = np.full((stop - start + 3, 33), np.nan, dtype=np.complex128)
     raw = np.full((stop - start + 3, 2, 33), np.nan)
     got = _draw_values(config, start, stop, out, raw)
     assert np.shares_memory(got, out) and got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert np.array_equal(got * sigma, want)
     stream = ensemble._stream(config)
     _draw_values(config, 0, 5, out, raw, stream)  # leaves stale rows
-    got = _draw_values(config, start, stop, out, raw, stream, scaled=False)
-    assert np.array_equal(got * ensemble._sigma(config), want)
+    got = _draw_values(config, start, stop, out, raw, stream)
+    assert np.array_equal(got * sigma, want)
 
-    # run_ensemble makes one _draw_values call per _CHUNK of its
+    # run_ensemble makes one _draw_values call per _BATCH of its
     # min(n, n_source) rows: all n realizations on 256 cells, 33 Bartlett
     # rows on 33 cells
     calls = []
@@ -154,8 +156,8 @@ def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
         calls.clear()
         run_ensemble(make_config(n=n, seed=2 ** 63 + 11,
                                  source_grid=make_grid(0.0, 0.005, n_src)))
-        assert calls == [(lo, min(lo + _CHUNK, rows))
-                         for lo in range(0, rows, _CHUNK)]
+        assert calls == [(lo, min(lo + _BATCH, rows))
+                         for lo in range(0, rows, _BATCH)]
 
 
 def test_sample_source_is_deterministic_and_indexed():
@@ -234,58 +236,70 @@ def test_run_ensemble_is_bitwise_reproducible():
 def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
     # the estimator's definition, realization by realization: both fields
     # of every draw, with a fresh _lattice_plan per batch for the
-    # reference arm; run_ensemble sums second moments of the draws
-    # instead, so the two agree to rounding; each n leaves a partial last
-    # batch, at _BATCH + 40 one longer than a _CHUNK-row draw call
+    # reference arm; run_ensemble sums the correlation's second moment
+    # instead, so the two means agree to rounding. Its intensities and
+    # standard error are the expectations on the same nodes, 2 sigma^2
+    # sum_i |A[j, i]|^2 over each dense arm; each n leaves a partial last
+    # batch
     for n in (2 * _BATCH + 5, _BATCH + 40):
         config = make_config(n=n)
         source, det = config.source_grid, config.detector_grid
+        sigma = ensemble._sigma(config)
         scale = kernel_scale(CTX, REF.optical_path,
                              REF.diffraction_length) * source.spacing
         alpha = CTX.k0 / (2.0 * REF.diffraction_length)
         mats = propagation_matrices(config)
         corr_sum = np.zeros(det.n_samples, dtype=np.complex128)
-        io_sum, ir_sum = (np.zeros(det.n_samples) for _ in range(2))
         for start in range(0, n, _BATCH):
-            src = _draw_values(config, start, min(start + _BATCH, n))
+            src = _draw_values(config, start, min(start + _BATCH, n)) * sigma
             e_o = (src @ mats.source_to_object.T * mats.t_object) \
                 @ mats.object_to_detector.T
             e_r = _kernels._lattice_plan(
                 det.coordinates(), det.spacing, source.coordinates(),
                 source.spacing, alpha)(src * scale)
             corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
-            io_sum += (e_o.real ** 2 + e_o.imag ** 2).sum(axis=0)
-            ir_sum += (e_r.real ** 2 + e_r.imag ** 2).sum(axis=0)
+        a_o = mats.object_to_detector @ (mats.t_object[:, None]
+                                         * mats.source_to_object)
+        a_r = fresnel_kernel(CTX, det.coordinates()[:, None],
+                             source.coordinates()[None, :], REF.optical_path,
+                             REF.diffraction_length) * source.spacing
+        i_o, i_r = (2 * sigma ** 2 * (a.real ** 2 + a.imag ** 2).sum(axis=1)
+                    for a in (a_o, a_r))
         got = run_ensemble(config)
         assert got.n_used == n
         for a, b in ((got.correlation_mean, corr_sum / n),
-                     (got.intensity_o, io_sum / n),
-                     (got.intensity_r, ir_sum / n),
-                     (got.standard_error,
-                      np.sqrt(io_sum * ir_sum) / n ** 1.5)):
+                     (got.intensity_o, i_o), (got.intensity_r, i_r),
+                     (got.standard_error, np.sqrt(i_o * i_r / n))):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_standard_error_matches_the_sample_variance():
     # the Gaussian moment theorem, Var(E_r* E_o) = I_o I_r, against the
-    # model-free estimate from each realization's E_r* E_o. With n <=
-    # n_source the run sums these same realizations, and their ratio
-    # scatters by about 2 % about 1 at this n (5th-95th percentile
-    # 0.973-1.027 over seeds 1-40); a standard error 6 % off fails it
+    # model-free estimate from each realization's E_r* E_o. The standard
+    # error is exact and the same for every seed, so the variance is
+    # pooled over four seeds of n realizations each. On one seed the
+    # ratio's 5th and 95th percentiles over the points read 0.949-0.984
+    # and 1.004-1.048 over seeds 1-40 (seed 6 fails); pooled over four,
+    # 0.978 at least and 1.025 at most over 20 disjoint sets from seeds
+    # 1-80 (std 0.004 and 0.005). A standard error 6 % off fails it
     n = 2048
-    config = make_config(n=n, seed=11, source_grid=make_grid(0.0, 0.005, n))
-    mats = propagation_matrices(config)
-    corr_sum = np.zeros(DET_GRID.n_samples, dtype=np.complex128)
-    abs2_sum = np.zeros(DET_GRID.n_samples)
-    for start in range(0, n, 256):
-        src = _draw_values(config, start, start + 256)
-        e_o = (src @ mats.source_to_object.T * mats.t_object) \
-            @ mats.object_to_detector.T
-        c = np.conj(reference_field(config, src)) * e_o
-        corr_sum += c.sum(axis=0)
-        abs2_sum += (c.real ** 2 + c.imag ** 2).sum(axis=0)
-    mean = corr_sum / n
-    variance = (abs2_sum / n - np.abs(mean) ** 2) * n / (n - 1)
+    variance = np.zeros(DET_GRID.n_samples)
+    for seed in range(11, 15):
+        config = make_config(n=n, seed=seed,
+                             source_grid=make_grid(0.0, 0.005, n))
+        mats = propagation_matrices(config)
+        sigma = ensemble._sigma(config)
+        corr_sum = np.zeros(DET_GRID.n_samples, dtype=np.complex128)
+        abs2_sum = np.zeros(DET_GRID.n_samples)
+        for start in range(0, n, 256):
+            src = _draw_values(config, start, start + 256) * sigma
+            e_o = (src @ mats.source_to_object.T * mats.t_object) \
+                @ mats.object_to_detector.T
+            c = np.conj(reference_field(config, src)) * e_o
+            corr_sum += c.sum(axis=0)
+            abs2_sum += (c.real ** 2 + c.imag ** 2).sum(axis=0)
+        mean = corr_sum / n
+        variance += (abs2_sum / n - np.abs(mean) ** 2) * n / (n - 1) / 4
     ratio = np.sqrt(variance / n) / run_ensemble(config).standard_error
     lo, hi = np.percentile(ratio, [5, 95])
     assert 0.95 <= lo and hi <= 1.05
@@ -301,46 +315,42 @@ def test_standard_error_matches_the_sample_variance():
 @example(center=1e-3, half_width=1e-5, n_det=1000, n_src=3)
 def test_reference_intensity_matches_the_fields(center, half_width, n_det,
                                                  n_src):
-    # run_ensemble's |E_r|^2 comes from its rows' autocorrelation and a
-    # chirp-z over lags; here it is summed from reference_field itself,
-    # over the same rows (Bartlett rows for n_src < 5). An off-centre
-    # detector clips the index origin to a grid edge
+    # run_ensemble's |E_r|^2 is its expectation from the kernel's constant
+    # modulus, 2 sigma^2 n_src |scale|^2; here it is 2 sigma^2 sum_i
+    # |A_r[j, i]|^2 over the columns reference_field gives the unit rows,
+    # on detectors off centre and at the grid edges
     source = make_grid(0.0, 0.005, n_src)
     det = make_grid(center, half_width, n_det)
-    n = 5
-    config = EnsembleConfig(imaging_spec(SLIT), source, det, n, n_src)
-    rows = ensemble._rows(config, 0, min(n, n_src),
-                          ensemble._bartlett_diagonal(config))
-    e_r = reference_field(config, rows * ensemble._sigma(config))
-    want = (e_r.real ** 2 + e_r.imag ** 2).sum(axis=0) / n
+    config = EnsembleConfig(imaging_spec(SLIT), source, det, 5, n_src)
+    a_r = reference_field(config, np.eye(n_src))
+    want = (2 * ensemble._sigma(config) ** 2
+            * (a_r.real ** 2 + a_r.imag ** 2).sum(axis=0))
     got = run_ensemble(config).intensity_r
     assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 def test_run_ensemble_peak_stays_within_its_workspace():
-    # a run holds its two matrices and the reference arm's plan (two
-    # chirps and the kernel spectrum). Its batches hold the accumulated
-    # moments G, YY and the summed power spectrum, the run's buffers (h1
-    # with sigma and t folded in, _BATCH source rows, and the normals and
-    # the zero-padded FFT block of one _CHUNK-row draw call) and per-batch
-    # temporaries: the object-node fields, their conjugates and one
-    # conj(Y)^T S product. The run's products come after the loop, the
-    # largest the plan on G's M rows: G, its FFT buffer and the result.
-    # The traced peak is the larger of the two, plus ufunc buffers
+    # a run holds its two matrices, the reference arm's plan (two chirps
+    # and the kernel spectrum) and B^T, h1 with sigma and t folded in.
+    # Its batches hold the accumulated moment G, the run's buffers
+    # (_BATCH source rows and their normals) and per-batch temporaries:
+    # the object-node fields' conjugates (the fields are freed once
+    # conjugated) and one conj(Y)^T S product. The run's products come
+    # after the loop, the largest the plan on G's M rows: G, its FFT
+    # buffer and the result. The traced peak is the larger of the two,
+    # plus ufunc buffers
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det,
                             8 * _BATCH + 5, 20260816)
     mats = propagation_matrices(config)
     n_src, n_det, m = SOURCE_GRID.n_samples, det.n_samples, mats.t_object.size
-    size = _kernels._fft_size(2 * n_src - 1)
     plan_size = _kernels._fft_size(n_det + n_src - 1)
-    fixed = sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
-    accumulators = 16 * m * n_src + 16 * m * m + 16 * size
-    buffers = 16 * (m * n_src + _BATCH * n_src
-                    + _CHUNK * n_src + _CHUNK * size)
-    per_batch = 16 * (2 * _BATCH * m + m * n_src)
+    fixed = (sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
+             + 16 * m * n_src)
+    g_and_buffers = 16 * (m * n_src + 2 * _BATCH * n_src)
+    per_batch = 16 * (_BATCH * m + m * n_src)
     products = 16 * m * (n_src + plan_size + n_det)
-    held = fixed + max(accumulators + buffers + per_batch, products)
+    held = fixed + max(g_and_buffers + per_batch, products)
     del mats
     # numpy keeps each FFT length's twiddles for the life of the process;
     # a first run makes them, so the traced run holds only its own arrays
@@ -354,9 +364,9 @@ def test_run_ensemble_peak_stays_within_its_workspace():
     assert held <= peak <= 1.25 * held
 
 
-def test_run_ensemble_builds_two_single_lattice_plans(monkeypatch):
-    # the reference arm's plan and intensity_r's, each over one lattice,
-    # plus the lag chirp intensity_r's coefficients take: three tables
+def test_run_ensemble_builds_one_lattice_plan(monkeypatch):
+    # the reference arm's plan over the source lattice and its one chirp
+    # table; the intensities take no plan
     plans, tables = [], []
     plan, table = _kernels._lattice_plan, _kernels._chirp_table
     monkeypatch.setattr(_kernels, "_lattice_plan",
@@ -364,9 +374,8 @@ def test_run_ensemble_builds_two_single_lattice_plans(monkeypatch):
     monkeypatch.setattr(_kernels, "_chirp_table",
                         lambda *a: tables.append(a) or table(*a))
     run_ensemble(make_config(n=4))
-    assert plans == [(SOURCE_GRID.n_samples,),
-                     (2 * SOURCE_GRID.n_samples - 1,)]
-    assert len(tables) == 3
+    assert plans == [(SOURCE_GRID.n_samples,)]
+    assert len(tables) == 1
 
 
 def test_opaque_object_gives_exactly_zero_mean():
@@ -382,21 +391,25 @@ def test_single_realization_has_infinite_standard_error():
 
 
 def test_reference_intensity_matches_closed_form():
+    # I_s k0 W / (2 pi |Zbar|) at every point, at any n
     res = run_ensemble(make_config(obj=uniform(0.8), n=2000))
     i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
-    assert res.intensity_r.mean() == pytest.approx(i_ref, rel=5e-2)
+    assert np.abs(res.intensity_r - i_ref).max() <= 1e-12 * i_ref
 
 
 def test_object_intensity_matches_the_mutual_intensity_background():
-    # a single shot's |E_o|^2 is exponential about its mean I (speckle),
-    # so the mean of n shots has standard error I / sqrt(n); measured
-    # gaps reach 1.5 of that here
-    n = 2000
-    config = make_config(n=n, seed=7)
-    res = run_ensemble(config)
-    i_ref = CTX.k0 * 0.01 / (2 * np.pi * REF.diffraction_length)
-    i_obj = background_intensity(config.spec, DET_GRID) - i_ref
-    assert np.all(np.abs(res.intensity_o - i_obj) <= 6 * i_obj / np.sqrt(n))
+    # the run's exact intensities on its own nodes against
+    # background_intensity's integral: their sum read within 6.1e-8 of
+    # the background's peak at 0.2852, 0.242 and 0.200 m on 64 and 1024
+    # points, the nodes' quadrature error
+    for z_o1 in (REF.diffraction_length, 0.242):
+        spec = InterferometerSpec(CTX, z_o1, REF.optical_path - z_o1,
+                                  REF_SEGMENTS, SLIT, 0.01)
+        res = run_ensemble(EnsembleConfig(spec, SOURCE_GRID, DET_GRID,
+                                          2000, 7))
+        background = background_intensity(spec, DET_GRID)
+        assert np.abs(res.intensity_o + res.intensity_r
+                      - background).max() <= 1e-6 * background.max()
 
 
 def test_mean_converges_at_the_monte_carlo_rate():
@@ -496,7 +509,7 @@ def test_bartlett_runs_match_brute_force_within_six_sigma():
     # n > n_source at the imaging point and defocused, from one past
     # n_source to the scenario cap, where the standard error is 1/23 of
     # n = 2000's and any bias of the rows would show. The worst point
-    # reads 2.0-2.4 standard errors here, at most 2.9 over seeds 0-19
+    # reads 2.0-2.5 standard errors here, at most 2.85 over seeds 0-19
     for z_o1 in (REF.diffraction_length, 0.242):
         spec = InterferometerSpec(CTX, z_o1, REF.optical_path - z_o1,
                                   REF_SEGMENTS, SLIT, 0.01)
@@ -513,7 +526,7 @@ def test_bartlett_standard_error_is_calibrated():
     # run's own nodes: 2 sigma^2 sum_c conj(A_r[j, c]) A_o[j, c] over the
     # dense arms. A calibrated standard error gives E|z|^2 = Var(Re z) +
     # Var(Im z) = 1. Pooled over 40 seeds and the 64 points it read
-    # 0.94-1.05 over ten disjoint seed sets (seeds 0-399, std 0.028); a
+    # 0.945-1.053 over ten disjoint seed sets (seeds 0-399, std 0.029); a
     # standard error 10 % too large reads 0.83, 10 % too small 1.23
     n = 2000
     config = make_config(n=n)
