@@ -47,12 +47,22 @@ complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist. 34:152,
 realizations:
 
 * n <= n_src: row k is realization k;
-* n > n_src: row k is realization k with its first k entries zeroed and
-  entry k set to sqrt(2 Gamma(n - k, 1)). These rows are the columns of
-  sqrt(2) L in Bartlett's decomposition S = 2 L L^H (Proc. R. Soc.
-  Edinb. 53:260, 1933), so sum_k r_k r_k^H has S's distribution exactly.
-  The n_src gammas come from one Philox stream at counter 1 << 128,
-  which no realization reaches.
+* n > n_src: row k is zero before entry k, entry k is sqrt(2 Gamma(n -
+  k, 1)) and the n_src - k - 1 entries after it are circular complex
+  normals (real and imaginary parts standard normal). These rows are the
+  columns of sqrt(2) L in Bartlett's decomposition S = 2 L L^H (Proc. R.
+  Soc. Edinb. 53:260, 1933), so sum_k r_k r_k^H has S's distribution
+  exactly.
+
+The Bartlett rows have a draw convention of their own: one
+Philox(key=master_seed, counter=1 << 128) generator, at a counter no
+realization reaches, draws the n_src gammas and then each row's entries
+after the diagonal, in row order: one standard_normal call per row into
+the float view of those complex entries, so real and imaginary parts
+interleave. A run draws only that strict upper triangle, n_src (n_src -
+1) normals, and each batch of rows k >= start adds only G's columns from
+start on, where its rows are not zero: at 512 cells, 62.5 % of a full
+product.
 
 A run costs min(n, n_src) rows, not n, and its mean has the same
 distribution as the per-realization one. Determinism is bitwise per
@@ -61,11 +71,12 @@ fixed by the pair. For n <= n_src a run sums sample_source's
 realizations; for n > n_src it does not, and its sample changes with n.
 
 A run holds the two matrices, the plan, G and the buffers that every
-batch reuses: _BATCH = 128 source rows and their normals, drawn in one
-call per batch. Each batch adds its node fields and one conj(Y)^T S
+batch reuses: _BATCH = 128 source rows and, for realizations, their
+normals, drawn in one call per batch; Bartlett rows are drawn straight
+into the rows. Each batch adds its node fields and one conj(Y)^T S
 product; the loop, not the once-per-run plan on G's M rows, sets the
 peak. At 512 source cells and 1024 detector points (M = 38) a run's
-traced peak is 3.9 MiB.
+traced peak is 3.9 MiB for n <= n_src and 3.3 MiB for Bartlett rows.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -186,36 +197,27 @@ def _sigma(config):
                    / (2.0 * config.source_grid.spacing))
 
 
-def _bartlett_diagonal(config):
-    """sqrt(2 Gamma(n - k, 1)) for k < n_source, drawn from
-    Philox(key=master_seed, counter=1 << 128), or None when n <=
-    n_source and a run's rows are its realizations."""
+def _bartlett_rows(config, rows):
+    """Yield (start, block) for each _BATCH of the n_source Bartlett rows
+    of an n > n_source run, unscaled and drawn by the module docstring's
+    convention; rows is the run's (_BATCH, n_source) complex buffer.
+
+    block views rows start..stop-1 of it from column start on: the
+    columns before start are zero in every row of the block. Successive
+    standard_normal calls draw what one call would, so the rows depend
+    only on (seed, n), not on the batch width.
+    """
     n, n_src = config.n_realizations, config.source_grid.n_samples
-    if n <= n_src:
-        return None
     gen = np.random.Generator(
         np.random.Philox(key=config.master_seed, counter=1 << 128))
-    return np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
-
-
-def _rows(config, start, stop, diagonal, out=None, raw=None, stream=None):
-    """Unscaled rows start..stop-1 of the min(n, n_source) that a run
-    sums; diagonal is _bartlett_diagonal(config), and out, raw and
-    stream are _draw_values'.
-
-    Row k is realization k, or with a diagonal, realization k with its
-    first k entries zeroed and entry k set to diagonal[k] (the Bartlett
-    rows of the module docstring).
-    """
-    values = _draw_values(config, start, stop, out, raw, stream)
-    if diagonal is not None:
-        # row i is row k = start + i: its first k entries are the columns
-        # before start and those below the square block's diagonal
-        values[:, :start] = 0
-        square = values[:, start:stop]
-        square[np.tri(stop - start, k=-1, dtype=bool)] = 0
-        np.fill_diagonal(square, diagonal[start:stop])
-    return values
+    diagonal = np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
+    for start in range(0, n_src, _BATCH):
+        block = rows[:min(_BATCH, n_src - start), start:]
+        for i, row in enumerate(block):
+            row[:i] = 0
+            row[i] = diagonal[start + i]
+            gen.standard_normal(out=row[i + 1:].view(np.float64))
+        yield start, block
 
 
 def sample_source(config, realization_index):
@@ -341,20 +343,25 @@ def _second_moment(config, b_t):
     """G = sum conj(B r) r^T (M x n_source) over the run's rows, in
     batches of _BATCH.
 
-    The rows r are _rows', min(n, n_source) of them, unscaled; b_t is
-    B^T (n_source x M). Every batch reuses the run's buffers: _BATCH
-    source rows and their normals, drawn in one call.
+    The rows r, unscaled, are the n realizations for n <= n_source and
+    _bartlett_rows' n_source rows above it; b_t is B^T (n_source x M).
+    Every batch reuses the run's row buffer (and, for realizations, the
+    buffer of their normals, drawn in one call). A Bartlett batch from
+    row start on is zero before column start, so it adds only G's
+    columns from start on.
     """
-    n_src = config.source_grid.n_samples
-    stream = _stream(config)
-    diagonal = _bartlett_diagonal(config)
-    n_rows = min(config.n_realizations, n_src)
+    n, n_src = config.n_realizations, config.source_grid.n_samples
     rows = np.empty((_BATCH, n_src), dtype=np.complex128)
-    raw = np.empty((_BATCH, 2, n_src))
     g = np.zeros((b_t.shape[1], n_src), dtype=np.complex128)
-    for start in range(0, n_rows, _BATCH):
-        s = _rows(config, start, min(start + _BATCH, n_rows), diagonal,
-                  rows, raw, stream)
+    if n > n_src:
+        for start, s in _bartlett_rows(config, rows):
+            g[:, start:] += np.conjugate(s @ b_t[start:]).T @ s
+        return g
+    stream = _stream(config)
+    raw = np.empty((_BATCH, 2, n_src))
+    for start in range(0, n, _BATCH):
+        s = _draw_values(config, start, min(start + _BATCH, n), rows, raw,
+                         stream)
         g += np.conjugate(s @ b_t).T @ s
     return g
 

@@ -143,21 +143,21 @@ def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
     got = _draw_values(config, start, stop, out, raw, stream)
     assert np.array_equal(got * sigma, want)
 
-    # run_ensemble makes one _draw_values call per _BATCH of its
-    # min(n, n_source) rows: all n realizations on 256 cells, 33 Bartlett
-    # rows on 33 cells
+    # run_ensemble makes one _draw_values call per _BATCH of its rows for
+    # n <= n_source (all n realizations on 256 cells) and none for n >
+    # n_source (33 cells), whose Bartlett rows have a stream of their own
     calls = []
     draw = ensemble._draw_values
     monkeypatch.setattr(ensemble, "_draw_values",
                         lambda c, a, b, *r, **k: calls.append((a, b))
                         or draw(c, a, b, *r, **k))
     n = config.n_realizations
-    for n_src, rows in ((256, n), (33, 33)):
+    batches = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
+    for n_src, want in ((256, batches), (33, [])):
         calls.clear()
         run_ensemble(make_config(n=n, seed=2 ** 63 + 11,
                                  source_grid=make_grid(0.0, 0.005, n_src)))
-        assert calls == [(lo, min(lo + _BATCH, rows))
-                         for lo in range(0, rows, _BATCH)]
+        assert calls == want
 
 
 def test_sample_source_is_deterministic_and_indexed():
@@ -330,24 +330,34 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
 
 
 def test_run_ensemble_peak_stays_within_its_workspace():
+    _assert_peak_within_workspace(8 * _BATCH + 5)
+
+
+def test_realization_run_peak_stays_within_its_workspace():
+    _assert_peak_within_workspace(3 * _BATCH + 5)
+
+
+def _assert_peak_within_workspace(n):
     # a run holds its two matrices, the reference arm's plan (two chirps
     # and the kernel spectrum) and B^T, h1 with sigma and t folded in.
-    # Its batches hold the accumulated moment G, the run's buffers
-    # (_BATCH source rows and their normals) and per-batch temporaries:
-    # the object-node fields' conjugates (the fields are freed once
-    # conjugated) and one conj(Y)^T S product. The run's products come
-    # after the loop, the largest the plan on G's M rows: G, its FFT
-    # buffer and the result. The traced peak is the larger of the two,
-    # plus ufunc buffers
+    # Its batches hold the accumulated moment G, the run's buffers and
+    # per-batch temporaries: the object-node fields' conjugates (the
+    # fields are freed once conjugated) and one conj(Y)^T S product. The
+    # buffers are _BATCH source rows, and for n <= n_source (realizations)
+    # their normals too; Bartlett rows (n > n_source) are drawn straight
+    # into the rows. The run's products come after the loop, the largest
+    # the plan on G's M rows: G, its FFT buffer and the result. The traced
+    # peak is the larger of the two, plus ufunc buffers
     det = make_grid(0.0, 0.25e-3, 1024)
-    config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det,
-                            8 * _BATCH + 5, 20260816)
+    config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det, n,
+                            20260816)
     mats = propagation_matrices(config)
     n_src, n_det, m = SOURCE_GRID.n_samples, det.n_samples, mats.t_object.size
     plan_size = _kernels._fft_size(n_det + n_src - 1)
     fixed = (sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
              + 16 * m * n_src)
-    g_and_buffers = 16 * (m * n_src + 2 * _BATCH * n_src)
+    buffers = 1 if n > n_src else 2
+    g_and_buffers = 16 * (m * n_src + buffers * _BATCH * n_src)
     per_batch = 16 * (_BATCH * m + m * n_src)
     products = 16 * m * (n_src + plan_size + n_det)
     held = fixed + max(g_and_buffers + per_batch, products)
@@ -483,19 +493,61 @@ def _z(samples, target):
             / (samples.std(axis=0) / np.sqrt(len(samples))))
 
 
+def _bartlett_run_rows(config):
+    """The n_source Bartlett rows of an n > n_source run, (n_source,
+    n_source), assembled from _bartlett_rows' batches; the buffer starts
+    out as NaN, so any entry a batch leaves out shows."""
+    n_src = config.source_grid.n_samples
+    rows = np.zeros((n_src, n_src), dtype=np.complex128)
+    buffer = np.full((_BATCH, n_src), np.nan, dtype=np.complex128)
+    for start, block in ensemble._bartlett_rows(config, buffer):
+        assert np.shares_memory(block, buffer)
+        rows[start:start + len(block), start:] = block
+    return rows
+
+
+def test_bartlett_draw_convention_is_frozen(monkeypatch):
+    # a compatibility contract like sample_source's: for n > n_source one
+    # fresh Philox(key, counter=1 << 128) draws the n_source gammas, then
+    # row k's n_source - k - 1 entries after the diagonal, row by row,
+    # real and imaginary parts interleaved. Rebuilt here from one call
+    # for all the tails; 2 _BATCH + 3 rows cross two batch boundaries
+    n_src, n, seed = 2 * _BATCH + 3, 5000, 2 ** 64 - 9
+    config = make_config(n=n, seed=seed,
+                         source_grid=make_grid(0.0, 0.005, n_src))
+    bitgens, philox = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **k: bitgens.append(philox(*a, **k))
+                        or bitgens[-1])
+    got = _bartlett_run_rows(config)
+    gen = np.random.Generator(philox(key=seed, counter=1 << 128))
+    diagonal = np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
+    tails = gen.standard_normal(n_src * (n_src - 1)).view(np.complex128)
+    want = np.diag(diagonal).astype(np.complex128)
+    want[np.triu_indices(n_src, k=1)] = tails
+    assert np.array_equal(got, want)
+    # the block from _BATCH - 5 to _BATCH + 7 spans two of the run's batches
+    lo, hi = _BATCH - 5, _BATCH + 7
+    assert np.array_equal(got[lo:hi], want[lo:hi])
+    # the run consumed exactly n_source (n_source - 1) normals after the
+    # gammas: its one generator stands where the rebuilt one does
+    assert len(bitgens) == 1
+    assert np.array_equal(bitgens[0].random_raw(4),
+                          gen.bit_generator.random_raw(4))
+
+
 def test_bartlett_rows_have_the_wishart_moments():
     # the Gram matrix S = sum_k r_k r_k^H of a run's rows at n > n_source
     # against the exact moments of n unscaled circular draws, CW(n, 2 I):
     # E[S] = 2 n I, Var(S_ii) = 4 n and E|S_ij|^2 = 4 n. Over these 4000
-    # seeds every estimate lies within 1.9 standard errors; Gamma(n) on
+    # seeds every estimate lies within 2.2 standard errors; Gamma(n) on
     # every row, or rows without the factor 2, read far outside 5
     n_src, n = 6, 9
     grams = []
     for seed in range(4000):
         config = make_config(n=n, seed=seed,
                              source_grid=make_grid(0.0, 0.005, n_src))
-        rows = ensemble._rows(config, 0, n_src,
-                              ensemble._bartlett_diagonal(config))
+        rows = _bartlett_run_rows(config)
         grams.append(rows.T @ np.conj(rows))
     s = np.array(grams)
     eye = np.eye(n_src, dtype=bool)
@@ -505,11 +557,27 @@ def test_bartlett_rows_have_the_wishart_moments():
         assert np.abs(z).max() <= 5
 
 
+def test_bartlett_run_sums_its_rows():
+    # the estimator on its own rows: both fields of every Bartlett row,
+    # summed in full. A run's batch from row start on multiplies only the
+    # columns from start on, where its rows are not zero; the four batches
+    # on 512 cells agree with the full sum to rounding
+    config = make_config(n=3 * SOURCE_GRID.n_samples)
+    src = _bartlett_run_rows(config) * ensemble._sigma(config)
+    mats = propagation_matrices(config)
+    e_o = (src @ mats.source_to_object.T * mats.t_object) \
+        @ mats.object_to_detector.T
+    e_r = reference_field(config, src)
+    want = (np.conj(e_r) * e_o).sum(axis=0) / config.n_realizations
+    got = run_ensemble(config).correlation_mean
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_bartlett_runs_match_brute_force_within_six_sigma():
     # n > n_source at the imaging point and defocused, from one past
     # n_source to the scenario cap, where the standard error is 1/23 of
     # n = 2000's and any bias of the rows would show. The worst point
-    # reads 2.0-2.5 standard errors here, at most 2.85 over seeds 0-19
+    # reads 1.8-2.1 standard errors here, at most 2.93 over seeds 0-19
     for z_o1 in (REF.diffraction_length, 0.242):
         spec = InterferometerSpec(CTX, z_o1, REF.optical_path - z_o1,
                                   REF_SEGMENTS, SLIT, 0.01)
@@ -526,7 +594,7 @@ def test_bartlett_standard_error_is_calibrated():
     # run's own nodes: 2 sigma^2 sum_c conj(A_r[j, c]) A_o[j, c] over the
     # dense arms. A calibrated standard error gives E|z|^2 = Var(Re z) +
     # Var(Im z) = 1. Pooled over 40 seeds and the 64 points it read
-    # 0.945-1.053 over ten disjoint seed sets (seeds 0-399, std 0.029); a
+    # 0.940-1.047 over ten disjoint seed sets (seeds 0-399, std 0.034); a
     # standard error 10 % too large reads 0.83, 10 % too small 1.23
     n = 2000
     config = make_config(n=n)
