@@ -41,42 +41,48 @@ Goodman, Statistical Optics, sec. 2.8; Reed, IRE Trans. Inf. Theory
 8:194, 1962), and the standard error sqrt(intensity_o * intensity_r /
 n) is exact for the run's nodes and does not move with the draw.
 
-G depends on the draws only through S, which for n unscaled draws is
-complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist. 34:152,
-1963). So a run sums min(n, n_src) rows r_k in place of the n
-realizations:
+G = conj(B S) depends on the draws only through S, which for n unscaled
+draws is complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist.
+34:152, 1963). For n <= n_src a run sums the n realizations, in batches.
+For n > n_src it draws G in B's row space and forms no source row. Let
+Q (n_src x p, p = min(M, n_src)) be the reduced QR basis of B^H, so B =
+B Q Q^H. Then:
 
-* n <= n_src: row k is realization k;
-* n > n_src: row k is zero before entry k, entry k is sqrt(2 Gamma(n -
-  k, 1)) and the n_src - k - 1 entries after it are circular complex
-  normals (real and imaginary parts standard normal). These rows are the
-  columns of sqrt(2) L in Bartlett's decomposition S = 2 L L^H (Proc. R.
-  Soc. Edinb. 53:260, 1933), so sum_k r_k r_k^H has S's distribution
-  exactly.
+* a_k = Q^H s_k are iid CN(0, 2 I_p) and independent of (I - Q Q^H) s_k;
+* W = sum_k a_k a_k^H ~ CW(n, 2 I_p) = V V^H, with V (p x p) lower
+  triangular: sqrt(2 Gamma(n - k, 1)) on its diagonal and circular
+  complex normals (real and imaginary parts standard normal) below it,
+  Bartlett's decomposition (Proc. R. Soc. Edinb. 53:260, 1933);
+* given the a_k, sum_k a_k ((I - Q Q^H) s_k)^H is distributed as
+  V Z (I - Q Q^H), with Z (p x n_src) circular complex normals.
 
-The Bartlett rows have a draw convention of their own: one
-Philox(key=master_seed, counter=1 << 128) generator, at a counter no
-realization reaches, draws the n_src gammas and then each row's entries
-after the diagonal, in row order: one standard_normal call per row into
-the float view of those complex entries, so real and imaginary parts
-interleave. A run draws only that strict upper triangle, n_src (n_src -
-1) normals, and each batch of rows k >= start adds only G's columns from
-start on, where its rows are not zero: at 512 cells, 62.5 % of a full
-product.
+So B S has exactly the distribution of (B Q V)(V^H Q^H + Z - (Z Q) Q^H),
+and B^H = Q R gives B Q = R^H. Q only has to span B's rows, so a B of
+lower rank (a zero or repeated row) needs no special case.
 
-A run costs min(n, n_src) rows, not n, and its mean has the same
+These draws have a convention of their own: one Philox(key=master_seed,
+counter=1 << 128) generator, at a counter no realization reaches, draws
+the p gammas, then V's p (p - 1) / 2 entries below the diagonal in
+np.tril_indices(p, -1) order, then Z in row order; each set of normals
+is one standard_normal call into the float view of its complex entries,
+so real and imaginary parts interleave. At every n > n_src a run draws
+2 p n_src + p (p - 1) normals (39,318 at 512 cells and M = 38), against
+n_src (n_src - 1) for S's own n_src x n_src Bartlett factor, and its
+products cost O(p^2 n_src), not O(M n_src^2).
+
+So a run's cost stops growing at n = n_src, and its mean has the same
 distribution as the per-realization one. Determinism is bitwise per
-(master_seed, n): the rows, and the batch order they are summed in, are
+(master_seed, n): the draws, and the order they are summed in, are
 fixed by the pair. For n <= n_src a run sums sample_source's
 realizations; for n > n_src it does not, and its sample changes with n.
 
-A run holds the two matrices, the plan, G and the buffers that every
-batch reuses: _BATCH = 128 source rows and, for realizations, their
-normals, drawn in one call per batch; Bartlett rows are drawn straight
-into the rows. Each batch adds its node fields and one conj(Y)^T S
-product; the loop, not the once-per-run plan on G's M rows, sets the
-peak. At 512 source cells and 1024 detector points (M = 38) a run's
-traced peak is 3.9 MiB for n <= n_src and 3.3 MiB for Bartlett rows.
+A run holds the two matrices, the plan and G. For n <= n_src every
+batch reuses the run's buffers, _BATCH = 128 source rows and their
+normals, drawn in one call per batch, and adds its node fields and one
+conj(Y)^T S product; the loop, not the once-per-run plan on G's M rows,
+sets the peak. At 512 source cells and 1024 detector points (M = 38) a
+run's traced peak is 3.9 MiB for n <= n_src and 3.3 MiB above it, where
+the plan sets it.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -197,27 +203,24 @@ def _sigma(config):
                    / (2.0 * config.source_grid.spacing))
 
 
-def _bartlett_rows(config, rows):
-    """Yield (start, block) for each _BATCH of the n_source Bartlett rows
-    of an n > n_source run, unscaled and drawn by the module docstring's
-    convention; rows is the run's (_BATCH, n_source) complex buffer.
+def _row_space_draws(config, p):
+    """(V, Z) of an n > n_source run whose object arm spans p source
+    dimensions, unscaled and drawn by the module docstring's convention.
 
-    block views rows start..stop-1 of it from column start on: the
-    columns before start are zero in every row of the block. Successive
-    standard_normal calls draw what one call would, so the rows depend
-    only on (seed, n), not on the batch width.
+    V (p x p) is lower triangular with sqrt(2 Gamma(n - k, 1)) on its
+    diagonal; its entries below it and Z's (p x n_source) are circular
+    complex normals, real and imaginary parts standard normal.
     """
     n, n_src = config.n_realizations, config.source_grid.n_samples
     gen = np.random.Generator(
         np.random.Philox(key=config.master_seed, counter=1 << 128))
-    diagonal = np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
-    for start in range(0, n_src, _BATCH):
-        block = rows[:min(_BATCH, n_src - start), start:]
-        for i, row in enumerate(block):
-            row[:i] = 0
-            row[i] = diagonal[start + i]
-            gen.standard_normal(out=row[i + 1:].view(np.float64))
-        yield start, block
+    v = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p))) + 0j)
+    lower = np.empty(p * (p - 1) // 2, dtype=np.complex128)
+    gen.standard_normal(out=lower.view(np.float64))
+    v[np.tril_indices(p, -1)] = lower
+    z = np.empty((p, n_src), dtype=np.complex128)
+    gen.standard_normal(out=z.view(np.float64))
+    return v, z
 
 
 def sample_source(config, realization_index):
@@ -238,7 +241,7 @@ class PropagationMatrices(NamedTuple):
     object_to_detector: [n_detector, n_object_nodes] including node widths
     t_object: transmittance at the object nodes
 
-    The reference arm has no matrix here: see reference_field.
+    The reference arm has no matrix here: see _reference_arm.
     """
 
     source_to_object: np.ndarray
@@ -281,26 +284,16 @@ def _reference_arm(config):
     return plan, scale
 
 
-def reference_field(config, src):
-    """E_r on the detector grid for source rows src, (..., n_source).
-
-    The midpoint sum of the reference-arm Fresnel kernel over the source
-    grid, evaluated as one chirp-z convolution per row: both grids are
-    uniform lattices.
-    """
-    plan, scale = _reference_arm(config)
-    return plan(src * scale)
-
-
 def run_ensemble(config):
     """Average E_r* E_o over all realizations, with the exact
     intensities and standard error on the run's nodes.
 
-    The batches accumulate the correlation's second moment over
-    min(n, n_source) rows, which gives the mean once per run; the
-    intensities take E[S] = 2 n I (see the module docstring). Fixed
-    rows, batch width and accumulation order: rerunning the same config
-    reproduces the estimate bitwise.
+    The run forms the correlation's second moment G, from the n
+    realizations for n <= n_source and drawn in the object arm's row
+    space above it, which gives the mean once per run; the intensities
+    take E[S] = 2 n I (see the module docstring). Fixed draws, batch
+    width and accumulation order: rerunning the same config reproduces
+    the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
@@ -340,23 +333,25 @@ def run_ensemble(config):
 
 
 def _second_moment(config, b_t):
-    """G = sum conj(B r) r^T (M x n_source) over the run's rows, in
-    batches of _BATCH.
+    """G = conj(B S) (M x n_source), S = sum_k s_k s_k^H over the run's
+    n unscaled draws; b_t is B^T (n_source x M).
 
-    The rows r, unscaled, are the n realizations for n <= n_source and
-    _bartlett_rows' n_source rows above it; b_t is B^T (n_source x M).
-    Every batch reuses the run's row buffer (and, for realizations, the
-    buffer of their normals, drawn in one call). A Bartlett batch from
-    row start on is zero before column start, so it adds only G's
-    columns from start on.
+    For n > n_source, G is drawn in B's row space (see the module
+    docstring) and no source row is formed. For n <= n_source it sums
+    conj(B s_k) s_k^T over the realizations in batches of _BATCH, every
+    batch reusing the run's row buffer and the buffer of their normals,
+    drawn in one call.
     """
     n, n_src = config.n_realizations, config.source_grid.n_samples
+    if n > n_src:
+        # B^H = Q R, so B Q = R^H and B S ~ R^H V (Z + (V^H - Z Q) Q^H)
+        q, r = np.linalg.qr(np.conjugate(b_t))
+        v, z = _row_space_draws(config, r.shape[0])
+        z += (np.conjugate(v.T) - z @ q) @ np.conjugate(q.T)
+        g = (np.conjugate(r.T) @ v) @ z
+        return np.conjugate(g, out=g)
     rows = np.empty((_BATCH, n_src), dtype=np.complex128)
     g = np.zeros((b_t.shape[1], n_src), dtype=np.complex128)
-    if n > n_src:
-        for start, s in _bartlett_rows(config, rows):
-            g[:, start:] += np.conjugate(s @ b_t[start:]).T @ s
-        return g
     stream = _stream(config)
     raw = np.empty((_BATCH, 2, n_src))
     for start in range(0, n, _BATCH):

@@ -19,8 +19,7 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       run_coherent, run_ensemble, sample_source, uniform,
                       vacuum)
 from wavecorr import _kernels, ensemble
-from wavecorr.ensemble import (_BATCH, _draw_values, propagation_matrices,
-                               reference_field)
+from wavecorr.ensemble import _BATCH, _draw_values, propagation_matrices
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -43,6 +42,13 @@ def imaging_spec(obj):
 
 def make_config(obj=SLIT, n=8, seed=20260816, source_grid=SOURCE_GRID):
     return EnsembleConfig(imaging_spec(obj), source_grid, DET_GRID, n, seed)
+
+
+def _reference_field(config, src):
+    """E_r on the detector grid for source rows src, (..., n_source):
+    the run's reference arm, plan(src * scale)."""
+    plan, scale = ensemble._reference_arm(config)
+    return plan(src * scale)
 
 
 # -------------------------------------------------------------- sampling
@@ -145,7 +151,7 @@ def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
 
     # run_ensemble makes one _draw_values call per _BATCH of its rows for
     # n <= n_source (all n realizations on 256 cells) and none for n >
-    # n_source (33 cells), whose Bartlett rows have a stream of their own
+    # n_source (33 cells), whose row-space draw has a stream of its own
     calls = []
     draw = ensemble._draw_values
     monkeypatch.setattr(ensemble, "_draw_values",
@@ -224,7 +230,7 @@ def test_run_ensemble_is_bitwise_reproducible():
     other = run_ensemble(make_config(n=40, seed=1))
     assert not np.array_equal(a.correlation_mean, other.correlation_mean)
 
-    # on Bartlett rows (n > n_source) the pair (seed, n) fixes the bits
+    # drawn in the row space (n > n_source) the pair (seed, n) fixes the bits
     config = make_config(n=SOURCE_GRID.n_samples + 100)
     a, b = run_ensemble(config), run_ensemble(config)
     assert np.array_equal(a.correlation_mean, b.correlation_mean)
@@ -295,7 +301,7 @@ def test_standard_error_matches_the_sample_variance():
             src = _draw_values(config, start, start + 256) * sigma
             e_o = (src @ mats.source_to_object.T * mats.t_object) \
                 @ mats.object_to_detector.T
-            c = np.conj(reference_field(config, src)) * e_o
+            c = np.conj(_reference_field(config, src)) * e_o
             corr_sum += c.sum(axis=0)
             abs2_sum += (c.real ** 2 + c.imag ** 2).sum(axis=0)
         mean = corr_sum / n
@@ -317,12 +323,12 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
                                                  n_src):
     # run_ensemble's |E_r|^2 is its expectation from the kernel's constant
     # modulus, 2 sigma^2 n_src |scale|^2; here it is 2 sigma^2 sum_i
-    # |A_r[j, i]|^2 over the columns reference_field gives the unit rows,
+    # |A_r[j, i]|^2 over the columns the reference arm gives the unit rows,
     # on detectors off centre and at the grid edges
     source = make_grid(0.0, 0.005, n_src)
     det = make_grid(center, half_width, n_det)
     config = EnsembleConfig(imaging_spec(SLIT), source, det, 5, n_src)
-    a_r = reference_field(config, np.eye(n_src))
+    a_r = _reference_field(config, np.eye(n_src))
     want = (2 * ensemble._sigma(config) ** 2
             * (a_r.real ** 2 + a_r.imag ** 2).sum(axis=0))
     got = run_ensemble(config).intensity_r
@@ -340,14 +346,15 @@ def test_realization_run_peak_stays_within_its_workspace():
 def _assert_peak_within_workspace(n):
     # a run holds its two matrices, the reference arm's plan (two chirps
     # and the kernel spectrum) and B^T, h1 with sigma and t folded in.
-    # Its batches hold the accumulated moment G, the run's buffers and
-    # per-batch temporaries: the object-node fields' conjugates (the
-    # fields are freed once conjugated) and one conj(Y)^T S product. The
-    # buffers are _BATCH source rows, and for n <= n_source (realizations)
-    # their normals too; Bartlett rows (n > n_source) are drawn straight
-    # into the rows. The run's products come after the loop, the largest
-    # the plan on G's M rows: G, its FFT buffer and the result. The traced
-    # peak is the larger of the two, plus ufunc buffers
+    # For n <= n_source its batches hold the accumulated moment G, the
+    # run's buffers (_BATCH source rows and their normals) and per-batch
+    # temporaries: the object-node fields' conjugates (the fields are
+    # freed once conjugated) and one conj(Y)^T S product. For n >
+    # n_source the row-space draw (p = M here) holds Q, Z, Q^H and one
+    # product of Z's shape, G after them. The run's products come after
+    # either, the largest the plan on G's M rows: G, its FFT buffer and
+    # the result. The traced peak is the larger of the two, plus ufunc
+    # buffers
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det, n,
                             20260816)
@@ -356,11 +363,12 @@ def _assert_peak_within_workspace(n):
     plan_size = _kernels._fft_size(n_det + n_src - 1)
     fixed = (sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
              + 16 * m * n_src)
-    buffers = 1 if n > n_src else 2
-    g_and_buffers = 16 * (m * n_src + buffers * _BATCH * n_src)
-    per_batch = 16 * (_BATCH * m + m * n_src)
+    if n > n_src:
+        draw = 16 * 4 * m * n_src
+    else:
+        draw = 16 * (2 * m * n_src + 2 * _BATCH * n_src + _BATCH * m)
     products = 16 * m * (n_src + plan_size + n_det)
-    held = fixed + max(g_and_buffers + per_batch, products)
+    held = fixed + max(draw, products)
     del mats
     # numpy keeps each FFT length's twiddles for the life of the process;
     # a first run makes them, so the traced run holds only its own arrays
@@ -451,7 +459,7 @@ def test_per_realization_speckle_contrast():
     for start in range(0, 3000, 500):
         src = np.stack([sample_source(config, i).values
                         for i in range(start, start + 500)])
-        e_r = reference_field(config, src)
+        e_r = _reference_field(config, src)
         i_r = e_r.real ** 2 + e_r.imag ** 2
         s1 += i_r.sum(axis=0)
         s2 += (i_r * i_r).sum(axis=0)
@@ -469,8 +477,9 @@ def test_per_realization_speckle_contrast():
 @example(center=-20e-3, half_width=1e-5, n_det=2, n_src=2)
 def test_reference_field_matches_the_dense_kernel(center, half_width,
                                                   n_det, n_src):
-    # the reference arm against its definition rebuilt here: the dense
-    # Fresnel kernel matrix over the source grid, times dx_s, on the rows
+    # the reference arm, plan(src * scale), against its definition
+    # rebuilt here: the dense Fresnel kernel matrix over the source grid,
+    # times dx_s, on the rows
     source = make_grid(0.0, 0.005, n_src)
     det = make_grid(center, half_width, n_det)
     config = EnsembleConfig(imaging_spec(SLIT), source, det, 4, 1)
@@ -480,12 +489,12 @@ def test_reference_field_matches_the_dense_kernel(center, half_width,
                             source.coordinates()[None, :], REF.optical_path,
                             REF.diffraction_length) * source.spacing
     want = src @ kernel.T
-    got = reference_field(config, src)
+    got = _reference_field(config, src)
     assert got.shape == (3, n_det)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
-# ------------------------------------------------------- Bartlett rows
+# ------------------------------------------------- the row-space draw
 
 def _z(samples, target):
     """(mean - target) over the first axis, in standard errors."""
@@ -493,83 +502,109 @@ def _z(samples, target):
             / (samples.std(axis=0) / np.sqrt(len(samples))))
 
 
-def _bartlett_run_rows(config):
-    """The n_source Bartlett rows of an n > n_source run, (n_source,
-    n_source), assembled from _bartlett_rows' batches; the buffer starts
-    out as NaN, so any entry a batch leaves out shows."""
-    n_src = config.source_grid.n_samples
-    rows = np.zeros((n_src, n_src), dtype=np.complex128)
-    buffer = np.full((_BATCH, n_src), np.nan, dtype=np.complex128)
-    for start, block in ensemble._bartlett_rows(config, buffer):
-        assert np.shares_memory(block, buffer)
-        rows[start:start + len(block), start:] = block
-    return rows
-
-
 def test_bartlett_draw_convention_is_frozen(monkeypatch):
     # a compatibility contract like sample_source's: for n > n_source one
-    # fresh Philox(key, counter=1 << 128) draws the n_source gammas, then
-    # row k's n_source - k - 1 entries after the diagonal, row by row,
-    # real and imaginary parts interleaved. Rebuilt here from one call
-    # for all the tails; 2 _BATCH + 3 rows cross two batch boundaries
-    n_src, n, seed = 2 * _BATCH + 3, 5000, 2 ** 64 - 9
-    config = make_config(n=n, seed=seed,
-                         source_grid=make_grid(0.0, 0.005, n_src))
-    bitgens, philox = [], np.random.Philox
-    monkeypatch.setattr(np.random, "Philox",
-                        lambda *a, **k: bitgens.append(philox(*a, **k))
-                        or bitgens[-1])
-    got = _bartlett_run_rows(config)
-    gen = np.random.Generator(philox(key=seed, counter=1 << 128))
-    diagonal = np.sqrt(2.0 * gen.standard_gamma(n - np.arange(n_src)))
-    tails = gen.standard_normal(n_src * (n_src - 1)).view(np.complex128)
-    want = np.diag(diagonal).astype(np.complex128)
-    want[np.triu_indices(n_src, k=1)] = tails
-    assert np.array_equal(got, want)
-    # the block from _BATCH - 5 to _BATCH + 7 spans two of the run's batches
-    lo, hi = _BATCH - 5, _BATCH + 7
-    assert np.array_equal(got[lo:hi], want[lo:hi])
-    # the run consumed exactly n_source (n_source - 1) normals after the
-    # gammas: its one generator stands where the rebuilt one does
-    assert len(bitgens) == 1
-    assert np.array_equal(bitgens[0].random_raw(4),
-                          gen.bit_generator.random_raw(4))
-
-
-def test_bartlett_rows_have_the_wishart_moments():
-    # the Gram matrix S = sum_k r_k r_k^H of a run's rows at n > n_source
-    # against the exact moments of n unscaled circular draws, CW(n, 2 I):
-    # E[S] = 2 n I, Var(S_ii) = 4 n and E|S_ij|^2 = 4 n. Over these 4000
-    # seeds every estimate lies within 2.2 standard errors; Gamma(n) on
-    # every row, or rows without the factor 2, read far outside 5
-    n_src, n = 6, 9
-    grams = []
-    for seed in range(4000):
+    # fresh Philox(key, counter=1 << 128) draws the p gammas of V's
+    # diagonal, then V's entries below it in tril_indices order, then Z
+    # row by row, real and imaginary parts interleaved; p = min(M,
+    # n_source), with M = 38 object nodes here: p = M on 64 cells and
+    # p = n_source on 33
+    seed, n = 2 ** 64 - 9, 5000
+    philox, draw = np.random.Philox, ensemble._row_space_draws
+    for n_src, p in ((64, 38), (33, 33)):
         config = make_config(n=n, seed=seed,
                              source_grid=make_grid(0.0, 0.005, n_src))
-        rows = _bartlett_run_rows(config)
-        grams.append(rows.T @ np.conj(rows))
-    s = np.array(grams)
-    eye = np.eye(n_src, dtype=bool)
-    diag, off = s[:, eye].real, s[:, ~eye]
-    for z in (_z(diag, 2 * n), _z(off.real, 0), _z(off.imag, 0),
-              _z((diag - 2 * n) ** 2, 4 * n), _z(np.abs(off) ** 2, 4 * n)):
-        assert np.abs(z).max() <= 5
+        bitgens, draws = [], []
+
+        def spy(c, dims):
+            # the run adds to Z in place: keep what was drawn
+            v, z = draw(c, dims)
+            draws.append((dims, v.copy(), z.copy()))
+            return v, z
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "Philox",
+                      lambda *a, **k: bitgens.append(philox(*a, **k))
+                      or bitgens[-1])
+            m.setattr(ensemble, "_row_space_draws", spy)
+            run_ensemble(config)
+        gen = np.random.Generator(philox(key=seed, counter=1 << 128))
+        want_v = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p)))
+                         + 0j)
+        want_v[np.tril_indices(p, -1)] = gen.standard_normal(
+            p * (p - 1)).view(np.complex128)
+        want_z = gen.standard_normal((p, 2 * n_src)).view(np.complex128)
+        assert len(draws) == 1
+        got_p, got_v, got_z = draws[0]
+        assert got_p == p
+        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got_z, want_z)
+        # the run consumed exactly p (p - 1) + 2 p n_source normals after
+        # the p gammas: its one generator stands where the rebuilt one does
+        assert len(bitgens) == 1
+        assert np.array_equal(bitgens[0].random_raw(4),
+                              gen.bit_generator.random_raw(4))
 
 
-def test_bartlett_run_sums_its_rows():
-    # the estimator on its own rows: both fields of every Bartlett row,
-    # summed in full. A run's batch from row start on multiplies only the
-    # columns from start on, where its rows are not zero; the four batches
-    # on 512 cells agree with the full sum to rounding
+def test_row_space_moment_matches_the_dense_moments():
+    # K = conj(G) = B S at n = 9 > 6 source cells, over 4000 seeds,
+    # against the moments of n unscaled circular draws, S ~ CW(n, 2 I):
+    # E[K] = 2 n B and Cov(K_ml, K_m'l') = 4 n sum_i B_mi conj(B_m'i) for
+    # l = l', zero across columns; on the diagonal, E|K_ml - 2 n B_ml|^2 =
+    # 4 n |B_m|^2. B has M = 3 < 6 rows, M = 8 > 6, and a zero row and two
+    # equal ones. Every estimate lies within 3.6 standard errors here (4.2
+    # over seeds 4000-11999), and each mean |K_ml - 2 n B_ml|^2 within
+    # 5.3 % of its target; Z drawn without its projection off B's row
+    # space reads 25 standard errors or more, Gamma(n) on all of V's
+    # diagonal 23 or more
+    n_src, n = 6, 9
+    source = make_grid(0.0, 0.005, n_src)
+    rng = np.random.default_rng(6)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    low_rank = normal(4, n_src)
+    low_rank[1] = 0
+    low_rank[3] = low_rank[2]
+    for b in (normal(3, n_src), normal(8, n_src), low_rank):
+        k = np.conj([ensemble._second_moment(
+            make_config(n=n, seed=seed, source_grid=source), b.T)
+            for seed in range(4000)])
+        if b is low_rank:
+            # a zero row of B gives a zero row of K, and two equal rows
+            # one row twice, to rounding; the moments take the others
+            assert np.all(k[:, 1] == 0)
+            assert np.abs(k[:, 3] - k[:, 2]).max() <= 1e-13 * np.abs(k).max()
+            b, k = b[[0, 2]], k[:, [0, 2]]
+        assert np.abs(_z(k.real, 2 * n * b.real)).max() <= 5
+        assert np.abs(_z(k.imag, 2 * n * b.imag)).max() <= 5
+        d = (k - 2 * n * b).reshape(len(k), -1)
+        cov = 4 * n * np.kron(b @ np.conj(b.T), np.eye(n_src))
+        z = []
+        for i in range(d.shape[1]):
+            # the upper triangle: Cov is Hermitian, and its diagonal real
+            prods = d[:, i, None] * np.conj(d[:, i:])
+            z += [_z(prods.real, cov[i, i:].real),
+                  _z(prods[:, 1:].imag, cov[i, i + 1:].imag)]
+        assert np.abs(np.concatenate(z)).max() <= 5
+
+
+def test_row_space_run_applies_its_moment(monkeypatch):
+    # the mean from the G a run draws at n > n_source: rowsum(H2 *
+    # conj(A (sigma G)^T)) / n, with the reference arm's dense columns A
+    # in place of the run's one plan apply on G's rows
     config = make_config(n=3 * SOURCE_GRID.n_samples)
-    src = _bartlett_run_rows(config) * ensemble._sigma(config)
-    mats = propagation_matrices(config)
-    e_o = (src @ mats.source_to_object.T * mats.t_object) \
-        @ mats.object_to_detector.T
-    e_r = reference_field(config, src)
-    want = (np.conj(e_r) * e_o).sum(axis=0) / config.n_realizations
+    moments, second_moment = [], ensemble._second_moment
+    # the run scales G in place: keep what was drawn
+    monkeypatch.setattr(ensemble, "_second_moment",
+                        lambda c, b: moments.append(second_moment(c, b))
+                        or moments[-1].copy())
     got = run_ensemble(config).correlation_mean
+    a_t = _reference_field(config, np.eye(SOURCE_GRID.n_samples))
+    h2 = propagation_matrices(config).object_to_detector
+    sigma_g = moments[0] * ensemble._sigma(config)
+    want = (h2 * np.conj(sigma_g @ a_t).T).sum(axis=1) / config.n_realizations
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -601,7 +636,7 @@ def test_bartlett_standard_error_is_calibrated():
     mats = propagation_matrices(config)
     a_o = mats.object_to_detector @ (mats.t_object[:, None]
                                      * mats.source_to_object)
-    a_r_t = reference_field(config, np.eye(SOURCE_GRID.n_samples))
+    a_r_t = _reference_field(config, np.eye(SOURCE_GRID.n_samples))
     expected = (2 * ensemble._sigma(config) ** 2
                 * np.einsum("cj,jc->j", np.conj(a_r_t), a_o))
     z2 = []
