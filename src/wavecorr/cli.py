@@ -19,14 +19,15 @@ import warnings
 
 from .errors import (ConfigParseError, ScenarioValidationError,
                      WaveCorrError, WaveCorrWarning)
-from .scenario import builtin_scenarios, run_scenario
+from .scenario import _BUILTINS, builtin_scenarios, run_scenario
 
 
 def _find_builtin(name):
-    for config in builtin_scenarios():
-        if config.name == name:
-            return config
-    raise ScenarioValidationError("name", f"unknown builtin scenario {name!r}")
+    """The named builtin's config, built alone."""
+    if name not in _BUILTINS:
+        raise ScenarioValidationError("name",
+                                      f"unknown builtin scenario {name!r}")
+    return _BUILTINS[name]()
 
 
 def _cmd_run(args):

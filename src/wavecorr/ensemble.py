@@ -11,7 +11,12 @@ therefore yields the same field bitwise on any worker layout.
 The object arm is two fixed matrices, h1 (source -> object nodes, then
 the transmittance t) and H2 (object nodes -> detector); the reference
 arm A maps the uniform source grid onto the uniform detector grid, a
-chirp-z convolution (_kernels._lattice_plan, built once per run). Both
+chirp-z convolution (_kernels._lattice_plan, built once per run). The
+source and detector grids are uniform and the object nodes are uniform
+runs, so h1 and H2 are built from the same lattice chirps
+(_kernels.chirp_matrix): one chirp table per group of equal runs and
+two passes of products per matrix, with O(N + M) exponentials where
+the elementwise kernel takes N M. Both
 arms are linear in the draws, so a run samples only the correlation's
 second moment. With s_k the unscaled draws of realization k (real and
 imaginary parts standard normal), sigma the draws' scale and y_k =
@@ -76,6 +81,17 @@ distribution as the per-realization one. Determinism is bitwise per
 fixed by the pair. For n <= n_src a run sums sample_source's
 realizations; for n > n_src it does not, and its sample changes with n.
 
+For n > n_src a run's sample is sensitive to rounding in B. At the
+ensemble benchmark's geometry (512 source cells, a 125/300 um double
+slit) B's condition number is 1.5e9 at the imaging point (M = 38) and
+5e10 defocused (M = 44), so a rounding-level change in B turns the QR's
+trailing basis vectors, and with them the part of the sample drawn
+through Q. Building h1 from the lattice chirps in place of the
+elementwise kernel moved fig3_incoherent's correlation by 1.5e-4 of its
+peak, against a standard error of 7.2e-2 of the peak. The distribution
+is unchanged, but such a run's bits can differ between BLAS and LAPACK
+builds.
+
 A run holds the two matrices, the plan and G. For n <= n_src every
 batch reuses the run's buffers, _BATCH = 128 source rows and their
 normals, drawn in one call per batch, and adds its node fields and one
@@ -98,7 +114,9 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidArgumentError, ResolutionError, StatisticsWarning
 from .grid import ComplexField, Grid
-from .interferometer import PortIntensities, _object_nodes
+from .interferometer import PortIntensities, _node_matrix, _object_nodes
+# fresnel_kernel is not called here; it stays importable from this module
+# because perfbench's tracer wraps it here
 from .propagation import fresnel_kernel, kernel_scale, propagate
 
 # fixed batch width; part of the determinism contract
@@ -250,18 +268,23 @@ class PropagationMatrices(NamedTuple):
 
 
 def propagation_matrices(config):
-    """Build the two fixed object-arm propagators used by run_ensemble."""
+    """Build the two fixed object-arm propagators used by run_ensemble.
+
+    Each is the Fresnel kernel between a uniform grid and the object
+    nodes, with its weights folded in, built from the lattice chirps
+    (interferometer._node_matrix): h1 is the transpose of the
+    source-grid-by-node matrix, a view.
+    """
     spec = config.spec
     ctx = spec.ctx
     x_det = config.detector_grid.coordinates()
     x_src = config.source_grid.coordinates()
     dx_src = config.source_grid.spacing
     x_max = max(abs(x_det[0]), abs(x_det[-1]))
-    xo, wo, _ = _object_nodes(spec, x_max, config.detector_grid)
-    h1 = fresnel_kernel(ctx, xo[:, None], x_src[None, :],
-                        spec.z_o1, spec.z_o1) * dx_src
-    h2 = fresnel_kernel(ctx, x_det[:, None], xo[None, :],
-                        spec.z_o2, spec.z_o2) * wo[None, :]
+    nodes = _object_nodes(spec, x_max, config.detector_grid)
+    xo, wo = nodes[:2]
+    h1 = _node_matrix(ctx, x_src, nodes, spec.z_o1, dx_src).T
+    h2 = _node_matrix(ctx, x_det, nodes, spec.z_o2, wo)
     return PropagationMatrices(h1, h2, spec.object.sample(xo))
 
 

@@ -575,32 +575,44 @@ def _base(name, mode, z_o1, grid_half, grid_n, obj, outputs, **extra):
     return config_from_dict(d)
 
 
+def _fig4(label, z_o1):
+    name = f"fig4{label}"
+    return _base(name, "analytic", z_o1, 2.0e-3, 4096, dict(_SLIT),
+                 [{"kind": "correlation_csv",
+                   "path": f"{name}_correlation.csv"}])
+
+
+#: name -> builder of the named reproduction, in listing order; each
+#: builds and validates its own config only
+_BUILTINS = {
+    "fig2_amplitude": lambda: _base(
+        "fig2_amplitude", "analytic", _ZBAR_REF, 1.2e-3, 512,
+        {"kind": "raster", "pixels": _glyph_pixels(), "pitch": 60e-6},
+        [{"kind": "image_pgm", "path": "fig2_amplitude_image.pgm"}]),
+    "fig2_phase": lambda: _base(
+        "fig2_phase", "analytic", _ZBAR_REF, 1.0e-3, 2048,
+        {"kind": "phase_holes", "hole_width": 200e-6,
+         "separation": 500e-6, "phase_shift": math.pi},
+        [{"kind": "correlation_csv", "path": "fig2_phase_correlation.csv"},
+         {"kind": "ports_csv", "path": "fig2_phase_ports.csv"}]),
+    "fig3_incoherent": lambda: _base(
+        "fig3_incoherent", "ensemble", _ZBAR_REF, 0.5e-3, 1024, dict(_SLIT),
+        [{"kind": "correlation_csv",
+          "path": "fig3_incoherent_correlation.csv"},
+         {"kind": "ports_csv", "path": "fig3_incoherent_ports.csv"}],
+        ensemble={"n_realizations": 2000, "seed": 20260816}),
+    "fig3_coherent": lambda: _base(
+        "fig3_coherent", "coherent", _ZBAR_REF, 4.0e-3, 4096, dict(_SLIT),
+        [{"kind": "ports_csv", "path": "fig3_coherent_ports.csv"}],
+        coherent={"source": "pinhole", "pinhole_width": 50e-6}),
+    "fig4a": lambda: _fig4("a", 0.310),
+    "fig4b": lambda: _fig4("b", _ZBAR_REF),
+    "fig4c": lambda: _fig4("c", 0.242),
+    "fig4d": lambda: _fig4("d", 0.200),
+    "fig4e": lambda: _fig4("e", 0.106),
+}
+
+
 def builtin_scenarios():
     """The nine named reproductions of the reference experiments."""
-    configs = [
-        _base("fig2_amplitude", "analytic", _ZBAR_REF, 1.2e-3, 512,
-              {"kind": "raster", "pixels": _glyph_pixels(), "pitch": 60e-6},
-              [{"kind": "image_pgm", "path": "fig2_amplitude_image.pgm"}]),
-        _base("fig2_phase", "analytic", _ZBAR_REF, 1.0e-3, 2048,
-              {"kind": "phase_holes", "hole_width": 200e-6,
-               "separation": 500e-6, "phase_shift": math.pi},
-              [{"kind": "correlation_csv", "path": "fig2_phase_correlation.csv"},
-               {"kind": "ports_csv", "path": "fig2_phase_ports.csv"}]),
-        _base("fig3_incoherent", "ensemble", _ZBAR_REF, 0.5e-3, 1024,
-              dict(_SLIT),
-              [{"kind": "correlation_csv",
-                "path": "fig3_incoherent_correlation.csv"},
-               {"kind": "ports_csv", "path": "fig3_incoherent_ports.csv"}],
-              ensemble={"n_realizations": 2000, "seed": 20260816}),
-        _base("fig3_coherent", "coherent", _ZBAR_REF, 4.0e-3, 4096,
-              dict(_SLIT),
-              [{"kind": "ports_csv", "path": "fig3_coherent_ports.csv"}],
-              coherent={"source": "pinhole", "pinhole_width": 50e-6}),
-    ]
-    for label, z_o1 in (("a", 0.310), ("b", _ZBAR_REF), ("c", 0.242),
-                        ("d", 0.200), ("e", 0.106)):
-        name = f"fig4{label}"
-        configs.append(_base(
-            name, "analytic", z_o1, 2.0e-3, 4096, dict(_SLIT),
-            [{"kind": "correlation_csv", "path": f"{name}_correlation.csv"}]))
-    return configs
+    return [build() for build in _BUILTINS.values()]

@@ -1,0 +1,74 @@
+"""tools/bench_record.py: condensing benchmark records into one file."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+NAMES = [name for name, _, _ in bench_record.end_to_end_specs()]
+
+
+def _write_record(checkout, seed, wall, cal, tiny=False):
+    # a record as perfbench/run.py writes it: every time scaled by the
+    # reference calibration over the mean calibration between ops
+    factor = 0.029 / cal
+    metrics = {name: wall * factor for name in NAMES}
+    metrics["setup_s"] = 2.0 * factor
+    metrics["peak_rss_mb"] = 60.0 + seed
+    record = {
+        "machine": {"seed": seed, "tiny": tiny, "git_commit": "abc",
+                    "numpy": "2.x", "nproc": 2, "tolerances": {}},
+        "passes": [{"calibrations_s": [cal, cal]}],
+        "calibration_ref_s": 0.029,
+        "setup": {"raw_s": [1.0, 2.0, 3.0], "calibrations_s": [cal]},
+        "metrics": metrics,
+        "failures": {},
+        "ops": [{"name": "op a", "digests": [f"d{seed}"], "failures": {}}],
+    }
+    out = os.path.join(checkout, ".perfbench_out")
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, f"w-seed{seed}-trace0.json"), "w") as fh:
+        json.dump(record, fh)
+
+
+def test_records_condense_to_quartiles_raw_times_and_pairs(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for seed, wall in zip(range(1, 6), (0.10, 0.12, 0.11, 0.13, 0.14)):
+        _write_record(base, seed, wall, cal=0.058)
+        _write_record(change, seed, wall - 0.02 if seed != 3 else 0.2,
+                      cal=0.058)
+    _write_record(change, 9, 0.5, cal=0.058)  # no base run: not a pair
+    _write_record(base, 7, 9.0, cal=0.058, tiny=True)  # a smoke record
+    out = tmp_path / "BENCH_w.json"
+    assert bench_record.main(["w", f"parent={base}", f"change={change}",
+                              "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    parent = bench["labels"]["parent"]
+    assert list(parent["runs"]) == ["1", "2", "3", "4", "5"]
+    wall = parent["metrics"]["wall_s"]
+    # scaled by 0.029 / 0.058 = 1/2; raw is the timed value itself
+    assert wall["raw"] == pytest.approx(
+        {"median": 0.12, "q1": 0.11, "q3": 0.13})
+    assert wall["scaled"]["median"] == pytest.approx(0.06)
+    assert parent["metrics"]["setup_s"]["raw"]["median"] == 2.0
+    assert parent["runs"]["2"]["ops"]["op a"]["digests"] == ["d2"]
+    assert parent["machine"]["numpy"] == "2.x"
+    pairs = bench["pairs"]["change"]
+    assert pairs["seeds"] == ["1", "2", "3", "4", "5"]
+    assert pairs["wall_s"]["wins"] == 4
+    assert pairs["wall_s"]["pairs"] == 5
+    assert pairs["wall_s"]["base_iqr"] == pytest.approx(0.01)
+
+
+def test_a_checkout_without_records_is_an_error(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        bench_record.main(["w", f"parent={tmp_path}",
+                           "--out", str(tmp_path / "x.json")])
+    assert "no w records" in capsys.readouterr().err

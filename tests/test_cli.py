@@ -14,7 +14,7 @@ import pytest
 import wavecorr
 from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
                       config_from_dict, correlation_analytic, double_slit,
-                      make_grid, read_pgm)
+                      make_grid, read_pgm, scenario)
 from wavecorr.cli import main
 from wavecorr.errors import InvalidArgumentError
 
@@ -74,6 +74,20 @@ def test_show_builtin_unknown_name(capsys):
     err = capsys.readouterr().err
     assert "invalid config" in err
     assert "unknown builtin" in err
+
+
+def test_run_builtin_builds_only_the_named_config(tmp_path, monkeypatch,
+                                                  capsys):
+    # the named builtin is validated alone, not the catalogue of nine
+    built = []
+    build = scenario.config_from_dict
+    monkeypatch.setattr(scenario, "config_from_dict",
+                        lambda raw: built.append(raw["name"]) or build(raw))
+    assert main(["run-builtin", "fig4b", "--out", str(tmp_path)]) == 0
+    assert built == ["fig4b"]
+    assert main(["run-builtin", "fig9z", "--out", str(tmp_path)]) == 3
+    assert "unknown builtin" in capsys.readouterr().err
+    assert built == ["fig4b"]
 
 
 def test_run_builtin_imaging_scenario(tmp_path, capsys):

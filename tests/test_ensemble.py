@@ -20,6 +20,7 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       vacuum)
 from wavecorr import _kernels, ensemble
 from wavecorr.ensemble import _BATCH, _draw_values, propagation_matrices
+from wavecorr.interferometer import _object_nodes
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
 from wavecorr.propagation import kernel_scale
@@ -383,8 +384,10 @@ def _assert_peak_within_workspace(n):
 
 
 def test_run_ensemble_builds_one_lattice_plan(monkeypatch):
-    # the reference arm's plan over the source lattice and its one chirp
-    # table; the intensities take no plan
+    # the reference arm's plan over the source lattice; the object arm's
+    # two matrices take no plan, and one chirp table each for the double
+    # slit's one group of two runs, so three tables in all; the
+    # intensities take neither
     plans, tables = [], []
     plan, table = _kernels._lattice_plan, _kernels._chirp_table
     monkeypatch.setattr(_kernels, "_lattice_plan",
@@ -393,7 +396,44 @@ def test_run_ensemble_builds_one_lattice_plan(monkeypatch):
                         lambda *a: tables.append(a) or table(*a))
     run_ensemble(make_config(n=4))
     assert plans == [(SOURCE_GRID.n_samples,)]
-    assert len(tables) == 1
+    assert len(tables) == 3
+
+
+def test_object_arm_matrices_match_mpmath_at_the_benchmark_geometry():
+    # the chaotic-ensemble benchmark's imaging geometry: 512 source cells
+    # over 1 cm and 1024 points over +-0.25 mm onto this slit's 38 nodes,
+    # where h1's phases reach 505 rad. Against the kernel with its phase
+    # in 64-bit-mantissa arithmetic (the scale and the weights as
+    # fresnel_kernel takes them), on every node and every second source
+    # cell or detector point, the lattice chirps read 9.1e-14 of |scale|
+    # on h1, where fresnel_kernel reads 1.3e-13, and 2.3e-15 on h2
+    mpmath = pytest.importorskip("mpmath")
+    config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID,
+                            make_grid(0.0, 0.25e-3, 1024), 2500, 1)
+    spec = config.spec
+    mats = propagation_matrices(config)
+    xo, wo = _object_nodes(spec, 0.25e-3, config.detector_grid)[:2]
+    x_src = config.source_grid.coordinates()
+    x_det = config.detector_grid.coordinates()
+    h1 = (mats.source_to_object.T, x_src, spec.z_o1,
+          np.full(xo.size, SOURCE_GRID.spacing), 1.6e-13)
+    h2 = (mats.object_to_detector, x_det, spec.z_o2, wo, 4e-15)
+    for got, x, z, weights, bound in (h1, h2):
+        scale = kernel_scale(CTX, z, z)
+        alpha = mpmath.mpf(CTX.k0) / (2 * mpmath.mpf(z))
+        rows = np.arange(0, x.size, 2)
+        with mpmath.workprec(64):
+            want = np.array([[complex(mpmath.expj(
+                alpha * (mpmath.mpf(xj) - mpmath.mpf(xi)) ** 2))
+                for xi in xo.tolist()] for xj in x[rows].tolist()])
+        want = want * scale * weights
+        err = np.abs(got[rows] - want).max() / (abs(scale) * weights.max())
+        assert err <= bound
+        if got is h1[0]:
+            dense = fresnel_kernel(CTX, x[rows, None], xo[None, :], z,
+                                   z) * weights
+            assert err <= (np.abs(dense - want).max()
+                           / (abs(scale) * weights.max()))
 
 
 def test_opaque_object_gives_exactly_zero_mean():

@@ -424,7 +424,7 @@ def _object_background_on_dense_source(spec, grid):
     on brute force's source lattice made 4x finer."""
     x = grid.coordinates()
     x_max = max(abs(x[0]), abs(x[-1]))
-    xo, wo, obj_extent = _object_nodes(spec, x_max, grid)
+    xo, wo, _, obj_extent = _object_nodes(spec, x_max, grid)
     _, dx0 = _source_nodes(spec, x_max, obj_extent)
     w2 = spec.source_width / 2
     x0, w0, _ = midpoint_lattice([(-w2, w2)], dx0 / 4, 16)

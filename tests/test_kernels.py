@@ -6,7 +6,9 @@ one step through one chirp-z plan. It must match the explicit sum of its
 terms on detector-like lattices, short runs of 8 or 9 nodes, mirror-image
 pairs and one- and two-point outputs included; be deterministic;
 conjugate under a negative curvature; hold no more than its stated
-temporaries; and give zeros or nothing on empty input.
+temporaries; and give zeros or nothing on empty input. chirp_matrix,
+its dense counterpart, must match fresnel_kernel to the rounding of the
+phases.
 fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
 integrals, across every join of fresnel_g's pieces too.
 """
@@ -22,7 +24,8 @@ import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavecorr import _kernels, grid, transmittance
-from wavecorr._kernels import chirp_sum
+from wavecorr._kernels import chirp_matrix, chirp_sum
+from wavecorr.propagation import fresnel_kernel, kernel_scale
 from wavecorr.errors import InvalidArgumentError
 
 
@@ -188,6 +191,57 @@ def test_chirp_sum_peak_stays_within_its_temporaries():
     finally:
         tracemalloc.stop()
     assert held <= peak <= 1.25 * held
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(n=st.integers(2, 1024),
+       half=st.floats(0.05e-3, 5e-3),
+       center=st.floats(-2e-3, 2e-3),
+       runs=st.lists(st.tuples(st.integers(8, 120), st.floats(1e-6, 20e-6),
+                               st.floats(0.0, 300e-6)),
+                     min_size=1, max_size=3),
+       zbar=st.floats(0.05, 0.5),
+       sign=st.sampled_from([1.0, -1.0]))
+# one group of two runs of one count and one step, as a double slit's
+@example(n=1024, half=0.25e-3, center=0.0,
+         runs=[(19, 6.5e-6, 0.0), (19, 6.5e-6, 175e-6)], zbar=0.285,
+         sign=1.0)
+# runs of one count and two steps, then of two counts: three groups
+@example(n=2, half=1e-3, center=1.5e-3,
+         runs=[(40, 2e-6, 0.0), (40, 3e-6, 10e-6), (9, 14e-6, 0.0)],
+         zbar=0.1, sign=-1.0)
+def test_chirp_matrix_matches_the_fresnel_kernel(n, half, center, runs, zbar,
+                                                 sign):
+    # a Grid's coordinates onto side-by-side midpoint runs (counts[k]
+    # nodes steps[k] apart, after a gap), weighted by the kernel scale and
+    # the node widths as the object arm's matrices are; the two differ by
+    # the rounding of their phases, which grows with the largest phase:
+    # over 300 random cases of this kind it read up to 2.9 eps * phase
+    ctx = grid.OpticsContext(589.3e-9)
+    z = sign * zbar
+    y = grid.make_grid(center, half, n).coordinates()
+    x_in, widths, lo = [], [], -0.5e-3
+    for m, d, gap in runs:
+        lo += gap
+        x_in.append(lo + (np.arange(m) + 0.5) * d)
+        widths.append(np.full(m, d))
+        lo += m * d
+    x_in, widths = np.concatenate(x_in), np.concatenate(widths)
+    scale = kernel_scale(ctx, z, z)
+    got = chirp_matrix(y, x_in, scale * widths, ctx.k0 / (2.0 * z),
+                       [m for m, _, _ in runs], [d for _, d, _ in runs])
+    want = fresnel_kernel(ctx, y[:, None], x_in[None, :], z, z) * widths
+    phase = ctx.k0 / (2.0 * zbar) * np.square(y[:, None] - x_in).max()
+    assert got.shape == want.shape
+    bound = 8 * np.finfo(float).eps * max(phase, 1.0) * abs(scale)
+    assert np.abs(got - want).max() <= bound * widths.max()
+
+
+def test_chirp_matrix_of_no_nodes_or_points_is_empty():
+    for x_out, x_in, counts in ((np.linspace(0, 1, 5), np.empty(0), [0]),
+                                (np.empty(0), np.linspace(0, 1, 8), [8])):
+        out = chirp_matrix(x_out, x_in, 1.0, 1.0, counts, [0.125])
+        assert out.shape == (x_out.size, x_in.size)
 
 
 def test_large_chirp_phases_keep_their_rounding_error():

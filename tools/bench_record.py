@@ -1,0 +1,204 @@
+#!/usr/bin/env python3
+"""Condense perfbench records into one BENCH_<workload>.json to commit.
+
+    python tools/bench_record.py chaotic_ensemble parent=../parent change=.
+
+Each LABEL=CHECKOUT names a checkout in which `perfbench/run.py
+--workload <workload> --seed S --trace 0` has run, once per seed; its
+records are CHECKOUT/.perfbench_out/<workload>-seed*-trace0.json (smoke
+records, run with --tiny, are skipped). For each label the output holds:
+
+- the machine the records ran on and the commit each names, with the
+  sha256 of the checkout's src/wavecorr sources and whether they differ
+  from that commit (an uncommitted change is measured from its tree);
+- for each end-to-end metric of BENCHMARK.json, its value per seed and
+  the median and quartiles over the seeds, scaled to the calibration's
+  reference speed as run.py prints them and raw (unscaled);
+- per seed and per op, the output digests and the failures by class.
+
+The first label is the base. For each other label, every seed it shares
+with the base is a pair, and each metric states the pairs the label
+wins, both medians and the base's interquartile range: a claimed gain
+should win nearly every pair, by more than that range in the median.
+"""
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def end_to_end_specs():
+    """(name, unit, better) of each end-to-end metric in BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+
+
+def raw_metrics(record):
+    """The record's end-to-end metrics without the speed scaling.
+
+    run.py multiplies the timed phase's times by calibration_ref_s over
+    the mean calibration of its passes, and takes setup_s as the median
+    of the probes' scaled times; peak_rss_mb is not scaled.
+    """
+    cals = [c for p in record["passes"] for c in p["calibrations_s"]]
+    factor = record["calibration_ref_s"] / statistics.fmean(cals)
+    raw = {}
+    for name, value in record["metrics"].items():
+        if name == "setup_s":
+            raw[name] = statistics.median(record["setup"]["raw_s"])
+        elif name == "peak_rss_mb":
+            raw[name] = value
+        else:
+            raw[name] = value / factor
+    return raw
+
+
+def quartiles(values):
+    """{median, q1, q3} of values (inclusive quartiles)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def source_state(checkout):
+    """(sha256 of src/wavecorr/*.py in name order, differs from HEAD)."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "wavecorr",
+                                              "*.py"))):
+        digest.update(os.path.basename(path).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                              cwd=checkout, capture_output=True, text=True,
+                              timeout=30)
+        dirty = bool(proc.stdout.strip()) if proc.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        dirty = None
+    return digest.hexdigest(), dirty
+
+
+def load_records(checkout, workload):
+    """{seed: record} of the checkout's full-size trace-0 records."""
+    pattern = os.path.join(checkout, ".perfbench_out",
+                           f"{workload}-seed*-trace0.json")
+    records = {}
+    for path in glob.glob(pattern):
+        with open(path) as fh:
+            record = json.load(fh)
+        if not record["machine"]["tiny"]:
+            records[record["machine"]["seed"]] = record
+    return dict(sorted(records.items()))
+
+
+def condense(checkout, records, specs):
+    """One label's block of the output."""
+    machine = {}
+    for record in records.values():
+        for key, value in record["machine"].items():
+            if key not in ("seed", "git_commit", "tolerances"):
+                values = machine.setdefault(key, [])
+                if value not in values:
+                    values.append(value)
+    sha, dirty = source_state(checkout)
+    runs = {}
+    for seed, record in records.items():
+        runs[str(seed)] = {
+            "commit": record["machine"]["git_commit"],
+            "metrics": record["metrics"],
+            "raw": raw_metrics(record),
+            "failures": record["failures"],
+            "ops": {op["name"]: {"digests": op["digests"],
+                                 "failures": op["failures"]}
+                    for op in record["ops"]},
+        }
+    metrics = {}
+    for name, unit, _ in specs:
+        metrics[name] = {
+            "unit": unit,
+            "scaled": quartiles([r["metrics"][name] for r in runs.values()]),
+            "raw": quartiles([r["raw"][name] for r in runs.values()]),
+        }
+    return {
+        "commits": sorted({r["commit"] or "" for r in runs.values()}),
+        "source_sha256": sha,
+        "source_differs_from_commit": dirty,
+        # a key the records disagree on lists every value seen
+        "machine": {k: v[0] if len(v) == 1 else v
+                    for k, v in machine.items()},
+        "metrics": metrics,
+        "runs": runs,
+    }
+
+
+def compare(base, other, specs):
+    """Per metric: the pairs other wins against base, seed by seed."""
+    seeds = [s for s in other["runs"] if s in base["runs"]]
+    out = {"seeds": seeds}
+    if not seeds:
+        return out
+    for name, _, better in specs:
+        pairs = [(base["runs"][s]["metrics"][name],
+                  other["runs"][s]["metrics"][name]) for s in seeds]
+        base_q = quartiles([b for b, _ in pairs])
+        out[name] = {
+            "pairs": len(pairs),
+            "wins": sum((o < b) if better == "lower" else (o > b)
+                        for b, o in pairs),
+            "base_median": base_q["median"],
+            "median": statistics.median(o for _, o in pairs),
+            "base_iqr": base_q["q3"] - base_q["q1"],
+        }
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("workload")
+    p.add_argument("runs", nargs="+", metavar="LABEL=CHECKOUT")
+    p.add_argument("--out", help="output path (default: "
+                   "BENCH_<workload>.json at the repository root)")
+    args = p.parse_args(argv)
+    specs = end_to_end_specs()
+    labels = {}
+    for item in args.runs:
+        label, sep, checkout = item.partition("=")
+        if not sep or not label:
+            p.error(f"{item!r} is not LABEL=CHECKOUT")
+        records = load_records(checkout, args.workload)
+        if not records:
+            p.error(f"no {args.workload} records under {checkout}")
+        labels[label] = condense(checkout, records, specs)
+    names = list(labels)
+    bench = {"workload": args.workload, "base": names[0], "labels": labels,
+             "pairs": {name: compare(labels[names[0]], labels[name], specs)
+                       for name in names[1:]}}
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    with open(out, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    for name in names[1:]:
+        pairs = bench["pairs"][name]
+        for metric, _, _ in specs:
+            if metric not in pairs:
+                continue
+            c = pairs[metric]
+            print(f"{name} vs {names[0]} {metric}: {c['wins']}/{c['pairs']} "
+                  f"wins, median {c['median']:.6g} against "
+                  f"{c['base_median']:.6g} (base IQR {c['base_iqr']:.3g})")
+    print(f"wrote {os.path.relpath(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
