@@ -12,6 +12,7 @@ is its WaveCorrWarning subclass.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,10 @@ def _cmd_show_builtin(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once per process: parsing leaves
+    it as it was, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="wavecorr",
         description="Interferometric correlation scenarios for spatially "

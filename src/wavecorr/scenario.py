@@ -13,6 +13,7 @@ object and `OUTPUT_KINDS` for the outputs. `config_from_dict` checks a
 document against it and `ScenarioConfig.to_dict` writes one from it.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -106,14 +107,184 @@ OBJECT_KINDS = {
 _KIND = Field("kind", str, _one_of(OBJECT_KINDS))
 
 
+#: the decimal exponents X of the values _csv formats in numpy: those
+#: "%.17g" writes with two digits (1e-99 <= |x| < 1e100)
+_CSV_EXPONENTS = (-99, 99)
+#: the superset row of one value, six 8-byte words: sign, "0.000", d0,
+#: '.'; four words of four digits, each followed by its '.'; 'e', the
+#: exponent's sign and two digits, the separator and three zeros
+_CSV_ROW = 48
+#: values _csv lays out at once: a block's arrays stay in cache, and off
+#: the fresh pages that whole-file arrays fault in (those wrote the
+#: builtins' CSV files 1.5x slower)
+_CSV_BLOCK = 4096
+
+
+@functools.cache
+def _csv_tables():
+    """_csv's tables. By i = X - _CSV_EXPONENTS[0]: 10**(16 - X) as the
+    double-double hi + lo, from exact integers, and hi's Dekker halves;
+    and layout[i], such that template row layout[i] + k serves a value
+    of exponent X with k significant digits: its fixed bytes, and 255 on
+    each digit and '.' it keeps (the last row marks a value Python
+    formats). The words ANDed onto a template row: by 4-digit chunk c,
+    its digits and points; by 10000 + d, the first word for digit d; by
+    10010 + i, the last word, X's exponent and the separator. By (j, c):
+    the digits up to the last nonzero one when c is the number's chunk j
+    (j = 0 .. 3 after d0), or 0 when c is 0.
+    """
+    lo_exp, hi_exp = _CSV_EXPONENTS
+    hi, lo = [], []
+    for s in range(16 - lo_exp, 15 - hi_exp, -1):
+        if s >= 0:
+            p = 10 ** s
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            q = 10 ** -s
+            hi.append(1 / q)  # int / int rounds correctly
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * q) / (den * q))
+    hi, lo = np.array(hi), np.array(lo)
+    split = 134217729.0 * hi  # 2**27 + 1
+    hi_hi = split - (split - hi)
+
+    # layouts c = -5 (any exponent; the exponent is a word) and -4 .. 16
+    c = np.arange(-5, 17)[:, None]
+    k = np.arange(1, 18)
+    template = np.zeros((c.size * 17 + 1, _CSV_ROW), np.uint8)
+    rows = template[:-1].reshape(c.size, 17, _CSV_ROW)
+    rows[:, :, 1:6] = (np.frombuffer(b"0.000", np.uint8)
+                       * ((c > -5) & (c < 0) & (np.arange(5) < 1 - c))
+                       )[:, None, :]
+    # digit j is byte 6 + 2j, a point after it byte 7 + 2j; a fixed-point
+    # value keeps its integer digits, trailing zeros too
+    kept = np.where(c >= 0, np.maximum(k, c + 1), k)
+    rows[:, :, 6:40:2] = np.arange(17) < kept[..., None]
+    rows[:, :, 6:40:2] *= 255
+    # the point follows digit d0, or digit X in fixed point
+    point = np.maximum(c, 0)
+    ci, ki = np.nonzero(((c >= 0) | (c < -4)) & (k > point + 1))
+    rows[ci, ki, 7 + 2 * point[ci, 0]] = 255
+    rows[:, :, 40:44] = 255
+    template[:, 44] = ord(",")
+    template[-1, 1] = 1
+    x = np.arange(lo_exp, hi_exp + 1)
+    fixed = (x >= -4) & (x < 17)
+    layout = 17 * np.where(fixed, x + 5, 0) - 1
+
+    words = np.zeros((10010 + x.size, 8), np.uint8)
+    words[:10010] = 255
+    words[:10000, 1::2] = ord(".")
+    chunk = words[:10000].reshape(10, 10, 10, 10, 8)
+    significant = np.zeros((10, 10, 10, 10), np.uint8)
+    for place in range(4):
+        digit = np.arange(48, 58, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - place))
+        chunk[..., 2 * place] = digit
+        np.copyto(significant, place + 1, where=digit > 48)
+    words[10000:10010, 6] = np.arange(48, 58)
+    words[10000:10010, 7] = ord(".")
+    # 'e', then '+' (43) or '-' (45), then two digits; and the separator
+    words[10010:, :4] = np.stack([np.full(x.size, ord("e")), 44 - np.sign(x),
+                                  48 + abs(x) // 10, 48 + abs(x) % 10],
+                                 axis=1) * ~fixed[:, None]
+    words[10010:, 4] = 255
+    significant = significant.ravel()
+    last = (significant > 0) * (np.arange(1, 17, 4, dtype=np.uint8)[:, None]
+                                + significant)
+    return (hi, lo, hi_hi, hi - hi_hi, layout, template.view(np.uint64),
+            words.view(np.uint64)[:, 0], last)
+
+
 def _csv(header, *columns):
     """The bytes np.savetxt(fmt="%.17g", delimiter=",", comments="")
-    writes for these columns under this header, from one % operation."""
-    table = np.column_stack(columns)
+    writes for these columns under this header: each value is exactly
+    Python's "%.17g".
+
+    The 17-digit significand n of a value x of exponent X is x * 10**(16
+    - X) rounded once, from Dekker's exact product with the double-double
+    power. Each value fills a superset row (_CSV_ROW): the template row
+    of X's layout and n's significant digits, ANDed with the words of
+    n's digits and X's exponent; the bytes it drops are zero, and are
+    deleted. Python's "%.17g" itself writes, into the same places, every
+    value this cannot round with certainty: nan, +-inf, exponents
+    outside _CSV_EXPONENTS (subnormals among them), n within 1e-9 of a
+    rounding tie, and n that rounds to a power of ten (1.0 and 0.001).
+    Blocks of _CSV_BLOCK values are laid out at a time.
+    """
+    # the digits are those of float64 arithmetic
+    table = np.column_stack(columns).astype(float, copy=False)
     rows, cols = table.shape
-    row = ",".join(["%.17g"] * cols) + "\n"
-    text = header + "\n" + row * rows % tuple(table.ravel().tolist())
-    return text.encode("ascii")
+    step = max(1, _CSV_BLOCK // cols)
+    blocks, missing = [], []
+    for start in range(0, rows, step):
+        block, values = _csv_block(table[start:start + step])
+        blocks.append(block)
+        missing += values
+    body = b"".join(blocks)
+    if missing:
+        parts = body.split(b"\1")
+        body = b"".join([q for pair in zip(parts, missing) for q in pair]
+                        + parts[-1:])
+    return (header + "\n").encode("ascii") + body
+
+
+def _csv_block(table):
+    """_csv's bytes for these rows, a 1 in place of each value Python
+    formats, and the bytes of those values."""
+    hi, lo, hi_hi, hi_lo, layout, template, words, last = _csv_tables()
+    value = table.ravel()
+    a = np.abs(value)
+    nonzero = np.isfinite(a) & (a > 0)
+    x = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.intp)
+    ok = nonzero & (x >= _CSV_EXPONENTS[0]) & (x <= _CSV_EXPONENTS[1])
+    i = np.where(ok, x - _CSV_EXPONENTS[0], -_CSV_EXPONENTS[0])
+    a = np.where(ok, a, 1.0)
+    # a * hi = p + e exactly (Dekker's TwoProduct); r = e + a * lo
+    split = 134217729.0 * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = np.take(hi_hi, i), np.take(hi_lo, i)
+    p = a * np.take(hi, i)
+    r = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+         + a * np.take(lo, i))
+    whole = np.floor(r)
+    r -= whole
+    # log10 misses X by at most one, so p < 1e18 casts; n strictly inside
+    # (1e16, 1e17) has X as its exponent
+    n = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
+    ok &= (n > 10 ** 16) & (n < 10 ** 17) & (np.abs(r - 0.5) > 1e-9)
+    n = np.where(ok, n, 0)
+    # zero takes X = 0's row (i's default) of one digit: "0"
+    ok |= value == 0
+
+    # the index of each word of a row: d0's, n's four 4-digit chunks', and
+    # X's exponent
+    chunks = np.empty((value.size, 6), np.intp)
+    top = (n // 10 ** 8).astype(np.uint32)
+    low = (n - top * np.int64(10 ** 8)).astype(np.uint32)
+    d0 = top // 10 ** 8
+    mid = top - d0 * 10 ** 8
+    chunks[:, 0] = d0 + 10000
+    chunks[:, 1] = mid // 10 ** 4
+    chunks[:, 2] = mid - (mid // 10 ** 4) * 10 ** 4
+    chunks[:, 3] = low // 10 ** 4
+    chunks[:, 4] = low - (low // 10 ** 4) * 10 ** 4
+    chunks[:, 5] = i + 10010
+    k = np.maximum(np.maximum(np.take(last[0], chunks[:, 1]),
+                              np.take(last[1], chunks[:, 2])),
+                   np.maximum(np.take(last[2], chunks[:, 3]),
+                              np.take(last[3], chunks[:, 4])))
+    out = np.take(template, np.where(ok, np.take(layout, i)
+                                     + np.maximum(k, 1), len(template) - 1),
+                  axis=0)
+    out &= np.take(words, chunks)
+    out = out.view(np.uint8)
+    out[:, 0] = np.where(ok & np.signbit(value), ord("-"), 0)
+    out.reshape(table.shape + (_CSV_ROW,))[:, -1, 44] = ord("\n")
+    return (out.tobytes().translate(None, b"\0"),
+            [b"%.17g" % v for v in value[~ok].tolist()])
 
 
 def _correlation_csv(result):
@@ -416,7 +587,10 @@ def export(result, kind, path):
     ports_csv: columns x_m, i_plus, i_minus, diff, sum.
     image_pgm: binary P5, min-max normalized to 0..255; 2D images are
     written top row first (descending y); constant data maps to zeros.
-    All numbers use 17 significant digits.
+    Each CSV number is exactly Python's "%.17g" (17 significant digits,
+    trailing zeros dropped): numpy writes most, and Python itself nan,
+    +-inf, three-digit exponents, rounding near-ties and values that
+    round to a power of ten (see _csv).
     """
     _write(result, kind, path)
     return path

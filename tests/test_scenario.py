@@ -15,8 +15,9 @@ from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
 from wavecorr.errors import ScenarioValidationError
-from wavecorr.scenario import (FIELDS, MAX_REALIZATIONS, OBJECT_KINDS,
-                               Transmittance)
+from wavecorr.scenario import (_CSV_EXPONENTS, FIELDS, MAX_REALIZATIONS,
+                               OBJECT_KINDS, Transmittance, _csv,
+                               _csv_block)
 
 BUILTIN_NAMES = ["fig2_amplitude", "fig2_phase", "fig3_incoherent",
                  "fig3_coherent", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e"]
@@ -378,8 +379,8 @@ def test_ports_csv_format(tmp_path):
 
 
 def test_csv_bytes_are_those_of_savetxt(tmp_path):
-    # the writer formats a file in one % operation; its bytes are those of
-    # np.savetxt with the same format, special values included
+    # the numpy writer's bytes are those of np.savetxt with the same
+    # format, special values (which Python's "%.17g" writes) included
     grid = make_grid(0.0, 1e-3, 6)
     i_plus = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
     i_minus = np.array([1e308, -0.0, 5e-324, np.nan, 0.1, -np.inf])
@@ -394,6 +395,103 @@ def test_csv_bytes_are_those_of_savetxt(tmp_path):
                fmt="%.17g", delimiter=",", comments="",
                header="x_m,i_plus,i_minus,diff,sum")
     assert path.read_bytes() == want.read_bytes()
+
+
+def percent_csv(header, table):
+    """The reference writer: every value of the table by the % operator."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (header + "\n" + row * table.shape[0]
+            % tuple(table.ravel().tolist())).encode("ascii")
+
+
+def _powers_of_ten():
+    p = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+def _window_edges(rng):
+    # the decades on both sides of each end of the exponents the numpy
+    # path formats, and the powers of ten and neighbours between them
+    lo, hi = _CSV_EXPONENTS
+    decades = np.array([lo - 1, lo, hi, hi + 1])
+    v = 10.0 ** (rng.choice(decades, 40000) + rng.uniform(0, 1, 40000))
+    edges = np.array([float(f"1e{e}") for e in (lo - 1, lo, lo + 1,
+                                                  hi, hi + 1)])
+    return np.concatenate([v, edges, np.nextafter(edges, 0),
+                           np.nextafter(edges, np.inf)])
+
+
+CSV_INPUTS = {
+    "bit_patterns": lambda rng: rng.integers(
+        0, 2 ** 64, 200000, dtype=np.uint64).view(np.float64),
+    "log_uniform": lambda rng: np.ldexp(
+        rng.uniform(1, 2, 200000),
+        rng.integers(-1074, 1024, 200000)) * rng.choice([-1, 1], 200000),
+    "powers_of_ten": lambda rng: _powers_of_ten(),
+    "special": lambda rng: np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                     -np.nan]),
+    "subnormals": lambda rng: np.concatenate([
+        [5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0)],
+        np.ldexp(rng.uniform(0, 1, 20000), -1022)]),
+    "integers": lambda rng: np.concatenate([
+        np.arange(-20000, 20000.0),
+        rng.integers(-2 ** 53, 2 ** 53, 40000).astype(float),
+        10.0 ** 16 + np.arange(-2000, 2000), 10.0 ** 17 + 16 * np.arange(
+            -2000, 2000)]),
+    # odd q / 4 near 1e15 carry 18 significant digits ending in 25 or 75:
+    # exact ties at the 17th
+    "dyadics": lambda rng: np.concatenate([
+        rng.integers(-2 ** 40, 2 ** 40, 40000) / 2.0 ** rng.integers(
+            0, 80, 40000),
+        (2 * rng.integers(2 * 10 ** 15, 4 * 10 ** 15, 40000) + 1) / 4.0]),
+    "window_edges": _window_edges,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_INPUTS))
+@pytest.mark.parametrize("cols", [1, 4])
+def test_csv_writer_is_the_percent_operator(kind, cols):
+    values = CSV_INPUTS[kind](np.random.default_rng(20261020))
+    table = np.resize(values, (-(-values.size // cols), cols))
+    assert _csv("h", *table.T) == percent_csv("h", table)
+
+
+def test_csv_writer_formats_its_exponent_window_in_numpy():
+    # away from powers of ten, Python formats no value inside the window
+    # and every value outside it; exponents 9 .. 15 are left out, where
+    # short fractions make many values exact decimal ties (x = odd / 8
+    # near 1e15 has 18 digits, the last a 5)
+    lo, hi = _CSV_EXPONENTS
+    rng = np.random.default_rng(7)
+    exponents = np.setdiff1d(np.arange(lo, hi + 1), np.arange(9, 16))
+    inside = 10.0 ** (rng.choice(exponents, 20000)
+                      + rng.uniform(0.01, 0.99, 20000))
+    outside = 10.0 ** (rng.choice([lo - 2, lo - 1, hi + 1, hi + 2], 2000)
+                       + rng.uniform(0.01, 0.99, 2000))
+    assert _csv_block(inside[:, None])[1] == []
+    assert len(_csv_block(outside[:, None])[1]) == outside.size
+
+
+@pytest.fixture(scope="module")
+def builtin_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("builtins")
+    for config in builtin_scenarios():
+        run_scenario(config, out_dir=str(out), echo=lambda s: None)
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "fig2_phase_correlation", "fig2_phase_ports",
+    "fig3_incoherent_correlation", "fig3_incoherent_ports",
+    "fig3_coherent_ports", "fig4a_correlation", "fig4b_correlation",
+    "fig4c_correlation", "fig4d_correlation", "fig4e_correlation"])
+def test_builtin_csv_bytes_are_the_percent_operator(builtin_outputs, name):
+    # 17 significant digits read back exactly
+    raw = (builtin_outputs / f"{name}.csv").read_bytes()
+    header = raw.split(b"\n", 1)[0].decode("ascii")
+    table = np.loadtxt(builtin_outputs / f"{name}.csv", delimiter=",",
+                       skiprows=1, ndmin=2)
+    assert raw == percent_csv(header, table)
 
 
 def test_pgm_export_constant_data(tmp_path):
