@@ -23,17 +23,48 @@ kernel chirp exp(i beta k^2), times exp(iP): O((N + m) log(N + m)) in
 place of the N*m terms of the definition. The kernel depends only on
 beta and the index ranges, so the runs of a group share it: one output
 origin yc, the output nearest the middle of the runs, one table and one
-kernel spectrum, and one FFT each way over the group's rows, one row per
-run. Each run keeps its own Q and P, with xc its middle node. The
-beta k^2 parts grow as the spacing ratio times the squared extent and
-are carried with their rounding error (Dekker's exact product). All
-three chirps depend on their index k only through beta k^2, and the chirp of -beta is the exact conjugate of that
-of beta, so a plan builds one table over 0 <= k <= K, K < N + m the
-largest |k| the kernel's taps reach, and takes about 2K + R N + R m
-complex exponentials in all for R runs. A double slit or a pair of holes
-is two mirror-image runs of one count and one cell width, so it is one
-plan of two rows: five FFTs and one table where two plans take six
-FFTs and two tables.
+set of kernel spectra, one row per run through the FFTs. Each run keeps
+its own Q and P, with xc its middle node. The beta k^2 parts grow as the
+spacing ratio times the squared extent and are carried with their
+rounding error (Dekker's exact product). All three chirps depend on
+their index k only through beta k^2, and the chirp of -beta is the exact
+conjugate of that of beta, so a plan builds one table over 0 <= k <= K,
+K < N + m the largest |k| the kernel's taps reach, and takes about 2K +
+R N + R m complex exponentials in all for R runs. A double slit or a
+pair of holes is two mirror-image runs of one count and one cell width,
+so it is one plan of two rows and one table.
+
+One FFT length L = _fft_size(N + m - 1) covers every output whatever m,
+so short runs on a long detector pay for the whole detector in each of
+2R + 1 transforms, in rows of 16 L bytes that outgrow the cache. There a
+plan splits the outputs into overlap-save blocks (Stockham, AFIPS Spring
+Joint Computer Conference 28:229, 1966): block b of size B covers the B
+- m + 1 outputs from b (B - m + 1) on, its spectrum is that of the B
+taps they reach, and each run's row is transformed once at length B and
+back once per block. _lattice_blocks decides from N, m and R alone. A
+plan keeps one block while a row of L fits the workspace (_WORKSPACE,
+256 KiB); past that it takes the block size of least predicted FFT work,
+(blocks (R + 1) + R) B log B against (2R + 1) L log L, among B =
+_fft_size(4 m), 2 B, 4 B, ... whose rows fit, if that work is the
+lower. Every FFT an apply runs goes through the workspace, a chunk of
+rows at a time; pocketfft gives a row the same bits in a chunk or
+alone, so a one-block plan has the bits of one transform per row. A
+blocked plan builds its P a chunk of blocks at a time and does not hold
+it. With two runs of m nodes over a 125/300 um double slit, on N points
+over +-2 mm, against 80-bit extended-precision sums of the same terms
+at every 64th output (medians of chirp_sum on one x86-64 vCPU):
+
+    N      m     Z_eff   blocks x B    blocked   one block   max|diff|/max
+    16384  118   32 mm    20 x 960     2.2 ms    2.6 ms      3.8e-15
+    32768  118   32 mm    39 x 960     4.6 ms    8.8 ms      4.1e-15
+    32768  752    5 mm    15 x 3072    4.7 ms    5.7 ms      1.7e-14
+    65536  118   32 mm    78 x 960     8.0 ms    12.8 ms     7.1e-15
+    32768  4700  0.8 mm   one block    -         6.9 ms      5.0e-14
+
+Both routes have the same error to two digits there: the terms' phases
+set it, not the blocks. A plan with N + m - 1 <= 16,384 keeps one block
+and the bits it had before blocks: every builtin, the ensemble's
+reference arm and every 4096-point sum of the benchmark's defocus sweep.
 
 On a 4096-point detector over +-2 mm and a 125/300 um double slit, the
 route is within max|diff| / max of 1.5e-13 of 80-bit extended-precision
@@ -114,6 +145,14 @@ _ASYMPTOTIC_TERMS = 12
 # _FRESNEL_STEP apart (an exact power of two, so t / step is exact)
 _FRESNEL_STEP = 0.125
 _TAYLOR_TERMS = 20
+# bytes of the buffer a chirp-z plan's apply runs its FFT rows through, a
+# chunk of rows at a time, and of the longest row a plan keeps in one
+# block. Of 64 KiB to 1 MiB in powers of two, 256 KiB ran chirp_sum's
+# 32,768- and 16,384-point far-field sums and the ensemble's reference-arm
+# plan within 2 % of their fastest (3.7, 2.0 and 1.05 ms; interleaved
+# medians on one x86-64 vCPU with 2 MiB of L2). At 1 MiB those sums keep
+# one block and took 5.9 and 2.8 ms; at 64 KiB the plan took 1.32 ms.
+_WORKSPACE = 1 << 18
 
 
 def chirp_sum(x_out, x_in, coeffs, alpha, counts, steps):
@@ -130,13 +169,20 @@ def chirp_sum(x_out, x_in, coeffs, alpha, counts, steps):
     (x_out[-1] - x_out[0]) / (N - 1). An empty x_out or x_in gives
     zeros.
 
-    Temporaries, for a group of R runs of m nodes onto N points and
-    L = _fft_size(N + m - 1): the plan holds the R rows of P (16 R N
-    bytes) and the kernel spectrum (16 L), and the apply adds the R-row
-    FFT block (16 R L) and the group's sum (16 N). The chirp table (40 K
-    bytes for the kernel's |k| <= K) is freed once it has given the
-    spectrum and P's share of it, and P is built row by row through one
-    phase buffer (8 N), so the apply sets the peak.
+    Temporaries, for a group of R runs of m nodes onto N points, with W
+    = _WORKSPACE. In one block of L = _fft_size(N + m - 1), the plan
+    holds the R rows of P (16 R N bytes) and the kernel spectrum (16 L),
+    and the apply adds the group's sum (16 N) and its workspace of
+    min(R, max(1, W / 16 L)) rows of L. In nb blocks of B outputs' taps
+    and S = B - m + 1 outputs, the plan holds the blocks' spectra (16 nb
+    B) and the chirp table's lo and exp(-i hi) (24 K bytes for the
+    kernel's |k| <= K), and the apply adds the sum in whole blocks (16 nb
+    S), the runs' transforms (16 R B) and its workspace: a chunk of c = W
+    / 16 B blocks' rows (16 c B), one run's P over them (16 c S) and P's
+    phase (8 c S). Either way the table's taps (16 K) are freed once they
+    have given the spectra, which blocks take a chunk at a time, so the
+    apply sets the peak. For the benchmark's far-field sum (N = 32,768,
+    two runs of 114 nodes) that is 2.16 MB, where one block held 3.19 MB.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
@@ -179,9 +225,13 @@ def chirp_matrix(x_out, x_in, weights, alpha, counts, steps):
     if out.size == 0:
         return out
     for start, stop, runs, m, d, w in _lattice_groups(x_out, counts, steps):
-        t, q, p = _lattice_chirps(x_out, w, x_in[start:stop].reshape(runs, m),
-                                  d, alpha, lambda t: t)
+        t, q, p_row = _lattice_chirps(
+            x_out, w, x_in[start:stop].reshape(runs, m), d, alpha,
+            lambda taps: taps(0, x_out.shape[0] + m - 1))
         q *= weights[start:stop].reshape(runs, m)
+        p = np.empty((runs, x_out.shape[0]), dtype=np.complex128)
+        for r in range(runs):
+            p_row(p[r], r)
         # row j of T is the window t[j + m - 1], ..., t[j] of the taps
         window = np.lib.stride_tricks.sliding_window_view(t[::-1], m)
         block = out[:, start:stop].reshape(-1, runs, m)
@@ -206,26 +256,28 @@ def _lattice_groups(x_out, counts, steps):
 
 
 def _lattice_chirps(y, w, x, d, alpha, keep):
-    """(keep(t), q, p): the chirps of alpha (y_j - x_i)^2 = Q(i) + P(j) +
-    beta (jj - ii)^2 for lattices y (step w) and x (step d), as complex
-    exponentials.
+    """(keep(taps), q, p_row): the chirps of alpha (y_j - x_i)^2 = Q(i) +
+    P(j) + beta (jj - ii)^2 for lattices y (step w) and x (step d), as
+    complex exponentials.
 
     x is one lattice of m nodes, (m,), or R lattices of m nodes and one
     step d, (R, m). There is one output origin yc = y[j0], the point of y
     nearest the middle of the lattices, and each lattice's origin xc is
-    its middle node. t is exp(i beta k^2) at the kernel's taps k = jj -
-    ii for j - i = -(m - 1) .. n - 1, in that order; q is (R, m) and p (R,
-    n), one row per lattice. All three come from one _chirp_table over
-    the largest tap |k|, which bounds every |ii| and |jj|; Q and P each
-    add their alpha part to the table's -lo before one exponential, times
-    the conjugate of exp(i hi). keep maps the taps to what the caller
-    holds of them (a plan, their spectrum) before Q and P are built, and
-    the table and the taps are freed before P is built, so a plan's
-    temporaries peak in the order they did when it built its own chirps.
+    its middle node. The taps t are exp(i beta k^2) at the kernel's taps
+    k = jj - ii for j - i = -(m - 1) .. n - 1, in that order, and
+    taps(a, b) returns t[a:b], zero past the last tap; q is (R, m), one
+    row per lattice, and p_row(out, r, a) writes P of lattice r at the
+    outputs a, ..., a + len(out) - 1 into out. All three come from one
+    _chirp_table over the largest tap |k|, which bounds every |ii| and
+    |jj|; Q and P each add their alpha part to the table's -lo before one
+    exponential, times the conjugate of exp(i hi). keep maps the taps to
+    what the caller holds of them (a plan, their spectra) before Q is
+    built, and the table's taps are freed after it; p_row keeps the
+    table's lo and exp(-i hi), which it reads through slices.
     """
     n = y.shape[0]
     lattices = x.reshape(-1, x.shape[-1])
-    runs, m = lattices.shape
+    m = lattices.shape[1]
     # index origins at each lattice's middle node xc and at the output yc
     # nearest the middle of the lattices: x_i = xc + ii d, y_j = yc + jj w
     i0 = m // 2
@@ -233,71 +285,199 @@ def _lattice_chirps(y, w, x, d, alpha, keep):
     j0 = int(np.clip(np.rint((0.5 * (xc[0] + xc[-1]) - y[0]) / w), 0, n - 1))
     yc = y[j0]
     beta = alpha * d * w
-    # the kernel's taps k = jj - ii; every |ii| and |jj| is within theirs
-    k = np.abs(np.arange(-(m - 1), n) - (j0 - i0))
-    lo, e_hi, e = _chirp_table(beta, k.max())
-    t = keep(e[k])
-    del e, k
+    # the kernel's taps k = jj - ii run from -c0 to n + m - 2 - c0 (c0 >=
+    # 0), and every |ii| and |jj| is within theirs; the table is read
+    # through slices, backwards for the negative k
+    c0 = m - 1 + j0 - i0
+    lo, e_hi, e = _chirp_table(beta, max(c0, n + m - 2 - c0))
+
+    def taps(a, b):
+        # t[a:b], zero past the last tap
+        out = np.zeros(b - a, dtype=np.complex128)
+        split = min(max(c0, a), b) - a
+        out[:split] = e[c0 - a:c0 - a - split:-1]
+        tail = e[a + split - c0:n + m - 1 - c0][:b - a - split]
+        out[split:split + tail.shape[0]] = tail
+        return out
+
+    t = keep(taps)
+    del e, taps
     # Q(i) = alpha (x_i - yc)^2 - beta ii^2,
     # P(j) = alpha ((y_j - xc)^2 - (yc - xc)^2) - beta jj^2
     ki = np.abs(np.arange(m) - i0)
     q = (np.exp(1j * (alpha * (lattices - yc) ** 2 - lo[ki]))
          * np.conj(e_hi[ki]))
-    kj = np.abs(np.arange(n) - j0)
-    lo, e_hi = lo[kj], np.conj(e_hi[kj])
-    # each lattice's P is built in its row of p through one phase buffer,
-    # in the order of operations of the formula above
-    p = np.empty((runs, n), dtype=np.complex128)
-    phase = np.empty(n)
-    for row, x0 in zip(p, xc):
-        np.square(np.subtract(y, x0, out=phase), out=phase)
+    np.conjugate(e_hi, out=e_hi)
+
+    def p_row(out, r, a=0):
+        # in the order of operations of the formula above; |jj| is j0 - j
+        # for the `split` outputs left of yc, j - j0 from yc on
+        b = a + out.shape[0]
+        split = min(max(j0, a), b) - a
+        left = slice(j0 - a, j0 - a - split, -1)
+        right = slice(a + split - j0, b - j0)
+        x0 = xc[r]
+        phase = np.subtract(y[a:b], x0)
+        np.square(phase, out=phase)
         phase -= (yc - x0) ** 2
         phase *= alpha
-        phase -= lo
-        np.exp(np.multiply(1j, phase, out=row), out=row)
-        row *= e_hi
-    return t, q, p
+        phase[:split] -= lo[left]
+        phase[split:] -= lo[right]
+        np.exp(np.multiply(1j, phase, out=out), out=out)
+        out[:split] *= e_hi[left]
+        out[split:] *= e_hi[right]
+
+    return t, q, p_row
 
 
 def _lattice_plan(y, w, x, d, alpha):
     """sum_i c_i exp(i alpha (y_j - x_i)^2) for lattices y (step w) and
-    x (step d), by one linear FFT convolution (Bluestein), as a function
+    x (step d), by linear FFT convolution (Bluestein), as a function
     apply(c) of the coefficients.
 
     x is one lattice of m nodes, (m,), or R lattices of m nodes and one
     step d, (R, m). c has x's shape after any leading batch axes; the sum
     runs over its last axis and over the R lattices, so the result is
-    (..., n). The plan holds _lattice_chirps' Q and P and one kernel
-    spectrum, the FFT of its taps. apply runs the R rows through one FFT
-    each way, multiplies each row by its P and adds the rows in place; it
-    leaves c untouched and returns a new array. For one lattice that is a
-    single row, with the bits of a plan over x alone.
+    (..., n). The plan holds _lattice_chirps' Q and the kernel spectra of
+    _lattice_blocks' blocks; apply multiplies each row of the convolution
+    by its P and adds the rows into the result in run order, and every
+    FFT it runs goes through one workspace of _WORKSPACE bytes, in chunks
+    of rows.
+
+    With one block, the spectrum is the FFT of all the taps and the plan
+    holds the R rows of P. apply takes the coefficient rows c[..., r, :]
+    (run r of each batch row) in order, a chunk at a time, through one FFT
+    each way. pocketfft gives a row the same bits in a batch or alone, so
+    a plan over one lattice has the bits of a plan over x alone.
+
+    With several blocks (overlap-save), block b covers the `step` outputs
+    from b step on, and its spectrum is that of the taps t[b step:b step
+    + size]. apply takes one FFT of each row at the block size; then,
+    chunk by chunk of blocks, for each run it builds that run's P over
+    the chunk's outputs (P is not held) and for each row multiplies the
+    row's FFT by the blocks' spectra and transforms back.
+
+    apply leaves c untouched and returns a new array.
     """
     n = y.shape[0]
     runs, m = x.reshape(-1, x.shape[-1]).shape
-    size = _fft_size(n + m - 1)
-    spectrum, q, p = _lattice_chirps(y, w, x, d, alpha,
-                                     lambda t: np.fft.fft(t, size))
+    size, step, blocks = _lattice_blocks(n, m, runs)
+    chunk = max(1, _WORKSPACE // (16 * size))
+
+    def spectra(taps):
+        if blocks == 1:
+            return np.fft.fft(taps(0, n + m - 1), size)[None]
+        # block b's taps are t[b step:b step + size]: a chunk of blocks
+        # reads windows of one stretch of taps
+        out = np.empty((blocks, size), dtype=np.complex128)
+        for b in range(0, blocks, chunk):
+            k = min(chunk, blocks - b)
+            t = taps(b * step, (b + k - 1) * step + size)
+            np.fft.fft(np.lib.stride_tricks.as_strided(
+                t, (k, size), (16 * step, 16), writeable=False),
+                out=out[b:b + k])
+        return out
+
+    spectrum, q, p_row = _lattice_chirps(y, w, x, d, alpha, spectra)
+    # the operand order of each product is part of the result's bits
+    # (complex multiply is not bitwise commutative)
+    if blocks == 1:
+        p = np.empty((runs, n), dtype=np.complex128)
+        for r in range(runs):
+            p_row(p[r], r)
+
+        def apply(c):
+            # chunks of the rows c[l, r] in order; c * q goes straight
+            # into the zero-padded rows and both FFTs run in place. A
+            # chunk's rows of run r are every runs-th, from its i-th on
+            lead = np.shape(c)[:np.ndim(c) - x.ndim]
+            flat = np.reshape(c, (-1, m))
+            out = np.empty((flat.shape[0] // runs, n), dtype=np.complex128)
+            work = np.empty((min(chunk, flat.shape[0]), size),
+                            dtype=np.complex128)
+            for a in range(0, flat.shape[0], chunk):
+                rows = work[:flat.shape[0] - a]
+                firsts = [(r, (r - a) % runs) for r in range(runs)]
+                for r, i in firsts:
+                    np.multiply(flat[a + i:a + chunk:runs], q[r],
+                                out=rows[i::runs, :m])
+                rows[:, m:] = 0
+                np.fft.fft(rows, out=rows)
+                rows *= spectrum[0]
+                np.fft.ifft(rows, out=rows)
+                for r, i in firsts:
+                    run = rows[i::runs, m - 1:m - 1 + n]
+                    l = (a + i) // runs
+                    _add_run(out[l:l + run.shape[0]], p[r], run, r)
+            return out.reshape(lead + (n,))
+
+        return apply
 
     def apply(c):
-        # c * q goes straight into the zero-padded block and both FFTs run
-        # in place; the operand order of each product is part of the
-        # result's bits (complex multiply is not bitwise commutative)
+        # the result has whole blocks; the last one's outputs past n are
+        # dropped
         lead = np.shape(c)[:np.ndim(c) - x.ndim]
-        out = np.empty(lead + (runs, size), dtype=np.complex128)
-        np.multiply(np.reshape(c, lead + (runs, m)), q, out=out[..., :m])
-        out[..., m:] = 0
-        np.fft.fft(out, out=out)
-        out *= spectrum
-        np.fft.ifft(out, out=out)
-        rows = out[..., m - 1:m - 1 + n]
-        total = p[0] * rows[..., 0, :]
-        for r in range(1, runs):
-            np.multiply(p[r], rows[..., r, :], out=rows[..., r, :])
-            total += rows[..., r, :]
-        return total
+        c = np.reshape(c, (-1, runs, m))
+        out = np.empty((c.shape[0], blocks, step), dtype=np.complex128)
+        head = np.zeros((c.shape[0], runs, size), dtype=np.complex128)
+        np.multiply(c, q, out=head[..., :m])
+        np.fft.fft(head, out=head)
+        work = np.empty((chunk, size), dtype=np.complex128)
+        # P of one run over a chunk's outputs; past n it keeps finite
+        # values, so the dropped outputs raise no floating-point warning
+        p = np.zeros(chunk * step, dtype=np.complex128)
+        for b in range(0, blocks, chunk):
+            rows = work[:blocks - b]
+            k = rows.shape[0]
+            for r in range(runs):
+                p_row(p[:min(k * step, n - b * step)], r, b * step)
+                for total, heads in zip(out[:, b:b + k], head[:, r]):
+                    np.multiply(heads, spectrum[b:b + k], out=rows)
+                    np.fft.ifft(rows, out=rows)
+                    _add_run(total, p[:k * step].reshape(k, step),
+                             rows[:, m - 1:], r)
+        return out.reshape(-1, blocks * step)[:, :n].reshape(lead + (n,))
 
     return apply
+
+
+def _add_run(total, p, rows, r):
+    """total = p * rows for the first run (r == 0), else total += p * rows,
+    with the product written over rows."""
+    if r == 0:
+        np.multiply(p, rows, out=total)
+    else:
+        np.multiply(p, rows, out=rows)
+        total += rows
+
+
+def _lattice_blocks(n, m, runs):
+    """(size, step, blocks): a plan's FFT length and its output blocks of
+    `step` points, for n outputs from runs lattices of m nodes.
+
+    One block covers every output at L = _fft_size(n + m - 1), and its
+    FFT work is (2 runs + 1) L log L: the spectrum, then one transform
+    each way per run. Blocks of size B cover B - m + 1 outputs each, for
+    (blocks (runs + 1) + runs) B log B: the blocks' spectra, then per run
+    one transform forward and one back per block. A plan keeps one block
+    while a row of L fits the workspace; past it, it takes the candidate
+    B = _fft_size(4 m), 2 B, 4 B, ... of least work whose row fits, if
+    that work is below one block's.
+    """
+    size = _fft_size(n + m - 1)
+    best = (size, n, 1)
+    if 16 * size <= _WORKSPACE:
+        return best
+    least = (2 * runs + 1) * size * math.log2(size)
+    b = _fft_size(4 * m)
+    while b < size and 16 * b <= _WORKSPACE:
+        step = b - m + 1
+        blocks = -(-n // step)
+        work = (blocks * (runs + 1) + runs) * b * math.log2(b)
+        if work < least:
+            least, best = work, (b, step, blocks)
+        b *= 2
+    return best
 
 
 def _fft_size(n):
@@ -324,14 +504,20 @@ def _chirp_table(beta, kmax):
     exp(1j * (phase - beta * k**2)) with the same bits as a table built
     for -beta.
     """
-    k = np.arange(kmax + 1)
-    k2 = (k * k).astype(np.float64)  # exact below 2**53
+    k2 = np.arange(kmax + 1, dtype=np.float64)
+    k2 *= k2  # exact below 2**53
     hi = beta * k2
     b_hi, b_lo = _split(beta)
     k_hi, k_lo = _split(k2)
+    del k2
     lo = ((b_hi * k_hi - hi) + b_hi * k_lo + b_lo * k_hi) + b_lo * k_lo
-    e_hi = np.exp(1j * hi)
-    return lo, e_hi, np.exp(1j * lo) * e_hi
+    del k_hi, k_lo
+    e_hi = np.multiply(1j, hi)
+    del hi
+    np.exp(e_hi, out=e_hi)
+    e = np.exp(np.multiply(1j, lo))
+    e *= e_hi
+    return lo, e_hi, e
 
 
 def _split(v):

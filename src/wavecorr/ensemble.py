@@ -96,8 +96,9 @@ A run holds the two matrices, the plan and G. For n <= n_src every
 batch reuses the run's buffers, _BATCH = 128 source rows and their
 normals, drawn in one call per batch, and adds its node fields and one
 conj(Y)^T S product; the loop, not the once-per-run plan on G's M rows,
-sets the peak. At 512 source cells and 1024 detector points (M = 38) a
-run's traced peak is 3.9 MiB for n <= n_src and 3.3 MiB above it, where
+sets the peak. The plan runs G's rows through its workspace, a chunk of
+rows at a time. At 512 source cells and 1024 detector points (M = 38) a
+run's traced peak is 3.9 MiB for n <= n_src and 2.6 MiB above it, where
 the plan sets it.
 
 run_coherent is the contrast experiment: a single deterministic field

@@ -300,19 +300,20 @@ def _ports_csv(result):
 
 
 def _image_pgm(result):
+    # one array, scaled in place: |correlation| is a new array, and i_plus
+    # or a raw image is copied, so no caller's array is written
     if hasattr(result, "correlation"):
-        data = np.abs(result.correlation)
-    elif hasattr(result, "i_plus"):
-        data = result.i_plus
+        data = np.asarray(np.abs(result.correlation), dtype=float)
     else:
-        data = result
-    data = np.asarray(data, dtype=float)
+        data = np.array(getattr(result, "i_plus", result), dtype=float)
     lo, hi = data.min(), data.max()
     if hi == lo:
-        scaled = np.zeros(data.shape)
+        data[...] = 0.0
     else:
-        scaled = (data - lo) / (hi - lo) * 255.0
-    img = np.rint(scaled).astype(np.uint8)
+        data -= lo
+        data /= hi - lo
+        data *= 255.0
+    img = np.rint(data, out=data).astype(np.uint8)
     img = img[None, :] if img.ndim == 1 else img[::-1, :]
     rows, cols = img.shape
     return f"P5\n{cols} {rows}\n255\n".encode("ascii") + img.tobytes()

@@ -15,7 +15,14 @@ _spec.loader.exec_module(bench_record)
 NAMES = [name for name, _, _ in bench_record.end_to_end_specs()]
 
 
-def _write_record(checkout, seed, wall, cal, tiny=False):
+@pytest.fixture(autouse=True)
+def _head_is_abc(monkeypatch):
+    # the records below name commit "abc"; the temporary checkouts are
+    # not git repositories
+    monkeypatch.setattr(bench_record, "head_commit", lambda checkout: "abc")
+
+
+def _write_record(checkout, seed, wall, cal, tiny=False, commit="abc"):
     # a record as perfbench/run.py writes it: every time scaled by the
     # reference calibration over the mean calibration between ops
     factor = 0.029 / cal
@@ -23,7 +30,7 @@ def _write_record(checkout, seed, wall, cal, tiny=False):
     metrics["setup_s"] = 2.0 * factor
     metrics["peak_rss_mb"] = 60.0 + seed
     record = {
-        "machine": {"seed": seed, "tiny": tiny, "git_commit": "abc",
+        "machine": {"seed": seed, "tiny": tiny, "git_commit": commit,
                     "numpy": "2.x", "nproc": 2, "tolerances": {}},
         "passes": [{"calibrations_s": [cal, cal]}],
         "calibration_ref_s": 0.029,
@@ -34,8 +41,10 @@ def _write_record(checkout, seed, wall, cal, tiny=False):
     }
     out = os.path.join(checkout, ".perfbench_out")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, f"w-seed{seed}-trace0.json"), "w") as fh:
+    path = os.path.join(out, f"w-seed{seed}-trace0.json")
+    with open(path, "w") as fh:
         json.dump(record, fh)
+    return path
 
 
 def test_records_condense_to_quartiles_raw_times_and_pairs(tmp_path):
@@ -72,3 +81,28 @@ def test_a_checkout_without_records_is_an_error(tmp_path, capsys):
         bench_record.main(["w", f"parent={tmp_path}",
                            "--out", str(tmp_path / "x.json")])
     assert "no w records" in capsys.readouterr().err
+
+
+def test_records_of_other_code_are_skipped_and_named(tmp_path, capsys):
+    # a record of another commit, and one made before the newest source
+    # file changed, are left out of the quartiles and printed
+    base = tmp_path / "base"
+    for seed in (1, 2, 3):
+        _write_record(base, seed, 0.1 * seed, cal=0.058)
+    _write_record(base, 4, 9.0, cal=0.058, commit="old")
+    stale = _write_record(base, 5, 9.0, cal=0.058)
+    source = base / "src" / "wavecorr" / "_kernels.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("")
+    for path, when in ((stale, 1_000), (source, 2_000)):
+        os.utime(path, (when, when))
+    for seed in (1, 2, 3):
+        os.utime(base / ".perfbench_out" / f"w-seed{seed}-trace0.json",
+                 (3_000, 3_000))
+    out = tmp_path / "BENCH_w.json"
+    assert bench_record.main(["w", f"parent={base}", "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())["labels"]["parent"]["runs"]) == [
+        "1", "2", "3"]
+    printed = capsys.readouterr().out
+    assert "w-seed4-trace0.json: commit old, not HEAD abc" in printed
+    assert "w-seed5-trace0.json: older than the newest source" in printed

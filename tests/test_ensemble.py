@@ -353,9 +353,9 @@ def _assert_peak_within_workspace(n):
     # freed once conjugated) and one conj(Y)^T S product. For n >
     # n_source the row-space draw (p = M here) holds Q, Z, Q^H and one
     # product of Z's shape, G after them. The run's products come after
-    # either, the largest the plan on G's M rows: G, its FFT buffer and
-    # the result. The traced peak is the larger of the two, plus ufunc
-    # buffers
+    # either, the largest the plan on G's M rows: G, the result and the
+    # plan's workspace, the chunk of FFT rows it runs G's rows through.
+    # The traced peak is the larger of the two, plus ufunc buffers
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det, n,
                             20260816)
@@ -368,7 +368,8 @@ def _assert_peak_within_workspace(n):
         draw = 16 * 4 * m * n_src
     else:
         draw = 16 * (2 * m * n_src + 2 * _BATCH * n_src + _BATCH * m)
-    products = 16 * m * (n_src + plan_size + n_det)
+    chunk = _kernels._WORKSPACE // (16 * plan_size)
+    products = 16 * (m * n_src + chunk * plan_size + m * n_det)
     held = fixed + max(draw, products)
     del mats
     # numpy keeps each FFT length's twiddles for the life of the process;

@@ -6,9 +6,11 @@ one step through one chirp-z plan. It must match the explicit sum of its
 terms on detector-like lattices, short runs of 8 or 9 nodes, mirror-image
 pairs and one- and two-point outputs included; be deterministic;
 conjugate under a negative curvature; hold no more than its stated
-temporaries; and give zeros or nothing on empty input. chirp_matrix,
-its dense counterpart, must match fresnel_kernel to the rounding of the
-phases.
+temporaries; and give zeros or nothing on empty input. A plan in
+overlap-save blocks must match the explicit sum too, and the workspace's
+chunks of rows or blocks must give the bits of one at a time.
+chirp_matrix, its dense counterpart, must match fresnel_kernel to the
+rounding of the phases.
 fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
 integrals, across every join of fresnel_g's pieces too.
 """
@@ -169,9 +171,14 @@ def test_short_runs_and_single_points_take_the_blocked_loop():
 
 def test_chirp_sum_peak_stays_within_its_temporaries():
     # defocus_sweep's far-field op: a double slit's two mirror-image runs
-    # of m nodes on N = 32,768 points, one plan of R = 2 rows. The plan
-    # holds P and the kernel spectrum, its apply the R-row FFT block and
-    # the sum; the chirp table is gone before the block is made
+    # of m nodes on N = 32,768 points, one plan of R = 2 rows, in blocks.
+    # The plan holds the blocks' spectra and the chirp table's lo and
+    # exp(-i hi) up to the largest tap K, from which the apply builds P a
+    # chunk of blocks at a time; the apply adds the result (whole
+    # blocks), one FFT per row at the block size, and its workspace: a
+    # chunk's FFT rows, one run's P over the chunk and P's phase. The
+    # plan's build (the table's taps, a chunk of them at a time) peaks
+    # lower
     n, m, runs = 32768, 114, 2
     x_out = (np.arange(n) - n // 2) * (4e-3 / n)
     d = 125e-6 / m
@@ -179,8 +186,18 @@ def test_chirp_sum_peak_stays_within_its_temporaries():
                            for lo in (-212.5e-6, 87.5e-6)])
     coeffs = np.full(runs * m, d + 0j)
     alpha = np.pi / (589.3e-9 * 32e-3)
-    size = _kernels._fft_size(n + m - 1)
-    held = 16 * (runs * n + size + runs * size + n)
+    size, step, blocks = _kernels._lattice_blocks(n, m, runs)
+    assert blocks > 1
+    chunk = _kernels._WORKSPACE // (16 * size)
+    # the output origin is the middle point, so K = n/2 + m - 1 - m//2
+    k_max = n // 2 + m - 1 - m // 2
+    held = (16 * blocks * size + 24 * (k_max + 1)
+            + 16 * (blocks * step + runs * size)
+            + 16 * chunk * (size + step) + 8 * chunk * step)
+    # below what one block held: P, the spectrum, the R-row FFT block
+    # and the sum
+    one = _kernels._fft_size(n + m - 1)
+    assert held <= 16 * (runs * n + one + runs * one + n)
     # numpy keeps each FFT length's twiddles for the life of the process;
     # a first call makes them, so the traced call holds only its own arrays
     chirp_sum(x_out, x_in, coeffs, alpha, [m, m], [d, d])
@@ -313,19 +330,131 @@ def test_table_plan_gives_the_three_chirp_bits(n, m, lo_y, lo_x, ratio,
         assert np.abs(lo).max() >= 1e-8
 
 
-def test_lattice_sum_takes_batches_of_coefficient_rows():
+def test_lattice_sum_takes_batches_of_coefficient_rows(monkeypatch):
     # a (k, m) coefficient array is k independent sums, one per row, as
-    # the ensemble's reference arm calls it
+    # the ensemble's reference arm calls it; the rows go through the
+    # workspace in chunks, and pocketfft gives each row the bits of a
+    # one-row apply whatever the chunk
     rng = np.random.default_rng(11)
     y = 3e-3 + (np.arange(300) - 149.5) * 2e-6
     x = (np.arange(512) - 255.5) * 2e-5
     c = rng.normal(size=(5, 512)) + 1j * rng.normal(size=(5, 512))
     alpha = np.pi / (589.3e-9 * 0.285)
-    got = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(c)
-    assert got.shape == (5, 300)
     want = np.stack([_kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(row)
                      for row in c])
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    size = _kernels._fft_size(300 + 512 - 1)
+    for rows_per_chunk in (1, 2, 3, 16):
+        monkeypatch.setattr(_kernels, "_WORKSPACE",
+                            16 * size * rows_per_chunk)
+        assert _kernels._lattice_blocks(300, 512, 1) == (size, 300, 1)
+        got = _kernels._lattice_plan(y, 2e-6, x, 2e-5, alpha)(c)
+        assert got.shape == (5, 300)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+def test_runs_and_batch_rows_share_the_chunks_bitwise(monkeypatch,
+                                                      rows_per_chunk):
+    # a chunk of rows can start in any run of any batch row; each output
+    # row is its runs' rows times their P, added in run order, with the
+    # bits of its runs applied one row at a time
+    rng = np.random.default_rng(12)
+    y = (np.arange(400) - 199.5) * 1e-6
+    x = np.stack([lo + (np.arange(40) + 0.5) * 2e-6
+                  for lo in (-150e-6, -20e-6, 90e-6)])
+    c = rng.normal(size=(2, 3, 3, 40)) + 1j * rng.normal(size=(2, 3, 3, 40))
+    alpha = np.pi / (589.3e-9 * 0.05)
+    size = _kernels._fft_size(400 + 40 - 1)
+    monkeypatch.setattr(_kernels, "_WORKSPACE", 16 * size)
+    want = _kernels._lattice_plan(y, 1e-6, x, 2e-6, alpha)(c)
+    monkeypatch.setattr(_kernels, "_WORKSPACE", 16 * size * rows_per_chunk)
+    got = _kernels._lattice_plan(y, 1e-6, x, 2e-6, alpha)(c)
+    assert got.shape == (2, 3, 400)
+    assert got.tobytes() == want.tobytes()
+    explicit = np.array([_explicit(y, x.ravel(), row.ravel(), alpha)
+                         for row in c.reshape(-1, 120)])
+    assert (np.abs(got.reshape(-1, 400) - explicit).max()
+            <= 1e-12 * np.abs(explicit).max())
+
+
+def _plan_case(n, m, runs, where, alpha, seed, lead=()):
+    # n outputs at a 1 um pitch and `runs` lattices of m nodes 2 um apart,
+    # 30 um between runs, placed over the output grid's middle
+    # ("over"), wholly to its right (left of the runs) or wholly to its
+    # left; random coefficients with leading batch axes `lead`
+    rng = np.random.default_rng(seed)
+    w, d = 1e-6, 2e-6
+    y = (np.arange(n) - n // 2) * w
+    span = runs * m * d + (runs - 1) * 30e-6
+    lo = {"over": -span / 2, "left": y[-1] + 50e-6,
+          "right": y[0] - 50e-6 - span}[where]
+    x = np.stack([lo + r * (m * d + 30e-6) + (np.arange(m) + 0.5) * d
+                  for r in range(runs)])
+    c = (rng.normal(size=lead + (runs, m))
+         + 1j * rng.normal(size=lead + (runs, m)))
+    return y, w, x if runs > 1 else x[0], d, alpha, (
+        c if runs > 1 else c[..., 0, :])
+
+
+@pytest.mark.parametrize("n, m, runs, where, alpha, lead", [
+    (1000, 20, 1, "over", 1e9, ()),
+    (1000, 20, 2, "over", -1e9, ()),
+    (1000, 21, 2, "left", 4e8, ()),        # outputs left of the runs
+    (1001, 19, 1, "right", -4e8, ()),      # outputs right of the runs
+    (997, 24, 2, "over", 1e9, (3,)),       # leading batch rows
+    (640, 16, 1, "left", -1e9, (2, 2)),
+])
+def test_blocked_plan_matches_the_definition(monkeypatch, n, m, runs, where,
+                                             alpha, lead):
+    # a 4 KiB workspace holds FFT rows of at most 256 points, so these
+    # outputs take overlap-save blocks, the last one ragged; phases reach
+    # about 500 rad
+    monkeypatch.setattr(_kernels, "_WORKSPACE", 1 << 12)
+    size, step, blocks = _kernels._lattice_blocks(n, m, runs)
+    assert blocks > 1 and n % step
+    y, w, x, d, alpha, c = _plan_case(n, m, runs, where, alpha, n + m, lead)
+    got = _kernels._lattice_plan(y, w, x, d, alpha)(c)
+    assert got.shape == lead + (n,)
+    rows = c.reshape(-1, runs * m)
+    want = np.array([_explicit(y, x.ravel(), row, alpha) for row in rows])
+    assert (np.abs(got.reshape(-1, n) - want).max()
+            <= 1e-12 * np.abs(want).max())
+
+
+def test_far_field_plan_takes_blocks_and_matches_the_definition():
+    # defocus_sweep's far-field geometry at the module's own workspace: a
+    # double slit's two runs of 118 nodes onto 32,768 points, Z_eff = 32
+    # mm; every 97th output and the whole ragged last block
+    n, m = 32768, 118
+    x_out = (np.arange(n) - n // 2) * (4e-3 / n)
+    d = 125e-6 / m
+    x = np.stack([lo + (np.arange(m) + 0.5) * d
+                  for lo in (-212.5e-6, 87.5e-6)])
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+    alpha = -np.pi / (589.3e-9 * 32e-3)
+    size, step, blocks = _kernels._lattice_blocks(n, m, 2)
+    assert blocks > 1 and n % step
+    w = (x_out[-1] - x_out[0]) / (n - 1)
+    got = _kernels._lattice_plan(x_out, w, x, d, alpha)(c)
+    idx = np.union1d(np.arange(0, n, 97), np.arange((blocks - 1) * step, n))
+    want = _explicit(x_out[idx], x.ravel(), c.ravel(), alpha)
+    assert np.abs(got[idx] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("blocks_per_chunk", [1, 2, 5])
+def test_blocked_apply_is_bitwise_the_same_in_any_chunk(monkeypatch,
+                                                        blocks_per_chunk):
+    # one geometry of blocks; the workspace sets how many blocks share an
+    # inverse FFT and a P buffer, not the bits
+    y, w, x, d, alpha, c = _plan_case(1000, 20, 2, "over", 1e9, 7, (2,))
+    monkeypatch.setattr(_kernels, "_lattice_blocks",
+                        lambda n, m, runs: (80, 61, 17))
+    monkeypatch.setattr(_kernels, "_WORKSPACE", 16 * 80)
+    want = _kernels._lattice_plan(y, w, x, d, alpha)(c)
+    monkeypatch.setattr(_kernels, "_WORKSPACE", 16 * 80 * blocks_per_chunk)
+    got = _kernels._lattice_plan(y, w, x, d, alpha)(c)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_reused_lattice_plan_gives_a_fresh_plans_bits():

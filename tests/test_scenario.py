@@ -519,6 +519,40 @@ def test_pgm_export_normalization_and_orientation(tmp_path):
     assert np.all(img[2] == 0)
 
 
+def _pgm_by_expression(data):
+    """The PGM bytes with each scaling step a new array: the reference
+    for the writer's in-place scaling."""
+    data = np.asarray(data, dtype=float)
+    lo, hi = data.min(), data.max()
+    scaled = (np.zeros(data.shape) if hi == lo
+              else (data - lo) / (hi - lo) * 255.0)
+    img = np.rint(scaled).astype(np.uint8)
+    img = img[None, :] if img.ndim == 1 else img[::-1, :]
+    return (f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+            + img.tobytes())
+
+
+def test_pgm_writer_scales_a_copy_in_place(tmp_path):
+    # the same bytes as the step-by-step expression, for each kind of
+    # result, and the result's own arrays are left as they were
+    rng = np.random.default_rng(3)
+    image = rng.normal(size=(40, 30))
+    grid = make_grid(0.0, 1e-3, 30)
+    flat = np.full(12, 0.5)
+    ports = PortIntensities(grid=grid, i_plus=image[0] ** 2, i_minus=flat,
+                            diff=flat, background=flat)
+    corr = CorrelationResult(grid, image + 1j * image[::-1], 0.0, 1.0)
+    for result, held, shown in ((image, image, image), (flat, flat, flat),
+                                (ports, ports.i_plus, ports.i_plus),
+                                (corr, corr.correlation,
+                                 np.abs(corr.correlation))):
+        kept = held.copy()
+        path = tmp_path / "x.pgm"
+        export(result, "image_pgm", str(path))
+        assert path.read_bytes() == _pgm_by_expression(shown)
+        assert np.array_equal(held, kept)
+
+
 # ------------------------------------------------------------ run_scenario
 
 def test_run_scenario_end_to_end(tmp_path):

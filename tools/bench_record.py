@@ -5,8 +5,11 @@
 
 Each LABEL=CHECKOUT names a checkout in which `perfbench/run.py
 --workload <workload> --seed S --trace 0` has run, once per seed; its
-records are CHECKOUT/.perfbench_out/<workload>-seed*-trace0.json (smoke
-records, run with --tiny, are skipped). For each label the output holds:
+records are CHECKOUT/.perfbench_out/<workload>-seed*-trace0.json. Smoke
+records (run with --tiny) are skipped, and so are records its current
+code did not make: those of another commit than the checkout's HEAD and
+those older than its newest src/wavecorr/*.py. Each skipped record is
+printed with the reason. For each label the output holds:
 
 - the machine the records ran on and the commit each names, with the
   sha256 of the checkout's src/wavecorr sources and whether they differ
@@ -88,17 +91,40 @@ def source_state(checkout):
     return digest.hexdigest(), dirty
 
 
+def head_commit(checkout):
+    """HEAD of the checkout, or None when it is not a git repository."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def load_records(checkout, workload):
-    """{seed: record} of the checkout's full-size trace-0 records."""
+    """({seed: record}, skipped) of the checkout's full-size trace-0
+    records that its current code made; skipped lists (path, reason) for
+    each record of another commit than HEAD or older than the newest
+    src/wavecorr/*.py."""
     pattern = os.path.join(checkout, ".perfbench_out",
                            f"{workload}-seed*-trace0.json")
-    records = {}
-    for path in glob.glob(pattern):
+    head = head_commit(checkout)
+    sources = glob.glob(os.path.join(checkout, "src", "wavecorr", "*.py"))
+    newest = max(map(os.path.getmtime, sources), default=0.0)
+    records, skipped = {}, []
+    for path in sorted(glob.glob(pattern)):
         with open(path) as fh:
             record = json.load(fh)
-        if not record["machine"]["tiny"]:
+        if record["machine"]["tiny"]:
+            continue
+        commit = record["machine"]["git_commit"]
+        if commit != head:
+            skipped.append((path, f"commit {commit}, not HEAD {head}"))
+        elif os.path.getmtime(path) < newest:
+            skipped.append((path, "older than the newest source"))
+        else:
             records[record["machine"]["seed"]] = record
-    return dict(sorted(records.items()))
+    return dict(sorted(records.items())), skipped
 
 
 def condense(checkout, records, specs):
@@ -175,7 +201,9 @@ def main(argv=None):
         label, sep, checkout = item.partition("=")
         if not sep or not label:
             p.error(f"{item!r} is not LABEL=CHECKOUT")
-        records = load_records(checkout, args.workload)
+        records, skipped = load_records(checkout, args.workload)
+        for path, reason in skipped:
+            print(f"{label}: skipped {os.path.relpath(path)}: {reason}")
         if not records:
             p.error(f"no {args.workload} records under {checkout}")
         labels[label] = condense(checkout, records, specs)
