@@ -528,8 +528,9 @@ def _split(v):
 
 
 def fresnel_steps(t):
-    """F(t[..., k + 1]) - F(t[..., k]) along the last axis of t, with
-    F(t) = C(t) + i S(t) = Integral_0^t exp(i pi s^2 / 2) ds.
+    """F(t[k + 1]) - F(t[k]) along the first axis of t, with F(t) =
+    C(t) + i S(t) = Integral_0^t exp(i pi s^2 / 2) ds: an edges-major
+    table, one row per edge, gives its steps as differences of rows.
 
     Each edge is split as F(t) = sgn(t) (1 + i)/2 - sgn(t) exp(i pi t^2/2)
     G(|t|), and the constants and the decaying tails are differenced
@@ -551,8 +552,8 @@ def fresnel_steps(t):
     tail *= sign
     # -diff(tail) plus the constants' difference (1 + i)/2 diff(sign),
     # added to each part on its own: the same bits as the complex product
-    steps = tail[..., :-1] - tail[..., 1:]
-    half = 0.5 * np.diff(sign, axis=-1)
+    steps = tail[:-1] - tail[1:]
+    half = 0.5 * np.diff(sign, axis=0)
     steps.real += half
     steps.imag += half
     return steps

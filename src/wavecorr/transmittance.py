@@ -154,11 +154,15 @@ class Raster(Transmittance):
     def pixel_edges(self):
         """(x_edges, y_edges): column c spans x_edges[c] to x_edges[c + 1]
         and row r spans y_edges[r + 1] to y_edges[r], so y_edges falls
-        from the top of the image (row 0) to its bottom."""
+        from the top of the image (row 0) to its bottom.
+
+        Every edge is pitch / 2 times an integer, (2c - cols) for columns
+        and (rows - 2r) for rows, rounded once, so an x edge and a y edge
+        in the same place have the same bits."""
         rows, cols = self.pixels.shape
-        w, h = self.extent
-        return (-w / 2 + self.pitch * np.arange(cols + 1),
-                h / 2 - self.pitch * np.arange(rows + 1))
+        half = 0.5 * self.pitch
+        return (half * np.arange(-cols, cols + 1, 2),
+                half * np.arange(rows, -rows - 1, -2))
 
     def sample(self, x):
         """1D sample along the horizontal mid-line (y = 0)."""

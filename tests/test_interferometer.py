@@ -308,6 +308,41 @@ def test_one_chirp_plan_per_correlation(monkeypatch):
     assert spans[0] / 8 != spans[1] / 8
 
 
+@pytest.mark.parametrize("z_eff", [3e-3, -3e-3, 0.0])
+def test_pattern_is_scaled_in_place(monkeypatch, z_eff):
+    # the kernel scale and the prefactor multiply chirp_sum's result in
+    # place, scalar first: the bits of pref * (scale * sum), and once the
+    # sum has returned the traced memory rises by 384 B of small objects,
+    # where a new 4096-point array would take 65,536 B
+    grid = make_grid(0.0, 2e-3, 4096)
+    spec = _spec_at_z_eff(z_eff) if z_eff else imaging_spec(SLIT)
+    sums, held = [], []
+    chirp = _kernels.chirp_sum
+
+    def traced_sum(*args):
+        out = chirp(*args)
+        sums.append(out.copy())
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(_kernels, "chirp_sum", traced_sum)
+    tracemalloc.start()
+    try:
+        res = correlation_analytic(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if z_eff:
+        assert len(sums) == 1
+        assert peak - held[0] <= 1024
+        pattern = kernel_scale(CTX, spec.path_mismatch, spec.z_eff) * sums[0]
+    else:
+        pattern = (np.exp(1j * CTX.k0 * spec.path_mismatch)
+                   * SLIT.sample(grid.coordinates()))
+    assert res.correlation.tobytes() == (res.prefactor * pattern).tobytes()
+
+
 BRUTE_CONFIGS = [
     # (z_o1, window half width): stationary points stay inside the source
     (0.242, 0.5e-3, 256),
@@ -656,6 +691,23 @@ def test_2d_midpoint_quadrature_converges_to_the_engine():
     assert gaps[1] < gaps[0] / 2 and gaps[2] < gaps[1] / 2
 
 
+def _pattern_scale(spec):
+    """A bound on the pattern's modulus at every detector point, whatever
+    the window: sum |pixels| times the peak of one unit pixel's pattern.
+
+    A pixel integral is (F(t_hi) - F(t_lo)) / sqrt(2) in modulus, so a
+    pixel centred on the detector point gives sqrt(2) |F(s pitch / 2)|
+    per axis, s = sqrt(2 / (lam |Z_eff|)); that is pitch / sqrt(lam
+    |Z_eff|), the kernel scale times the pitch, for pixels well inside a
+    Fresnel zone. The rounding of every entry of the engine's sums is
+    relative to this scale, not to the window's own peak, which next to a
+    narrow mask can be its far tail."""
+    obj = spec.object
+    s, c = scipy.special.fresnel(
+        obj.pitch / 2 * np.sqrt(2.0 / (CTX.wavelength * abs(spec.z_eff))))
+    return np.abs(obj.pixels).sum() * 2.0 * (c * c + s * s)
+
+
 @st.composite
 def _defocused_rasters(draw):
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 26))
@@ -690,7 +742,58 @@ def test_2d_defocus_matches_the_exact_edge_formula(case):
         res = correlation_analytic_2d(spec, grid)
     want = _exact_2d_pattern(spec, grid)
     got = res.correlation / res.prefactor
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # 2.1e-15 measured here, 3.7e-15 over 1000 free draws
+    assert np.abs(got - want).max() <= 1e-13 * _pattern_scale(spec)
+
+
+def _per_axis_pattern(spec, grid):
+    """The pattern by a table per axis, N x (cols + 1) and N x (rows + 1)
+    fresnel_steps on the edges -w/2 + pitch c and h/2 - pitch r, with
+    the row-order sign among the scalars."""
+    obj = spec.object
+    rows, cols = obj.pixels.shape
+    w, h = obj.extent
+    x = grid.coordinates()
+    z = spec.z_eff
+    scale = np.sqrt(2.0 / (CTX.wavelength * abs(z)))
+
+    def table(edges):
+        steps = _kernels.fresnel_steps((edges[:, None] - x) * scale).T
+        return steps if z > 0 else np.conj(steps)
+
+    a_x = table(-w / 2 + obj.pitch * np.arange(cols + 1))
+    a_y = table(h / 2 - obj.pitch * np.arange(rows + 1))
+    return (-0.5 * CTX.wavelength * abs(z)
+            * kernel_scale(CTX, spec.path_mismatch, z)
+            * kernel_scale(CTX, 0.0, z)) * (a_y @ obj.pixels @ a_x.T)
+
+
+@pytest.mark.parametrize("shape", [(12, 26), (5, 8), (4, 7), (7, 4), (1, 9),
+                                   (9, 1)])
+@pytest.mark.parametrize("z_eff", [12e-3, -12e-3, 1e-4, -1e-4])
+@pytest.mark.parametrize("center", [0.0, 41e-6])
+def test_2d_shared_edge_table_matches_the_per_axis_tables(
+        monkeypatch, shape, z_eff, center):
+    # the edges-major table over the edges both axes share against a
+    # table per axis on the former edges; below |Z_eff| = 1e-4 m both sit
+    # on the rounding of t (the mpmath test covers that band)
+    rows, cols = shape
+    pixels = np.random.default_rng(rows * 31 + cols).random(shape)
+    spec = _spec_at_z_eff(z_eff, Raster(pixels, 60e-6))
+    grid = make_grid(center, 0.4e-3, 64)
+    tables = []
+    steps = _kernels.fresnel_steps
+    monkeypatch.setattr(_kernels, "fresnel_steps",
+                        lambda t: tables.append(t.shape) or steps(t))
+    res = correlation_analytic_2d(spec, grid)
+    # one table, one row of N points per distinct edge
+    shared = (rows - cols) % 2 == 0
+    assert tables == [(max(rows, cols) + 1 if shared else rows + cols + 2,
+                       grid.n_samples)]
+    want = _per_axis_pattern(spec, grid)
+    got = res.correlation / res.prefactor
+    # 6.4e-14 at worst (12 x 26, 1e-4 m, off the axis)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _mp_2d_pattern(spec, grid):
@@ -745,8 +848,8 @@ def test_2d_next_to_the_imaging_point_matches_mpmath(z_eff, bound):
 
 
 def test_2d_defocus_at_1_mm_fits_in_memory():
-    # the glyph footprint at |Z_eff| = 1 mm: the engine holds two
-    # N x (pixels + 1) Fresnel tables and the N x N image
+    # the glyph footprint at |Z_eff| = 1 mm: the engine holds one
+    # edges-major Fresnel table, 27 edges x N, and the N x N image
     row = (np.random.default_rng(1).random(26) < 0.5) * 255.0
     mask = raster_to_transmittance(np.tile(row, (12, 1)), 60e-6)
     grid = make_grid(0.0, 1.2e-3, 256)
@@ -774,7 +877,7 @@ def test_2d_defocus_at_1_mm_fits_in_memory():
 @pytest.mark.parametrize("z_eff", [12e-3, 0.0])
 def test_2d_image_is_written_in_one_pass(z_eff):
     # the glyph footprint on 512^2 detector points: the 4 MiB image is
-    # the only N^2 array; every scalar rides on an N x rows table (or,
+    # the only N^2 array; every scalar rides on the rows x N table (or,
     # at the imaging point, scales the sampled raster in place). 4.4 and
     # 4.2 MiB measured, 8.3 MiB with two N^2 scalar products
     pixels = (np.random.default_rng(3).random((12, 26)) < 0.5) * 255.0

@@ -523,16 +523,16 @@ def test_fresnel_g_matches_mpmath_from_zero_to_1e5():
 def test_fresnel_steps_match_scipy():
     t = np.concatenate([np.linspace(-40.0, 40.0, 2001), _BRANCHES])
     s, c = scipy.special.fresnel(t)
-    got = _kernels.fresnel_steps(np.stack([np.zeros_like(t), t], axis=1))
-    assert got.shape == (t.size, 1)
-    assert np.max(np.abs(got[:, 0] - (c + 1j * s))) <= 1e-14
+    got = _kernels.fresnel_steps(np.stack([np.zeros_like(t), t]))
+    assert got.shape == (1, t.size)
+    assert np.max(np.abs(got[0] - (c + 1j * s))) <= 1e-14
 
 
 def test_fresnel_steps_are_odd():
     t = np.concatenate([np.logspace(-3, 5, 97), _BRANCHES])
     zero = np.zeros_like(t)
-    plus = _kernels.fresnel_steps(np.stack([zero, t], axis=1))
-    minus = _kernels.fresnel_steps(np.stack([-t, zero], axis=1))
+    plus = _kernels.fresnel_steps(np.stack([zero, t]))
+    minus = _kernels.fresnel_steps(np.stack([-t, zero]))
     # F(t) - F(0) == F(0) - F(-t), bit for bit
     assert plus.tobytes() == minus.tobytes()
 
@@ -542,15 +542,14 @@ def test_far_same_sign_steps_keep_their_relative_accuracy():
     # of the (1 + i)/2 constants, so cancelling those would lose 5 digits
     lo = np.array([1e3, 1e4, 5e4, 99_999.75, 2.25])
     hi = lo + 0.125
-    edges = np.stack([np.concatenate([lo, -hi]), np.concatenate([hi, -lo])],
-                     axis=1)
-    got = _kernels.fresnel_steps(edges)[:, 0]
-    want = np.array([_mp_step(a, b) for a, b in edges])
+    edges = np.stack([np.concatenate([lo, -hi]), np.concatenate([hi, -lo])])
+    got = _kernels.fresnel_steps(edges)[0]
+    want = np.array([_mp_step(a, b) for a, b in edges.T])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-    # a table of several edges per row differences each neighbour pair
-    table = _kernels.fresnel_steps(np.array([[1e3, 1e3 + 0.5, 1e3 + 1.0]]))
+    # a table of several edges differences each neighbour pair
+    table = _kernels.fresnel_steps(np.array([[1e3], [1e3 + 0.5], [1e3 + 1.0]]))
     want = [_mp_step(1e3, 1e3 + 0.5), _mp_step(1e3 + 0.5, 1e3 + 1.0)]
-    assert np.max(np.abs(table[0] - want) / np.abs(want)) <= 1e-13
+    assert np.max(np.abs(table[:, 0] - want) / np.abs(want)) <= 1e-13
 
 
 def test_taylor_table_march_lands_on_g_of_zero():
@@ -568,9 +567,9 @@ def test_fresnel_g_rejects_negative_and_nan_arguments():
 
 
 def test_steps_across_the_asymptotic_join_match_mpmath():
-    edges = np.array([[-6.1, -6.0, -5.9, 5.9, 6.0, 6.1]])
-    got = _kernels.fresnel_steps(edges)[0]
-    want = np.array([_mp_step(a, b) for a, b in zip(edges[0], edges[0, 1:])])
+    edges = np.array([-6.1, -6.0, -5.9, 5.9, 6.0, 6.1])
+    got = _kernels.fresnel_steps(edges)
+    want = np.array([_mp_step(a, b) for a, b in zip(edges, edges[1:])])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
@@ -582,13 +581,14 @@ def _steps_with_fmod(t):
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
     turn = np.exp(0.5j * np.pi * (np.fmod(sq, 4.0) + sq_lo))
     tail = sign * turn * _kernels.fresnel_g(np.abs(t))
-    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+    return (0.5 + 0.5j) * np.diff(sign, axis=0) - np.diff(tail, axis=0)
 
 
 def test_floor_reduction_leaves_raster_steps_bitwise_unchanged():
     # the edge tables of a 12 x 26 glyph raster at 60 um pitch on a 512
     # point detector over +-1.2 mm, from Z_eff = 30 mm down to 1e-9 m
-    # (t up to 1.2e5), as correlation_analytic_2d builds them
+    # (t up to 1.2e5), one row per edge as correlation_analytic_2d
+    # builds them
     rng = np.random.default_rng(41)
     pixels = (rng.random((12, 26)) < 0.5) * 255.0
     obj = transmittance.raster_to_transmittance(pixels, 60e-6)
@@ -596,7 +596,7 @@ def test_floor_reduction_leaves_raster_steps_bitwise_unchanged():
     for z in (30e-3, 12e-3, 5e-3, 1e-7, 1e-9):
         scale = np.sqrt(2.0 / (589.3e-9 * z))
         for edges in obj.pixel_edges():
-            t = (edges[None, :] - x[:, None]) * scale
+            t = (edges[:, None] - x) * scale
             got = _kernels.fresnel_steps(t)
             assert got.tobytes() == _steps_with_fmod(t).tobytes()
 
@@ -610,17 +610,17 @@ def _steps_as_one_complex_expression(t):
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
     turn = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
     tail = sign * turn * _kernels.fresnel_g(np.abs(t))
-    return (0.5 + 0.5j) * np.diff(sign, axis=-1) - np.diff(tail, axis=-1)
+    return (0.5 + 0.5j) * np.diff(sign, axis=0) - np.diff(tail, axis=0)
 
 
-@pytest.mark.parametrize("shape", [(512, 27), (512, 13), (2048, 8)])
+@pytest.mark.parametrize("shape", [(27, 512), (13, 512), (8, 2048)])
 def test_step_bookkeeping_in_place_keeps_every_bit(shape):
     # edge tables of both signs with exact zeros among them: a whole zero
-    # row, a zero column and zeros next to either sign
-    rng = np.random.default_rng(shape[1])
+    # column, a zero row and zeros next to either sign
+    rng = np.random.default_rng(shape[0])
     t = rng.uniform(-40.0, 40.0, shape)
-    t[0] = 0.0
-    t[:, shape[1] // 2] = 0.0
-    t[1, ::3] = 0.0
+    t[:, 0] = 0.0
+    t[shape[0] // 2] = 0.0
+    t[::3, 1] = 0.0
     got = _kernels.fresnel_steps(t)
     assert got.tobytes() == _steps_as_one_complex_expression(t).tobytes()

@@ -134,6 +134,31 @@ def test_raster_pixel_index_is_the_sampling_rule():
     assert col.tolist() == [0, 1] and row.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("shape", [(12, 26), (26, 12), (7, 7), (1, 9),
+                                   (5, 8)])
+@pytest.mark.parametrize("pitch", [60e-6, 0.1, 2.0 ** -10])
+def test_raster_x_and_y_edges_in_one_place_share_their_bits(shape, pitch):
+    # every edge is pitch / 2 times an integer, rounded once: (2c - cols)
+    # on x and (rows - 2r) on y
+    rows, cols = shape
+    t = Raster(np.zeros(shape), pitch)
+    x_edges, y_edges = t.pixel_edges()
+    kx = np.arange(-cols, cols + 1, 2)
+    ky = np.arange(rows, -rows - 1, -2)
+    assert x_edges.tobytes() == ((pitch / 2) * kx).tobytes()
+    assert y_edges.tobytes() == ((pitch / 2) * ky).tobytes()
+    both = np.intersect1d(kx, ky)
+    assert both.size == (min(rows, cols) + 1 if (rows - cols) % 2 == 0
+                         else 0)
+    assert (x_edges[np.searchsorted(kx, both)].tobytes()
+            == y_edges[::-1][np.searchsorted(ky[::-1], both)].tobytes())
+    # within rounding of the pitch lattice across the footprint
+    assert x_edges == pytest.approx(-cols * pitch / 2
+                                    + pitch * np.arange(cols + 1))
+    assert y_edges == pytest.approx(rows * pitch / 2
+                                    - pitch * np.arange(rows + 1))
+
+
 def _by_pixel_index(t, x, y):
     """T on the outer product of x and y, point by point from the
     pixel_index rule."""
