@@ -3,10 +3,11 @@
 A spatially incoherent source is represented per realization by one
 circular complex Gaussian draw per source-grid cell with variance
 I_s / dx_s, so the discrete correlation sum(<E* E'>) dx reproduces the
-delta correlation I_s * delta(x - x'). Realization i draws from a
-counter-based stream derived from (master_seed, i): Philox keyed by the
-master seed with the block counter offset by i * 2**64. The same pair
-therefore yields the same field bitwise on any worker layout.
+delta correlation I_s * delta(x - x'). sample_source draws realization
+i from a counter-based stream derived from (master_seed, i): Philox
+keyed by the master seed with the block counter offset by i * 2**64.
+The same pair therefore yields the same field bitwise on any worker
+layout.
 
 The object arm is two fixed matrices, h1 (source -> object nodes, then
 the transmittance t) and H2 (object nodes -> detector); the reference
@@ -20,14 +21,13 @@ the elementwise kernel takes N M. Both
 arms are linear in the draws, so a run samples only the correlation's
 second moment. With s_k the unscaled draws of realization k (real and
 imaginary parts standard normal), sigma the draws' scale and y_k =
-sigma t * (h1 s_k) its field at the M object nodes, the batches sum
+sigma t * (h1 s_k) its field at the M object nodes, that is
 
     G = sum_k conj(y_k) s_k^T (M x n_src),
 
 and once per run sum_k conj(E_r) E_o = rowsum(H2 * conj(A (sigma G)^T)),
 one plan apply on G's M rows. No field on the detector grid is formed
-per realization; the sum equals the per-row one to rounding (about
-2e-15 of its peak), and the mean's expectation is the finite-source
+per realization, and the mean's expectation is the finite-source
 brute-force integral on the same nodes.
 
 The two intensities are not sampled: each is a linear-Gaussian
@@ -46,60 +46,48 @@ Goodman, Statistical Optics, sec. 2.8; Reed, IRE Trans. Inf. Theory
 8:194, 1962), and the standard error sqrt(intensity_o * intensity_r /
 n) is exact for the run's nodes and does not move with the draw.
 
-G = conj(B S) depends on the draws only through S, which for n unscaled
-draws is complex Wishart, CW(n, 2 I) (Goodman, Ann. Math. Statist.
-34:152, 1963). For n <= n_src a run sums the n realizations, in batches.
-For n > n_src it draws G in B's row space and forms no source row. Let
-Q (n_src x p, p = min(M, n_src)) be the reduced QR basis of B^H, so B =
-B Q Q^H. Then:
+G = conj(B S) depends on the draws only through S = X X^H, X = (s_1
+... s_n), which is complex Wishart, CW(n, 2 I) (Goodman, Ann. Math.
+Statist. 34:152, 1963), and a run draws it in B's row space, forming no
+source row. Let Q (n_src x p, p = min(M, n_src)) be the reduced QR
+basis of B^H, so B = B Q Q^H and B Q = R^H, and r = min(n, p). A = Q^H X
+(p x n) is iid circular complex normal and independent of (I - Q Q^H) X,
+and B S = (B Q A)(A^H Q^H + X^H (I - Q Q^H)) depends on A only through
+A A^H once the rest is given. So B S has exactly the distribution of
 
-* a_k = Q^H s_k are iid CN(0, 2 I_p) and independent of (I - Q Q^H) s_k;
-* W = sum_k a_k a_k^H ~ CW(n, 2 I_p) = V V^H, with V (p x p) lower
-  triangular: sqrt(2 Gamma(n - k, 1)) on its diagonal and circular
-  complex normals (real and imaginary parts standard normal) below it,
-  Bartlett's decomposition (Proc. R. Soc. Edinb. 53:260, 1933);
-* given the a_k, sum_k a_k ((I - Q Q^H) s_k)^H is distributed as
-  V Z (I - Q Q^H), with Z (p x n_src) circular complex normals.
+    R^H L (L^H Q^H + Z - (Z Q) Q^H),
 
-So B S has exactly the distribution of (B Q V)(V^H Q^H + Z - (Z Q) Q^H),
-and B^H = Q R gives B Q = R^H. Q only has to span B's rows, so a B of
-lower rank (a zero or repeated row) needs no special case.
+with Z (r x n_src) circular complex normals and L any p x r factor with
+L L^H distributed as A A^H: for n < p, A itself; for n >= p, Bartlett's
+lower triangular V (p x p), sqrt(2 Gamma(n - k, 1)) on its diagonal and
+circular complex normals below it (Proc. R. Soc. Edinb. 53:260, 1933).
+Q only has to span B's rows, so a B of lower rank (a zero or repeated
+row) needs no special case.
 
 These draws have a convention of their own: one Philox(key=master_seed,
 counter=1 << 128) generator, at a counter no realization reaches, draws
-the p gammas, then V's p (p - 1) / 2 entries below the diagonal in
-np.tril_indices(p, -1) order, then Z in row order; each set of normals
-is one standard_normal call into the float view of its complex entries,
-so real and imaginary parts interleave. At every n > n_src a run draws
-2 p n_src + p (p - 1) normals (39,318 at 512 cells and M = 38), against
-n_src (n_src - 1) for S's own n_src x n_src Bartlett factor, and its
-products cost O(p^2 n_src), not O(M n_src^2).
+L, then Z in row order: for n >= p the p gammas, then V's entries below
+the diagonal in np.tril_indices(p, -1) order; for n < p, A in row
+order. Each set of normals is one standard_normal call into the float
+view of its complex entries, so real and imaginary parts interleave. A
+run draws 2 n (p + n_src) normals for n < p and 2 p n_src + p (p - 1)
+for n >= p (39,318 at 512 cells and M = 38), and its products cost
+O(p r n_src), so its cost stops growing at n = p. Determinism is bitwise
+per (master_seed, n): the pair fixes the draws and the order of the
+products. A run does not sum sample_source's realizations, but its mean
+has their sum's distribution.
 
-So a run's cost stops growing at n = n_src, and its mean has the same
-distribution as the per-realization one. Determinism is bitwise per
-(master_seed, n): the draws, and the order they are summed in, are
-fixed by the pair. For n <= n_src a run sums sample_source's
-realizations; for n > n_src it does not, and its sample changes with n.
+The sample is sensitive to rounding in B: at the ensemble benchmark's
+geometry (512 source cells, a 125/300 um double slit) B's condition
+number is 1.5e9 at the imaging point (M = 38) and 5e10 defocused (M =
+44), so a rounding-level change in B turns the QR's trailing basis
+vectors, and with them the sample. The distribution is unchanged, but a
+run's bits can differ between BLAS and LAPACK builds.
 
-For n > n_src a run's sample is sensitive to rounding in B. At the
-ensemble benchmark's geometry (512 source cells, a 125/300 um double
-slit) B's condition number is 1.5e9 at the imaging point (M = 38) and
-5e10 defocused (M = 44), so a rounding-level change in B turns the QR's
-trailing basis vectors, and with them the part of the sample drawn
-through Q. Building h1 from the lattice chirps in place of the
-elementwise kernel moved fig3_incoherent's correlation by 1.5e-4 of its
-peak, against a standard error of 7.2e-2 of the peak. The distribution
-is unchanged, but such a run's bits can differ between BLAS and LAPACK
-builds.
-
-A run holds the two matrices, the plan and G. For n <= n_src every
-batch reuses the run's buffers, _BATCH = 128 source rows and their
-normals, drawn in one call per batch, and adds its node fields and one
-conj(Y)^T S product; the loop, not the once-per-run plan on G's M rows,
-sets the peak. The plan runs G's rows through its workspace, a chunk of
-rows at a time. At 512 source cells and 1024 detector points (M = 38) a
-run's traced peak is 3.9 MiB for n <= n_src and 2.6 MiB above it, where
-the plan sets it.
+A run holds the two matrices, the plan and G; the draw adds Q, Z, Q^H
+and one product of Z's shape, less than the plan's workspace, which
+sets the traced peak: 2.6 MiB at 512 source cells and 1024 detector
+points (M = 38), at every n.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -120,7 +108,7 @@ from .interferometer import PortIntensities, _node_matrix, _object_nodes
 # because perfbench's tracer wraps it here
 from .propagation import fresnel_kernel, kernel_scale, propagate
 
-# fixed batch width; part of the determinism contract
+# no run reads this; perfbench's tracer counts a run's batches by it
 _BATCH = 128
 
 
@@ -181,39 +169,22 @@ class EnsembleEstimate:
     n_used: int
 
 
-def _draw_values(config, start, stop, out=None, raw=None, stream=None):
+def _draw_values(config, start, stop):
     """Unscaled complex samples of realizations start..stop-1, one row
-    each (no validation).
+    each (no validation); sample_source is its one caller, and
+    perfbench's tracer wraps it by this name.
 
-    Row k draws exactly what a fresh Philox(key=master_seed,
-    counter=(start + k) << 64) would: one bit generator is reset to that
-    counter, with an empty buffer, before each row. Each row is a0 + 1j
-    * a1 of its two standard-normal blocks; _sigma(config) scales it to
-    the source's draws. out, a complex (>= stop - start, n_source) array,
-    and raw, a float (>= stop - start, 2, n_source) one for the normals,
-    are written in their first stop - start rows, and out's are
-    returned; stream is _stream(config). Each is made when not given,
-    with the same bits.
+    Row k is a0 + 1j * a1 of the two standard-normal blocks a fresh
+    Philox(key=master_seed, counter=(start + k) << 64) draws;
+    _sigma(config) scales it to the source's draws.
     """
-    b, s = stop - start, config.source_grid.n_samples
-    gen, state = _stream(config) if stream is None else stream
-    counter = state["state"]["counter"]
-    a = np.empty((b, 2, s)) if raw is None else raw[:b]
+    n_src = config.source_grid.n_samples
+    values = np.empty((stop - start, n_src), dtype=np.complex128)
     for k, i in enumerate(range(start, stop)):
-        counter[1] = i  # the 256-bit counter i << 64, low word first
-        gen.bit_generator.state = state
-        gen.standard_normal(out=a[k])
-    values = np.empty((b, s), dtype=np.complex128) if out is None else out[:b]
-    values.real = a[:, 0]
-    values.imag = a[:, 1]
+        bitgen = np.random.Philox(key=config.master_seed, counter=i << 64)
+        values.real[k], values.imag[k] = np.random.Generator(
+            bitgen).standard_normal((2, n_src))
     return values
-
-
-def _stream(config):
-    """(generator, state): a Philox generator keyed by master_seed and
-    its fresh state (empty buffer), which _draw_values resets per row."""
-    gen = np.random.Generator(np.random.Philox(key=config.master_seed))
-    return gen, gen.bit_generator.state
 
 
 def _sigma(config):
@@ -223,23 +194,30 @@ def _sigma(config):
 
 
 def _row_space_draws(config, p):
-    """(V, Z) of an n > n_source run whose object arm spans p source
-    dimensions, unscaled and drawn by the module docstring's convention.
+    """(L, Z) of a run whose object arm spans p source dimensions,
+    unscaled and drawn by the module docstring's convention; r = min(n,
+    p) is L's column count and Z's row count.
 
-    V (p x p) is lower triangular with sqrt(2 Gamma(n - k, 1)) on its
-    diagonal; its entries below it and Z's (p x n_source) are circular
-    complex normals, real and imaginary parts standard normal.
+    For n >= p, L is V (p x p), lower triangular with sqrt(2 Gamma(n -
+    k, 1)) on its diagonal; for n < p, L is A (p x n). L's other entries
+    and Z's (r x n_source) are circular complex normals, real and
+    imaginary parts standard normal.
     """
     n, n_src = config.n_realizations, config.source_grid.n_samples
     gen = np.random.Generator(
         np.random.Philox(key=config.master_seed, counter=1 << 128))
-    v = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p))) + 0j)
-    lower = np.empty(p * (p - 1) // 2, dtype=np.complex128)
-    gen.standard_normal(out=lower.view(np.float64))
-    v[np.tril_indices(p, -1)] = lower
-    z = np.empty((p, n_src), dtype=np.complex128)
+    if n >= p:
+        factor = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p)))
+                         + 0j)
+        lower = np.empty(p * (p - 1) // 2, dtype=np.complex128)
+        gen.standard_normal(out=lower.view(np.float64))
+        factor[np.tril_indices(p, -1)] = lower
+    else:
+        factor = np.empty((p, n), dtype=np.complex128)
+        gen.standard_normal(out=factor.view(np.float64))
+    z = np.empty((factor.shape[1], n_src), dtype=np.complex128)
     gen.standard_normal(out=z.view(np.float64))
-    return v, z
+    return factor, z
 
 
 def sample_source(config, realization_index):
@@ -312,11 +290,10 @@ def run_ensemble(config):
     """Average E_r* E_o over all realizations, with the exact
     intensities and standard error on the run's nodes.
 
-    The run forms the correlation's second moment G, from the n
-    realizations for n <= n_source and drawn in the object arm's row
-    space above it, which gives the mean once per run; the intensities
-    take E[S] = 2 n I (see the module docstring). Fixed draws, batch
-    width and accumulation order: rerunning the same config reproduces
+    The run draws the correlation's second moment G in the object
+    arm's row space at every n, which gives the mean once per run; the
+    intensities take E[S] = 2 n I (see the module docstring). Fixed
+    draws and order of products: rerunning the same config reproduces
     the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
@@ -360,29 +337,16 @@ def _second_moment(config, b_t):
     """G = conj(B S) (M x n_source), S = sum_k s_k s_k^H over the run's
     n unscaled draws; b_t is B^T (n_source x M).
 
-    For n > n_source, G is drawn in B's row space (see the module
-    docstring) and no source row is formed. For n <= n_source it sums
-    conj(B s_k) s_k^T over the realizations in batches of _BATCH, every
-    batch reusing the run's row buffer and the buffer of their normals,
-    drawn in one call.
+    G is drawn in B's row space at every n, from the factor L and Z of
+    _row_space_draws (see the module docstring); no source row is
+    formed.
     """
-    n, n_src = config.n_realizations, config.source_grid.n_samples
-    if n > n_src:
-        # B^H = Q R, so B Q = R^H and B S ~ R^H V (Z + (V^H - Z Q) Q^H)
-        q, r = np.linalg.qr(np.conjugate(b_t))
-        v, z = _row_space_draws(config, r.shape[0])
-        z += (np.conjugate(v.T) - z @ q) @ np.conjugate(q.T)
-        g = (np.conjugate(r.T) @ v) @ z
-        return np.conjugate(g, out=g)
-    rows = np.empty((_BATCH, n_src), dtype=np.complex128)
-    g = np.zeros((b_t.shape[1], n_src), dtype=np.complex128)
-    stream = _stream(config)
-    raw = np.empty((_BATCH, 2, n_src))
-    for start in range(0, n, _BATCH):
-        s = _draw_values(config, start, min(start + _BATCH, n), rows, raw,
-                         stream)
-        g += np.conjugate(s @ b_t).T @ s
-    return g
+    # B^H = Q R, so B Q = R^H and B S ~ R^H L (Z + (L^H - Z Q) Q^H)
+    q, r = np.linalg.qr(np.conjugate(b_t))
+    factor, z = _row_space_draws(config, r.shape[0])
+    z += (np.conjugate(factor.T) - z @ q) @ np.conjugate(q.T)
+    g = (np.conjugate(r.T) @ factor) @ z
+    return np.conjugate(g, out=g)
 
 
 def run_coherent(spec, grid, pinhole_width=None):

@@ -64,4 +64,5 @@ class ResolutionWarning(WaveCorrWarning):
 
 
 class StatisticsWarning(WaveCorrWarning):
-    """Ensemble standard error exceeds |mean| at every detector point."""
+    """Ensemble standard error exceeds |mean| at every detector point, or
+    an ensemble run's sampled mean puts a port below zero somewhere."""

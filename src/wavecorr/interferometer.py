@@ -419,19 +419,22 @@ def background_intensity(spec, grid):
 
 def detector_ports(correlation, background):
     """Split the mean intensity into the two beamsplitter outputs."""
+    ports = _split_ports(correlation, background)
+    if np.any(np.minimum(ports.i_plus, ports.i_minus) < 0):
+        raise NegativeIntensityError(
+            "background/2 < |Re correlation| somewhere: the flat-background "
+            "split is unphysical for this source width")
+    return ports
+
+
+def _split_ports(correlation, background):
+    """detector_ports without its check: i_plus and i_minus are
+    background/2 +- Re correlation, negative where |Re correlation| >
+    background/2."""
     corr = np.asarray(correlation.correlation)
     bg = np.broadcast_to(np.asarray(background, dtype=float), corr.shape)
     if bg.shape != corr.shape:
         raise InvalidArgumentError("correlation and background shapes differ")
     re = corr.real
-    if np.any(bg / 2 - np.abs(re) < 0):
-        raise NegativeIntensityError(
-            "background/2 < |Re correlation| somewhere: the flat-background "
-            "split is unphysical for this source width")
-    return PortIntensities(
-        grid=correlation.grid,
-        i_plus=bg / 2 + re,
-        i_minus=bg / 2 - re,
-        diff=2 * re,
-        background=np.array(bg, dtype=float),
-    )
+    return PortIntensities(correlation.grid, bg / 2 + re, bg / 2 - re,
+                           2 * re, np.array(bg, dtype=float))

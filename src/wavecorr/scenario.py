@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -26,20 +27,22 @@ import numpy as np
 from .cascade import MediumSegment
 from .ensemble import EnsembleConfig, run_coherent, run_ensemble
 from .errors import (ConfigParseError, InvalidArgumentError,
-                     ScenarioValidationError, UnequalPathError)
+                     ScenarioValidationError, StatisticsWarning,
+                     UnequalPathError)
 from .grid import OpticsContext, make_grid
 from .interferometer import (CorrelationResult, InterferometerSpec,
                              background_intensity, correlation_analytic,
-                             correlation_analytic_2d, detector_ports)
+                             correlation_analytic_2d, detector_ports,
+                             _split_ports)
 from .propagation import MAX_NODES
 from .transmittance import (Transmittance, double_slit, phase_holes,
                             raster_to_transmittance, read_pgm, uniform)
 
 #: source-grid sampling used for ensemble scenarios
 _SOURCE_SAMPLES = 512
-#: most realizations an ensemble scenario may ask for; a run sums
-#: min(n, _SOURCE_SAMPLES) source rows, so any n above 512, the cap
-#: included, costs what fig3_incoherent's 2000 does
+#: most realizations an ensemble scenario may ask for; a run's cost stops
+#: growing at n = min(M, _SOURCE_SAMPLES) for M object nodes, so the cap
+#: costs what fig3_incoherent's 2000 does
 MAX_REALIZATIONS = 2 ** 20
 #: the results a run of each mode makes; an analytic run on a raster
 #: makes only the 2D correlation, "image"
@@ -607,6 +610,27 @@ def _write(result, kind, path):
     return data
 
 
+def _ensemble_ports(corr, est):
+    """The ports of an ensemble run's sampled mean. Noise alone can put
+    them below zero; they are written as they are, with a
+    StatisticsWarning naming the worst point in standard errors."""
+    ports = _split_ports(corr, est.intensity_o + est.intensity_r)
+    excess = -np.minimum(ports.i_plus, ports.i_minus)
+    below = excess > 0
+    if below.any():
+        # an opaque object's points have standard error 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigmas = np.where(below, excess / est.standard_error, -np.inf)
+        j = np.lexsort((excess, sigmas))[-1]  # at n = 1 every sigma is 0
+        warnings.warn(
+            f"at n = {est.n_used} the sampled mean puts background/2 below "
+            f"|Re correlation| at {below.sum()} of {below.size} "
+            f"points; the worst, x = {corr.grid.coordinates()[j]:.6g} m, "
+            f"by {excess[j] / ports.background[j]:.3g} of its background "
+            f"({sigmas[j]:.3g} standard errors)", StatisticsWarning)
+    return ports
+
+
 def run_scenario(config, out_dir=None, echo=print):
     """Execute a scenario (path to a JSON file, or a ScenarioConfig).
 
@@ -685,8 +709,8 @@ def run_scenario(config, out_dir=None, echo=print):
         corr = CorrelationResult(grid, est.correlation_mean, z_eff,
                                  prefactor=None)
         results["correlation"] = corr
-        results["ports"] = detector_ports(
-            corr, est.intensity_o + est.intensity_r)
+        if "ports" in sources:
+            results["ports"] = _ensemble_ports(corr, est)
     else:
         results["ports"] = run_coherent(spec, grid,
                                         config.coherent_settings[1])

@@ -429,6 +429,34 @@ def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
         assert re.match(r"(scenario|Z|Zbar|z_o2_img|Z_eff) |wrote ", line)
 
 
+def test_noisy_ensemble_ports_are_written_with_a_notice(tmp_path, capsys):
+    # the background is exact but the mean a sample, so at small n noise
+    # alone puts background/2 below |Re mean| at some points: 19 of these
+    # seeds at n = 1 and 4 at n = 2 did so on an earlier draw, and the run
+    # exited 4. It writes the ports, negative there, and names the worst
+    # point in a StatisticsWarning
+    cfg_path = tmp_path / "noisy.json"
+    outputs = [{"kind": "ports_csv", "path": "p.csv"}]
+    negative = 0
+    for n in (1, 2):
+        for seed in range(1, 41):
+            cfg_path.write_text(json.dumps(config_dict(
+                mode="ensemble", outputs=outputs,
+                ensemble={"n_realizations": n, "seed": seed})))
+            assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert all(re.fullmatch(r"warning: StatisticsWarning: \S.*", line)
+                       for line in err)
+            rows = np.array(read_rows(tmp_path / "p.csv"))
+            named = [float(m) for line in err
+                     for m in re.findall(r"the worst, x = (\S+) m", line)]
+            assert len(named) == int(rows[:, 1:3].min() < 0)
+            for x in named:
+                assert rows[np.abs(rows[:, 0] - x).argmin(), 1:3].min() < 0
+            negative += len(named)
+    assert negative > 0
+
+
 def test_notices_are_printed_when_the_run_fails(tmp_path, capsys):
     # the equal-path notice comes before the resolution guard fails
     cfg_path = tmp_path / "coarse.json"

@@ -130,41 +130,25 @@ def test_batched_draws_are_the_per_realization_streams():
         assert np.array_equal(got[k], a[0] + 1j * a[1])
 
 
-def test_run_draws_into_its_buffers_are_the_sample_source_rows(monkeypatch):
-    # a run draws _BATCH rows per call into reused buffers, unscaled and
-    # from one generator; a block that crosses a _BATCH boundary, written
-    # over stale rows, is still sample_source's once scaled
-    config = make_config(n=_BATCH + 40, seed=2 ** 63 + 11,
+def test_draw_values_are_the_sample_source_rows(monkeypatch):
+    # a block that starts off zero, unscaled: sample_source's rows once
+    # scaled
+    config = make_config(n=170, seed=2 ** 63 + 11,
                          source_grid=make_grid(0.0, 0.005, 33))
-    start, stop = _BATCH - 37, _BATCH + 9
-    sigma = ensemble._sigma(config)
+    start, stop = 91, 137
     want = np.stack([sample_source(config, i).values
                      for i in range(start, stop)])
-    out = np.full((stop - start + 3, 33), np.nan, dtype=np.complex128)
-    raw = np.full((stop - start + 3, 2, 33), np.nan)
-    got = _draw_values(config, start, stop, out, raw)
-    assert np.shares_memory(got, out) and got.shape == want.shape
-    assert np.array_equal(got * sigma, want)
-    stream = ensemble._stream(config)
-    _draw_values(config, 0, 5, out, raw, stream)  # leaves stale rows
-    got = _draw_values(config, start, stop, out, raw, stream)
-    assert np.array_equal(got * sigma, want)
+    got = _draw_values(config, start, stop) * ensemble._sigma(config)
+    assert np.array_equal(got, want)
 
-    # run_ensemble makes one _draw_values call per _BATCH of its rows for
-    # n <= n_source (all n realizations on 256 cells) and none for n >
-    # n_source (33 cells), whose row-space draw has a stream of its own
+    # a run draws no realization at any n: n < p = M = 38, p <= n <=
+    # n_source and n > n_source on 256 cells all take the row-space draw
     calls = []
-    draw = ensemble._draw_values
     monkeypatch.setattr(ensemble, "_draw_values",
-                        lambda c, a, b, *r, **k: calls.append((a, b))
-                        or draw(c, a, b, *r, **k))
-    n = config.n_realizations
-    batches = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
-    for n_src, want in ((256, batches), (33, [])):
-        calls.clear()
-        run_ensemble(make_config(n=n, seed=2 ** 63 + 11,
-                                 source_grid=make_grid(0.0, 0.005, n_src)))
-        assert calls == want
+                        lambda *a: calls.append(a[1:]))
+    for n in (5, 200, 300):
+        run_ensemble(make_config(n=n, source_grid=make_grid(0.0, 0.005, 256)))
+    assert calls == []
 
 
 def test_sample_source_is_deterministic_and_indexed():
@@ -240,46 +224,6 @@ def test_run_ensemble_is_bitwise_reproducible():
     assert not np.array_equal(a.correlation_mean, other.correlation_mean)
 
 
-def test_run_ensemble_matches_a_per_batch_lattice_sum_loop():
-    # the estimator's definition, realization by realization: both fields
-    # of every draw, with a fresh _lattice_plan per batch for the
-    # reference arm; run_ensemble sums the correlation's second moment
-    # instead, so the two means agree to rounding. Its intensities and
-    # standard error are the expectations on the same nodes, 2 sigma^2
-    # sum_i |A[j, i]|^2 over each dense arm; each n leaves a partial last
-    # batch
-    for n in (2 * _BATCH + 5, _BATCH + 40):
-        config = make_config(n=n)
-        source, det = config.source_grid, config.detector_grid
-        sigma = ensemble._sigma(config)
-        scale = kernel_scale(CTX, REF.optical_path,
-                             REF.diffraction_length) * source.spacing
-        alpha = CTX.k0 / (2.0 * REF.diffraction_length)
-        mats = propagation_matrices(config)
-        corr_sum = np.zeros(det.n_samples, dtype=np.complex128)
-        for start in range(0, n, _BATCH):
-            src = _draw_values(config, start, min(start + _BATCH, n)) * sigma
-            e_o = (src @ mats.source_to_object.T * mats.t_object) \
-                @ mats.object_to_detector.T
-            e_r = _kernels._lattice_plan(
-                det.coordinates(), det.spacing, source.coordinates(),
-                source.spacing, alpha)(src * scale)
-            corr_sum += (np.conj(e_r) * e_o).sum(axis=0)
-        a_o = mats.object_to_detector @ (mats.t_object[:, None]
-                                         * mats.source_to_object)
-        a_r = fresnel_kernel(CTX, det.coordinates()[:, None],
-                             source.coordinates()[None, :], REF.optical_path,
-                             REF.diffraction_length) * source.spacing
-        i_o, i_r = (2 * sigma ** 2 * (a.real ** 2 + a.imag ** 2).sum(axis=1)
-                    for a in (a_o, a_r))
-        got = run_ensemble(config)
-        assert got.n_used == n
-        for a, b in ((got.correlation_mean, corr_sum / n),
-                     (got.intensity_o, i_o), (got.intensity_r, i_r),
-                     (got.standard_error, np.sqrt(i_o * i_r / n))):
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-
-
 def test_standard_error_matches_the_sample_variance():
     # the Gaussian moment theorem, Var(E_r* E_o) = I_o I_r, against the
     # model-free estimate from each realization's E_r* E_o. The standard
@@ -336,26 +280,17 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
     assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
-def test_run_ensemble_peak_stays_within_its_workspace():
-    _assert_peak_within_workspace(8 * _BATCH + 5)
-
-
-def test_realization_run_peak_stays_within_its_workspace():
-    _assert_peak_within_workspace(3 * _BATCH + 5)
-
-
-def _assert_peak_within_workspace(n):
+@pytest.mark.parametrize("n", [5, 389, 1029],
+                         ids=["n<p", "p<=n<=n_src", "n>n_src"])
+def test_run_ensemble_peak_stays_within_its_workspace(n):
     # a run holds its two matrices, the reference arm's plan (two chirps
     # and the kernel spectrum) and B^T, h1 with sigma and t folded in.
-    # For n <= n_source its batches hold the accumulated moment G, the
-    # run's buffers (_BATCH source rows and their normals) and per-batch
-    # temporaries: the object-node fields' conjugates (the fields are
-    # freed once conjugated) and one conj(Y)^T S product. For n >
-    # n_source the row-space draw (p = M here) holds Q, Z, Q^H and one
-    # product of Z's shape, G after them. The run's products come after
-    # either, the largest the plan on G's M rows: G, the result and the
-    # plan's workspace, the chunk of FFT rows it runs G's rows through.
-    # The traced peak is the larger of the two, plus ufunc buffers
+    # The row-space draw (p = M here, r = min(n, p)) holds Q, Z (r x
+    # n_source), Q^H and one product of Z's shape, G after them. The
+    # run's products come after it, the largest the plan on G's M rows:
+    # G, the result and the plan's workspace, the chunk of FFT rows it
+    # runs G's rows through. The traced peak is the larger of the two,
+    # plus ufunc buffers; here the plan sets it, 2.75 MB at every n
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det, n,
                             20260816)
@@ -364,10 +299,7 @@ def _assert_peak_within_workspace(n):
     plan_size = _kernels._fft_size(n_det + n_src - 1)
     fixed = (sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
              + 16 * m * n_src)
-    if n > n_src:
-        draw = 16 * 4 * m * n_src
-    else:
-        draw = 16 * (2 * m * n_src + 2 * _BATCH * n_src + _BATCH * m)
+    draw = 16 * 2 * (m + min(n, m)) * n_src
     chunk = _kernels._WORKSPACE // (16 * plan_size)
     products = 16 * (m * n_src + chunk * plan_size + m * n_det)
     held = fixed + max(draw, products)
@@ -544,24 +476,25 @@ def _z(samples, target):
 
 
 def test_bartlett_draw_convention_is_frozen(monkeypatch):
-    # a compatibility contract like sample_source's: for n > n_source one
-    # fresh Philox(key, counter=1 << 128) draws the p gammas of V's
-    # diagonal, then V's entries below it in tril_indices order, then Z
-    # row by row, real and imaginary parts interleaved; p = min(M,
-    # n_source), with M = 38 object nodes here: p = M on 64 cells and
-    # p = n_source on 33
-    seed, n = 2 ** 64 - 9, 5000
+    # a compatibility contract like sample_source's: one fresh
+    # Philox(key, counter=1 << 128) draws the factor L, then Z (r x
+    # n_source) row by row, real and imaginary parts interleaved, r =
+    # min(n, p) and p = min(M, n_source), with M = 38 object nodes here:
+    # p = M on 64 cells and p = n_source on 33. For n >= p, L is V: the
+    # p gammas of its diagonal, then its entries below it in
+    # tril_indices order; for n < p, L is A (p x n), row by row
+    seed = 2 ** 64 - 9
     philox, draw = np.random.Philox, ensemble._row_space_draws
-    for n_src, p in ((64, 38), (33, 33)):
+    for n, n_src, p in ((5000, 64, 38), (5000, 33, 33), (20, 64, 38)):
         config = make_config(n=n, seed=seed,
                              source_grid=make_grid(0.0, 0.005, n_src))
         bitgens, draws = [], []
 
         def spy(c, dims):
             # the run adds to Z in place: keep what was drawn
-            v, z = draw(c, dims)
-            draws.append((dims, v.copy(), z.copy()))
-            return v, z
+            factor, z = draw(c, dims)
+            draws.append((dims, factor.copy(), z.copy()))
+            return factor, z
 
         with monkeypatch.context() as m:
             m.setattr(np.random, "Philox",
@@ -570,35 +503,42 @@ def test_bartlett_draw_convention_is_frozen(monkeypatch):
             m.setattr(ensemble, "_row_space_draws", spy)
             run_ensemble(config)
         gen = np.random.Generator(philox(key=seed, counter=1 << 128))
-        want_v = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p)))
-                         + 0j)
-        want_v[np.tril_indices(p, -1)] = gen.standard_normal(
-            p * (p - 1)).view(np.complex128)
-        want_z = gen.standard_normal((p, 2 * n_src)).view(np.complex128)
+        r = min(n, p)
+        if n >= p:
+            want = np.diag(np.sqrt(2.0 * gen.standard_gamma(
+                n - np.arange(p))) + 0j)
+            want[np.tril_indices(p, -1)] = gen.standard_normal(
+                p * (p - 1)).view(np.complex128)
+        else:
+            want = gen.standard_normal((p, 2 * n)).view(np.complex128)
+        want_z = gen.standard_normal((r, 2 * n_src)).view(np.complex128)
         assert len(draws) == 1
-        got_p, got_v, got_z = draws[0]
+        got_p, got, got_z = draws[0]
         assert got_p == p
-        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got, want)
         assert np.array_equal(got_z, want_z)
-        # the run consumed exactly p (p - 1) + 2 p n_source normals after
-        # the p gammas: its one generator stands where the rebuilt one does
+        # the run consumed exactly the normals rebuilt here, p (p - 1) +
+        # 2 p n_source after the p gammas or 2 n (p + n_source): its one
+        # generator stands where the rebuilt one does
         assert len(bitgens) == 1
         assert np.array_equal(bitgens[0].random_raw(4),
                               gen.bit_generator.random_raw(4))
 
 
-def test_row_space_moment_matches_the_dense_moments():
-    # K = conj(G) = B S at n = 9 > 6 source cells, over 4000 seeds,
-    # against the moments of n unscaled circular draws, S ~ CW(n, 2 I):
-    # E[K] = 2 n B and Cov(K_ml, K_m'l') = 4 n sum_i B_mi conj(B_m'i) for
-    # l = l', zero across columns; on the diagonal, E|K_ml - 2 n B_ml|^2 =
-    # 4 n |B_m|^2. B has M = 3 < 6 rows, M = 8 > 6, and a zero row and two
-    # equal ones. Every estimate lies within 3.6 standard errors here (4.2
-    # over seeds 4000-11999), and each mean |K_ml - 2 n B_ml|^2 within
-    # 5.3 % of its target; Z drawn without its projection off B's row
-    # space reads 25 standard errors or more, Gamma(n) on all of V's
-    # diagonal 23 or more
-    n_src, n = 6, 9
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9])
+def test_row_space_moment_matches_the_dense_moments(n):
+    # K = conj(G) = B S on 6 source cells, over 4000 seeds, against the
+    # moments of n unscaled circular draws, S ~ CW(n, 2 I): E[K] = 2 n B
+    # and Cov(K_ml, K_m'l') = 4 n sum_i B_mi conj(B_m'i) for l = l', zero
+    # across columns; on the diagonal, E|K_ml - 2 n B_ml|^2 = 4 n |B_m|^2.
+    # B has M = 3 < 6 rows, M = 8 > 6, and a zero row and two equal ones
+    # (p = 3, 6 and 4), so n takes n < p, p <= n <= n_source and n >
+    # n_source. Every estimate lies within 3.62 standard errors here
+    # (3.84 over seeds 4000-11999), and each mean |K_ml - 2 n B_ml|^2
+    # within 7.4 % of its target; Z drawn without its projection off B's
+    # row space reads 14.7 standard errors or more at every n, and A
+    # drawn real (its variance kept) 17 or more at n = 1 and 2
+    n_src = 6
     source = make_grid(0.0, 0.005, n_src)
     rng = np.random.default_rng(6)
 
@@ -631,48 +571,69 @@ def test_row_space_moment_matches_the_dense_moments():
         assert np.abs(np.concatenate(z)).max() <= 5
 
 
-def test_row_space_run_applies_its_moment(monkeypatch):
-    # the mean from the G a run draws at n > n_source: rowsum(H2 *
-    # conj(A (sigma G)^T)) / n, with the reference arm's dense columns A
-    # in place of the run's one plan apply on G's rows
-    config = make_config(n=3 * SOURCE_GRID.n_samples)
+@pytest.mark.parametrize("n", [5, 200, 3 * SOURCE_GRID.n_samples],
+                         ids=["n<p", "p<=n<=n_src", "n>n_src"])
+def test_row_space_run_applies_its_moment(monkeypatch, n):
+    # the mean from the G a run draws, on either side of p = M = 38 and of
+    # n_source: rowsum(H2 * conj(A (sigma G)^T)) / n, with the reference
+    # arm's dense columns A in place of the run's one plan apply on G's
+    # rows. Its intensities and standard error are the expectations on
+    # the same nodes, 2 sigma^2 sum_i |A[j, i]|^2 over each dense arm
+    config = make_config(n=n)
+    source, det = config.source_grid, config.detector_grid
+    mats = propagation_matrices(config)
+    assert mats.t_object.size == 38
     moments, second_moment = [], ensemble._second_moment
     # the run scales G in place: keep what was drawn
     monkeypatch.setattr(ensemble, "_second_moment",
                         lambda c, b: moments.append(second_moment(c, b))
                         or moments[-1].copy())
-    got = run_ensemble(config).correlation_mean
-    a_t = _reference_field(config, np.eye(SOURCE_GRID.n_samples))
-    h2 = propagation_matrices(config).object_to_detector
-    sigma_g = moments[0] * ensemble._sigma(config)
-    want = (h2 * np.conj(sigma_g @ a_t).T).sum(axis=1) / config.n_realizations
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    got = run_ensemble(config)
+    assert got.n_used == n
+    sigma = ensemble._sigma(config)
+    a_t = _reference_field(config, np.eye(source.n_samples))
+    h2 = mats.object_to_detector
+    mean = (h2 * np.conj(moments[0] * sigma @ a_t).T).sum(axis=1) / n
+    a_o = h2 @ (mats.t_object[:, None] * mats.source_to_object)
+    a_r = fresnel_kernel(CTX, det.coordinates()[:, None],
+                         source.coordinates()[None, :], REF.optical_path,
+                         REF.diffraction_length) * source.spacing
+    i_o, i_r = (2 * sigma ** 2 * (a.real ** 2 + a.imag ** 2).sum(axis=1)
+                for a in (a_o, a_r))
+    for a, b in ((got.correlation_mean, mean), (got.intensity_o, i_o),
+                 (got.intensity_r, i_r),
+                 (got.standard_error, np.sqrt(i_o * i_r / n))):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_bartlett_runs_match_brute_force_within_six_sigma():
-    # n > n_source at the imaging point and defocused, from one past
+    # at the imaging point and defocused, from n < p = M = 38 through
     # n_source to the scenario cap, where the standard error is 1/23 of
-    # n = 2000's and any bias of the rows would show. The worst point
-    # reads 1.8-2.1 standard errors here, at most 2.93 over seeds 0-19
+    # n = 2000's and any bias of the draw would show. The worst point
+    # reads 1.7-2.8 standard errors here; over seeds 0-19, at most 3.41
+    # at n = 5, 2.92 at 200 and 2.93 above n_source
     for z_o1 in (REF.diffraction_length, 0.242):
         spec = InterferometerSpec(CTX, z_o1, REF.optical_path - z_o1,
                                   REF_SEGMENTS, SLIT, 0.01)
         brute = correlation_brute_force(spec, DET_GRID)
-        for n in (SOURCE_GRID.n_samples + 1, MAX_REALIZATIONS):
+        for n in (5, 200, SOURCE_GRID.n_samples + 1, MAX_REALIZATIONS):
             res = run_ensemble(EnsembleConfig(spec, SOURCE_GRID, DET_GRID,
                                               n, 20260816))
             assert np.all(np.abs(res.correlation_mean - brute)
                           <= 6 * res.standard_error)
 
 
-def test_bartlett_standard_error_is_calibrated():
+@pytest.mark.parametrize("n", [200, 2000])
+def test_bartlett_standard_error_is_calibrated(n):
     # z = (mean - E[mean]) / standard_error, with E[mean] exact on the
     # run's own nodes: 2 sigma^2 sum_c conj(A_r[j, c]) A_o[j, c] over the
     # dense arms. A calibrated standard error gives E|z|^2 = Var(Re z) +
     # Var(Im z) = 1. Pooled over 40 seeds and the 64 points it read
-    # 0.940-1.047 over ten disjoint seed sets (seeds 0-399, std 0.034); a
-    # standard error 10 % too large reads 0.83, 10 % too small 1.23
-    n = 2000
+    # 0.940-1.047 at n = 2000 and 0.939-1.060 at n = 200 (p <= n <=
+    # n_source) over ten disjoint seed sets (seeds 0-399, std 0.034 and
+    # 0.036); a standard error 10 % too large reads 0.83, 10 % too small
+    # 1.23. At n = 5 the mean is far from Gaussian and the pooled value
+    # spreads over 0.863-1.118 (std 0.065), too wide for this bound
     config = make_config(n=n)
     mats = propagation_matrices(config)
     a_o = mats.object_to_detector @ (mats.t_object[:, None]
