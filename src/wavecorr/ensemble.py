@@ -84,10 +84,15 @@ number is 1.5e9 at the imaging point (M = 38) and 5e10 defocused (M =
 vectors, and with them the sample. The distribution is unchanged, but a
 run's bits can differ between BLAS and LAPACK builds.
 
-A run holds the two matrices, the plan and G; the draw adds Q, Z, Q^H
-and one product of Z's shape, less than the plan's workspace, which
-sets the traced peak: 2.6 MiB at 512 source cells and 1024 detector
-points (M = 38), at every n.
+A run has two stages. The geometry (_geometry) is what the spec and
+the two grids fix: h1, H2, the plan, B, its QR basis (Q, and R^H = B
+Q) and both intensities, so the intensities and the standard error
+come before any draw. The draw stage is the rest: L, Z, G, the plan
+applied to G's rows and the mean. Once the geometry is built the run
+holds H2, Q, R^H, the plan and the two intensities; h1 (B^T, written
+over it), B^H and R go while it is built. At 512 source cells and 1024
+detector points (M = 38) the plan on G's rows sets the traced peak,
+2.4 MiB at every n, and the geometry stage peaks at 1.6 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -159,7 +164,7 @@ class EnsembleEstimate:
     the run's nodes, not sampled. standard_error is sqrt(intensity_o *
     intensity_r / n_used), the standard error of correlation_mean by
     the Gaussian moment theorem (each realization's E_r* E_o has
-    variance I_o I_r); a single realization gives inf.
+    variance I_o I_r), at every n_used, 1 included.
     """
 
     correlation_mean: np.ndarray
@@ -286,66 +291,98 @@ def _reference_arm(config):
     return plan, scale
 
 
+class _Geometry(NamedTuple):
+    """What the spec and grids of a run fix: the object arm's H2, the
+    reference arm's plan and scale, the draws' scale sigma, the reduced
+    QR basis of B^H (Q, and R^H = B Q) and the exact intensities."""
+
+    h2: np.ndarray
+    q: np.ndarray
+    r_h: np.ndarray
+    plan: object
+    scale: complex
+    sigma: float
+    intensity_o: np.ndarray
+    intensity_r: np.ndarray
+
+
+def _geometry(config):
+    """The _Geometry of config's spec and grids; config's n_realizations
+    and master_seed are not read.
+
+    B^T = sigma t * h1 is written over h1, and one conj(B^T) = B^H feeds
+    both Ybar and the QR. B^T, B^H and R are not kept, and each draw
+    forms its own Q^H.
+    """
+    mats = propagation_matrices(config)
+    plan, scale = _reference_arm(config)
+    sigma = _sigma(config)
+    h2, b_t = mats.object_to_detector, mats.source_to_object.T
+    b_t *= sigma * mats.t_object
+    del mats
+    b_h = np.conjugate(b_t)
+    y_bar = 2.0 * (b_t.T @ b_h)
+    # h1 goes before the QR and B^H after it: neither is held beside
+    # the QR's copy and Q, or beside H2 Ybar
+    del b_t
+    # B^H = Q R, so B Q = R^H
+    q, r = np.linalg.qr(b_h)
+    del b_h
+    r_h = np.conjugate(r.T)
+    # the float views pair real with real and imaginary with imaginary
+    # parts: Re((H2 Ybar) * conj(H2)) summed over the nodes
+    i_o = np.einsum("jk,jk->j", (h2 @ y_bar).view(np.float64),
+                    h2.view(np.float64))
+    i_r = np.full(config.detector_grid.n_samples,
+                  2.0 * sigma ** 2 * config.source_grid.n_samples
+                  * abs(scale) ** 2)
+    return _Geometry(h2, q, r_h, plan, scale, sigma, i_o, i_r)
+
+
 def run_ensemble(config):
     """Average E_r* E_o over all realizations, with the exact
     intensities and standard error on the run's nodes.
 
-    The run draws the correlation's second moment G in the object
-    arm's row space at every n, which gives the mean once per run; the
-    intensities take E[S] = 2 n I (see the module docstring). Fixed
-    draws and order of products: rerunning the same config reproduces
-    the estimate bitwise.
+    The run builds its geometry (_geometry), then draws the
+    correlation's second moment G in the object arm's row space, which
+    gives the mean once per run. Fixed draws and order of products:
+    rerunning the same config reproduces the estimate bitwise.
     """
     if config.spec.object.ndim != 1:
         raise InvalidArgumentError("ensemble runs support 1D objects only")
-    mats = propagation_matrices(config)
-    plan, scale = _reference_arm(config)
-    n_src = config.source_grid.n_samples
-    n_det = config.detector_grid.n_samples
+    geo = _geometry(config)
     n = config.n_realizations
-    sigma = _sigma(config)
-    # B^T: sigma and t_object folded into h1 once per run
-    b_t = mats.source_to_object.T * (sigma * mats.t_object)
-    g = _second_moment(config, b_t)
-    h2 = mats.object_to_detector
+    g = _second_moment(config, (geo.q, geo.r_h))
     # (A (sigma G)^T)^T: one plan apply on the M rows of G; sigma and
     # scale apply one at a time, an order the mean's bits depend on
-    g *= sigma
-    g *= scale
-    e_rg = plan(g)
-    corr_sum = np.einsum("jm,mj->j", h2, np.conjugate(e_rg, out=e_rg))
+    g *= geo.sigma
+    g *= geo.scale
+    e_rg = geo.plan(g)
+    corr_sum = np.einsum("jm,mj->j", geo.h2, np.conjugate(e_rg, out=e_rg))
     del e_rg
-    # the float views pair real with real and imaginary with imaginary
-    # parts: Re((H2 Ybar) * conj(H2)) summed over the nodes
-    y_bar = 2.0 * (b_t.T @ np.conjugate(b_t))
-    i_o = np.einsum("jk,jk->j", (h2 @ y_bar).view(np.float64),
-                    h2.view(np.float64))
-    i_r = np.full(n_det, 2.0 * sigma ** 2 * n_src * abs(scale) ** 2)
     mean = corr_sum / n
-    if n > 1:
-        std_err = np.sqrt(i_o * i_r / n)
-    else:
-        std_err = np.full(n_det, np.inf)
+    std_err = np.sqrt(geo.intensity_o * geo.intensity_r / n)
     if np.all(std_err > np.abs(mean)):
         warnings.warn(
             f"standard error exceeds |mean| everywhere at n = {n}; "
             "increase n_realizations", StatisticsWarning, stacklevel=2)
-    return EnsembleEstimate(mean, i_o, i_r, std_err, n)
+    return EnsembleEstimate(mean, geo.intensity_o, geo.intensity_r,
+                            std_err, n)
 
 
-def _second_moment(config, b_t):
+def _second_moment(config, basis):
     """G = conj(B S) (M x n_source), S = sum_k s_k s_k^H over the run's
-    n unscaled draws; b_t is B^T (n_source x M).
+    n unscaled draws; basis is (Q, R^H) of the reduced QR B^H = Q R.
 
     G is drawn in B's row space at every n, from the factor L and Z of
     _row_space_draws (see the module docstring); no source row is
     formed.
     """
-    # B^H = Q R, so B Q = R^H and B S ~ R^H L (Z + (L^H - Z Q) Q^H)
-    q, r = np.linalg.qr(np.conjugate(b_t))
-    factor, z = _row_space_draws(config, r.shape[0])
+    # B S ~ R^H L (Z + (L^H - Z Q) Q^H)
+    q, r_h = basis
+    factor, z = _row_space_draws(config, q.shape[1])
     z += (np.conjugate(factor.T) - z @ q) @ np.conjugate(q.T)
-    g = (np.conjugate(r.T) @ factor) @ z
+    g = (r_h @ factor) @ z
     return np.conjugate(g, out=g)
 
 

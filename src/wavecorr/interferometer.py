@@ -432,9 +432,13 @@ def _split_ports(correlation, background):
     background/2 +- Re correlation, negative where |Re correlation| >
     background/2."""
     corr = np.asarray(correlation.correlation)
-    bg = np.broadcast_to(np.asarray(background, dtype=float), corr.shape)
-    if bg.shape != corr.shape:
-        raise InvalidArgumentError("correlation and background shapes differ")
+    bg = np.asarray(background, dtype=float)
+    try:
+        bg = np.broadcast_to(bg, corr.shape)
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"background of shape {bg.shape} does not broadcast to the "
+            f"correlation's {corr.shape}") from exc
     re = corr.real
     return PortIntensities(correlation.grid, bg / 2 + re, bg / 2 - re,
                            2 * re, np.array(bg, dtype=float))

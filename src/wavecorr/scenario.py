@@ -621,7 +621,7 @@ def _ensemble_ports(corr, est):
         # an opaque object's points have standard error 0
         with np.errstate(divide="ignore", invalid="ignore"):
             sigmas = np.where(below, excess / est.standard_error, -np.inf)
-        j = np.lexsort((excess, sigmas))[-1]  # at n = 1 every sigma is 0
+        j = np.lexsort((excess, sigmas))[-1]  # ties: the larger excess
         warnings.warn(
             f"at n = {est.n_used} the sampled mean puts background/2 below "
             f"|Re correlation| at {below.sum()} of {below.size} "

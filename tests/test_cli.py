@@ -409,10 +409,8 @@ def _at_regime_ratio_1(n=64):
                  None, id="coherent-at-ratio-1"),
     pytest.param({"z_o2": TOTAL_Z - IMAGING_Z_O1 + 1e-4},
                  "EqualPathWarning", id="paths-within-tolerance"),
-    # one realization has no standard error
-    pytest.param({"mode": "ensemble",
-                  "ensemble": {"n_realizations": 1, "seed": 1}},
-                 "StatisticsWarning", id="one-realization"),
+    # an ensemble run's StatisticsWarning: see
+    # test_noisy_ensemble_ports_are_written_with_a_notice
 ])
 def test_notices_go_to_stderr_with_their_code(tmp_path, capsys, over, code):
     cfg_path = tmp_path / "notice.json"
@@ -434,7 +432,8 @@ def test_noisy_ensemble_ports_are_written_with_a_notice(tmp_path, capsys):
     # alone puts background/2 below |Re mean| at some points: 19 of these
     # seeds at n = 1 and 4 at n = 2 did so on an earlier draw, and the run
     # exited 4. It writes the ports, negative there, and names the worst
-    # point in a StatisticsWarning
+    # point in a StatisticsWarning on stderr, by a finite, nonzero count
+    # of standard errors at n = 1 too
     cfg_path = tmp_path / "noisy.json"
     outputs = [{"kind": "ports_csv", "path": "p.csv"}]
     negative = 0
@@ -444,7 +443,9 @@ def test_noisy_ensemble_ports_are_written_with_a_notice(tmp_path, capsys):
                 mode="ensemble", outputs=outputs,
                 ensemble={"n_realizations": n, "seed": seed})))
             assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
-            err = capsys.readouterr().err.splitlines()
+            captured = capsys.readouterr()
+            assert "warning" not in captured.out
+            err = captured.err.splitlines()
             assert all(re.fullmatch(r"warning: StatisticsWarning: \S.*", line)
                        for line in err)
             rows = np.array(read_rows(tmp_path / "p.csv"))
@@ -453,6 +454,9 @@ def test_noisy_ensemble_ports_are_written_with_a_notice(tmp_path, capsys):
             assert len(named) == int(rows[:, 1:3].min() < 0)
             for x in named:
                 assert rows[np.abs(rows[:, 0] - x).argmin(), 1:3].min() < 0
+            for line in err:
+                for sigmas in re.findall(r"\((\S+) standard errors\)", line):
+                    assert 0 < float(sigmas) < math.inf
             negative += len(named)
     assert negative > 0
 

@@ -283,27 +283,29 @@ def test_reference_intensity_matches_the_fields(center, half_width, n_det,
 @pytest.mark.parametrize("n", [5, 389, 1029],
                          ids=["n<p", "p<=n<=n_src", "n>n_src"])
 def test_run_ensemble_peak_stays_within_its_workspace(n):
-    # a run holds its two matrices, the reference arm's plan (two chirps
-    # and the kernel spectrum) and B^T, h1 with sigma and t folded in.
-    # The row-space draw (p = M here, r = min(n, p)) holds Q, Z (r x
-    # n_source), Q^H and one product of Z's shape, G after them. The
-    # run's products come after it, the largest the plan on G's M rows:
-    # G, the result and the plan's workspace, the chunk of FFT rows it
-    # runs G's rows through. The traced peak is the larger of the two,
-    # plus ufunc buffers; here the plan sets it, 2.75 MB at every n
+    # A run builds its geometry first. It drops h1 (B^T, written over
+    # it) before the QR and B^H after it, so the QR holds H2, the plan,
+    # B^H, numpy's copy of it and Q, and H2 Ybar comes after. Then it
+    # draws beside what the geometry keeps: H2, Q, R^H, the plan and the
+    # two intensities. The row-space draw (p = M here, r = min(n, p))
+    # holds Z (r x n_source), Q^H and one product of Z's shape, G after
+    # them. Its products come after it, the largest the plan on G's M
+    # rows: G, the result and the plan's workspace, the chunk of FFT rows
+    # it runs G's rows through. The traced peak is the larger of the
+    # two beside what is kept, plus ufunc buffers; here the plan sets
+    # it, 2.47 MB at every n, above the geometry's 1.69 MB
     det = make_grid(0.0, 0.25e-3, 1024)
     config = EnsembleConfig(imaging_spec(SLIT), SOURCE_GRID, det, n,
                             20260816)
-    mats = propagation_matrices(config)
-    n_src, n_det, m = SOURCE_GRID.n_samples, det.n_samples, mats.t_object.size
+    n_src, n_det = SOURCE_GRID.n_samples, det.n_samples
+    m = propagation_matrices(config).t_object.size
     plan_size = _kernels._fft_size(n_det + n_src - 1)
-    fixed = (sum(a.nbytes for a in mats) + 16 * (n_src + n_det + plan_size)
-             + 16 * m * n_src)
-    draw = 16 * 2 * (m + min(n, m)) * n_src
+    kept = (16 * m * (n_det + n_src + m) + 16 * (n_src + n_det + plan_size)
+            + 2 * 8 * n_det)
+    draw = 16 * (m + 2 * min(n, m)) * n_src
     chunk = _kernels._WORKSPACE // (16 * plan_size)
     products = 16 * (m * n_src + chunk * plan_size + m * n_det)
-    held = fixed + max(draw, products)
-    del mats
+    held = kept + max(draw, products)
     # numpy keeps each FFT length's twiddles for the life of the process;
     # a first run makes them, so the traced run holds only its own arrays
     run_ensemble(config)
@@ -375,10 +377,14 @@ def test_opaque_object_gives_exactly_zero_mean():
     assert np.all(res.intensity_o == 0)
 
 
-def test_single_realization_has_infinite_standard_error():
-    with pytest.warns(StatisticsWarning):
-        res = run_ensemble(make_config(n=1))
-    assert np.all(np.isinf(res.standard_error))
+@pytest.mark.filterwarnings("ignore::wavecorr.errors.StatisticsWarning")
+def test_single_realization_has_the_exact_standard_error():
+    # one realization's E_r* E_o has variance I_o I_r, so the standard
+    # error sqrt(I_o I_r / n) holds at n = 1 as at any n
+    res = run_ensemble(make_config(n=1))
+    assert np.all(np.isfinite(res.standard_error))
+    assert np.array_equal(res.standard_error,
+                          np.sqrt(res.intensity_o * res.intensity_r))
 
 
 def test_reference_intensity_matches_closed_form():
@@ -549,9 +555,11 @@ def test_row_space_moment_matches_the_dense_moments(n):
     low_rank[1] = 0
     low_rank[3] = low_rank[2]
     for b in (normal(3, n_src), normal(8, n_src), low_rank):
+        # the run's basis of B^H: Q and R^H of its reduced QR
+        q, r = np.linalg.qr(np.conj(b.T))
         k = np.conj([ensemble._second_moment(
-            make_config(n=n, seed=seed, source_grid=source), b.T)
-            for seed in range(4000)])
+            make_config(n=n, seed=seed, source_grid=source),
+            (q, np.conj(r.T))) for seed in range(4000)])
         if b is low_rank:
             # a zero row of B gives a zero row of K, and two equal rows
             # one row twice, to rounding; the moments take the others

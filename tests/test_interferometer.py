@@ -572,6 +572,20 @@ def test_insufficient_background_is_rejected():
         detector_ports(res, np.full(256, 1.0))
 
 
+def test_background_must_broadcast_to_the_correlation():
+    # a background of another shape raises InvalidArgumentError, not
+    # numpy's bare ValueError; a scalar one is every point's background
+    grid = make_grid(0.0, 0.5e-3, 8)
+    res = correlation_analytic(imaging_spec(uniform(0.8)), grid)
+    for bg in (np.ones(3), np.ones((2, 8))):
+        with pytest.raises(InvalidArgumentError, match="broadcast"):
+            detector_ports(res, bg)
+    bg = 4 * np.abs(res.correlation).max()
+    ports = detector_ports(res, bg)
+    assert np.array_equal(ports.background, np.full(8, bg))
+    assert np.array_equal(ports.i_plus, bg / 2 + res.correlation.real)
+
+
 # ------------------------------------------------------------------- 2D
 
 def _hollow_mask():
