@@ -10,16 +10,15 @@ of the object.
 
 Layers, bottom up: grids and fields (`grid`), thin masks
 (`transmittance`), free-space kernels (`propagation`), path ledgers and
-cascades (`cascade`), the closed-form correlation (`interferometer`),
-Monte-Carlo chaotic light (`ensemble`), and runnable scenario configs
-(`scenario`, `cli`).
+the two-arm geometry (`cascade`), the closed-form correlation
+(`interferometer`), Monte-Carlo chaotic light (`ensemble`), and runnable
+scenario configs (`scenario`, `cli`).
 """
 
 from . import errors
 from .cascade import (COHERENCE_TOLERANCE, ImagingPositions, MediumSegment,
-                      PathLedger, cascade_propagate,
-                      effective_diffraction_length, imaging_positions,
-                      ledger, vacuum)
+                      PathLedger, effective_diffraction_length,
+                      imaging_positions, ledger, vacuum)
 from .ensemble import (EnsembleConfig, EnsembleEstimate, run_coherent,
                        run_ensemble, sample_source)
 from .errors import (ConfigParseError, DegenerateGeometryError,
@@ -82,7 +81,6 @@ __all__ = [
     "WaveCorrWarning",
     "background_intensity",
     "builtin_scenarios",
-    "cascade_propagate",
     "config_from_dict",
     "correlation_analytic",
     "correlation_analytic_2d",

@@ -1,4 +1,5 @@
-"""Successive diffraction through media: path ledgers and composition.
+"""Successive diffraction through media: path ledgers and the two-arm
+geometry.
 
 A segment of physical length l and refractive index n contributes n*l
 to the optical path Z (phase, coherence) and l/n to the diffraction
@@ -6,7 +7,8 @@ length Zbar (chirp curvature). Ledgers add under concatenation, and a
 cascade whose accumulated Zbar vanishes acts as the identity times
 exp(i k0 Z) regardless of the individual segments: that cancellation is
 what makes lensless imaging possible. Negative indices are allowed so a
-negatively refracting segment can cancel a positive one directly.
+negatively refracting segment can cancel a positive one directly. The
+engines read an arm only through its ledger.
 
 equal_path_mismatch is the one check of the equal-optical-path
 condition, within the fixed COHERENCE_TOLERANCE; the geometry helpers
@@ -20,9 +22,8 @@ from typing import NamedTuple
 
 from .errors import (DegenerateGeometryError, InvalidArgumentError,
                      UnequalPathError)
-from .grid import ComplexField
+# not called here; perfbench's tracer wraps propagate in this module
 from .propagation import propagate
-from .transmittance import Transmittance
 
 #: tolerance on the equal-optical-path condition (m); stands in for the
 #: source's longitudinal coherence length.
@@ -77,43 +78,6 @@ def ledger(segments):
     for seg in segments:
         total = total + seg.ledger()
     return total
-
-
-def cascade_propagate(ctx, field, elements):
-    """Propagate through an arm's MediumSegments and Transmittances in
-    order, applying objects where they sit.
-
-    Consecutive segments are coalesced into one propagation with their
-    summed ledger; this is exact for the fft transfer-function form and
-    realizes the delta-kernel identity exactly whenever the accumulated
-    Zbar between two insertion points is zero.
-    """
-    elements = tuple(elements)
-    if not elements:
-        raise InvalidArgumentError("chain must contain at least one element")
-    if not all(isinstance(el, (MediumSegment, Transmittance))
-               for el in elements):
-        raise InvalidArgumentError(
-            "chain elements must be MediumSegment or Transmittance")
-    out = field
-    pending = PathLedger.zero()
-    for el in elements:
-        if isinstance(el, MediumSegment):
-            pending = pending + el.ledger()
-        else:
-            if pending != PathLedger.zero():
-                out = propagate(ctx, out, pending.optical_path,
-                                pending.diffraction_length)
-                pending = PathLedger.zero()
-            if el.ndim != 1:
-                raise InvalidArgumentError(
-                    "cascade_propagate handles 1D transmittances only")
-            out = ComplexField(out.grid,
-                               out.values * el.sample(out.grid.coordinates()))
-    if pending != PathLedger.zero():
-        out = propagate(ctx, out, pending.optical_path,
-                        pending.diffraction_length)
-    return out
 
 
 class ImagingPositions(NamedTuple):

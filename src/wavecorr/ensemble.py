@@ -58,24 +58,23 @@ A A^H once the rest is given. So B S has exactly the distribution of
     R^H L (L^H Q^H + Z - (Z Q) Q^H),
 
 with Z (r x n_src) circular complex normals and L any p x r factor with
-L L^H distributed as A A^H: for n < p, A itself; for n >= p, Bartlett's
-lower triangular V (p x p), sqrt(2 Gamma(n - k, 1)) on its diagonal and
-circular complex normals below it (Proc. R. Soc. Edinb. 53:260, 1933).
-Q only has to span B's rows, so a B of lower rank (a zero or repeated
-row) needs no special case.
+L L^H distributed as A A^H. A run takes Bartlett's factor (Proc. R. Soc.
+Edinb. 53:260, 1933), the lower trapezoidal L of A's LQ decomposition A
+= L U: sqrt(2 Gamma(n - k, 1)) at (k, k) for k < r and circular complex
+normals below the diagonal. Q only has to span B's rows, so a B of
+lower rank (a zero or repeated row) needs no special case.
 
 These draws have a convention of their own: one Philox(key=master_seed,
 counter=1 << 128) generator, at a counter no realization reaches, draws
-L, then Z in row order: for n >= p the p gammas, then V's entries below
-the diagonal in np.tril_indices(p, -1) order; for n < p, A in row
-order. Each set of normals is one standard_normal call into the float
-view of its complex entries, so real and imaginary parts interleave. A
-run draws 2 n (p + n_src) normals for n < p and 2 p n_src + p (p - 1)
-for n >= p (39,318 at 512 cells and M = 38), and its products cost
-O(p r n_src), so its cost stops growing at n = p. Determinism is bitwise
-per (master_seed, n): the pair fixes the draws and the order of the
-products. A run does not sum sample_source's realizations, but its mean
-has their sum's distribution.
+L's r gammas, then its entries below the diagonal in np.tril_indices(p,
+-1, r) order, then Z in row order. Each set of normals is one
+standard_normal call read as complex entries, real and imaginary parts
+interleaved. A run draws r (2 p - r - 1) + 2 r
+n_src normals (40,318 at 512 cells and M = 38 once n >= p), and its
+products cost O(p r n_src), so its cost stops growing at n = p.
+Determinism is bitwise per (master_seed, n): the pair fixes the draws
+and the order of the products. A run does not sum sample_source's
+realizations, but its mean has their sum's distribution.
 
 The sample is sensitive to rounding in B: at the ensemble benchmark's
 geometry (512 source cells, a 125/300 um double slit) B's condition
@@ -174,22 +173,18 @@ class EnsembleEstimate:
     n_used: int
 
 
-def _draw_values(config, start, stop):
-    """Unscaled complex samples of realizations start..stop-1, one row
-    each (no validation); sample_source is its one caller, and
-    perfbench's tracer wraps it by this name.
-
-    Row k is a0 + 1j * a1 of the two standard-normal blocks a fresh
-    Philox(key=master_seed, counter=(start + k) << 64) draws;
-    _sigma(config) scales it to the source's draws.
-    """
+def _draw_values(config, index):
+    """Unscaled complex samples of realization index (no validation):
+    a0 + 1j * a1 of the two standard-normal blocks a fresh
+    Philox(key=master_seed, counter=index << 64) draws, which
+    _sigma(config) scales. sample_source is its one caller, and
+    perfbench's tracer wraps it by this name."""
     n_src = config.source_grid.n_samples
-    values = np.empty((stop - start, n_src), dtype=np.complex128)
-    for k, i in enumerate(range(start, stop)):
-        bitgen = np.random.Philox(key=config.master_seed, counter=i << 64)
-        values.real[k], values.imag[k] = np.random.Generator(
-            bitgen).standard_normal((2, n_src))
-    return values
+    gen = np.random.Generator(
+        np.random.Philox(key=config.master_seed, counter=index << 64))
+    row = np.empty(n_src, dtype=np.complex128)
+    row.real, row.imag = gen.standard_normal((2, n_src))
+    return row
 
 
 def _sigma(config):
@@ -200,29 +195,23 @@ def _sigma(config):
 
 def _row_space_draws(config, p):
     """(L, Z) of a run whose object arm spans p source dimensions,
-    unscaled and drawn by the module docstring's convention; r = min(n,
-    p) is L's column count and Z's row count.
+    unscaled and drawn by the module docstring's convention.
 
-    For n >= p, L is V (p x p), lower triangular with sqrt(2 Gamma(n -
-    k, 1)) on its diagonal; for n < p, L is A (p x n). L's other entries
-    and Z's (r x n_source) are circular complex normals, real and
-    imaginary parts standard normal.
+    With r = min(n, p), L (p x r) is lower trapezoidal, sqrt(2 Gamma(n
+    - k, 1)) at (k, k); its entries below the diagonal and Z's (r x
+    n_source) are circular complex normals, real and imaginary parts
+    standard normal.
     """
     n, n_src = config.n_realizations, config.source_grid.n_samples
+    r = min(n, p)
     gen = np.random.Generator(
         np.random.Philox(key=config.master_seed, counter=1 << 128))
-    if n >= p:
-        factor = np.diag(np.sqrt(2.0 * gen.standard_gamma(n - np.arange(p)))
-                         + 0j)
-        lower = np.empty(p * (p - 1) // 2, dtype=np.complex128)
-        gen.standard_normal(out=lower.view(np.float64))
-        factor[np.tril_indices(p, -1)] = lower
-    else:
-        factor = np.empty((p, n), dtype=np.complex128)
-        gen.standard_normal(out=factor.view(np.float64))
-    z = np.empty((factor.shape[1], n_src), dtype=np.complex128)
-    gen.standard_normal(out=z.view(np.float64))
-    return factor, z
+    factor = np.zeros((p, r), dtype=np.complex128)
+    diag = np.arange(r)
+    factor[diag, diag] = np.sqrt(2.0 * gen.standard_gamma(n - diag))
+    below = np.tril_indices(p, -1, r)
+    factor[below] = gen.standard_normal(2 * below[0].size).view(np.complex128)
+    return factor, gen.standard_normal((r, 2 * n_src)).view(np.complex128)
 
 
 def sample_source(config, realization_index):
@@ -232,8 +221,8 @@ def sample_source(config, realization_index):
         raise InvalidArgumentError(
             f"realization index {realization_index} outside "
             f"[0, {config.n_realizations})")
-    values = _draw_values(config, realization_index, realization_index + 1)
-    return ComplexField(config.source_grid, values[0] * _sigma(config))
+    values = _draw_values(config, realization_index)
+    return ComplexField(config.source_grid, values * _sigma(config))
 
 
 class PropagationMatrices(NamedTuple):

@@ -31,9 +31,9 @@ from .errors import (ConfigParseError, InvalidArgumentError,
                      UnequalPathError)
 from .grid import OpticsContext, make_grid
 from .interferometer import (CorrelationResult, InterferometerSpec,
-                             background_intensity, correlation_analytic,
-                             correlation_analytic_2d, detector_ports,
-                             _split_ports)
+                             PortIntensities, background_intensity,
+                             correlation_analytic, correlation_analytic_2d,
+                             detector_ports, _split_ports)
 from .propagation import MAX_NODES
 from .transmittance import (Transmittance, double_slit, phase_holes,
                             raster_to_transmittance, read_pgm, uniform)
@@ -290,16 +290,29 @@ def _csv_block(table):
             [b"%.17g" % v for v in value[~ok].tolist()])
 
 
+def _csv_values(result, type_, values, kind):
+    """result's values array, once result is a type_ and the array 1D
+    (one CSV row per detector point); InvalidArgumentError otherwise."""
+    data = getattr(result, values) if isinstance(result, type_) else None
+    if np.ndim(data) != 1:
+        got = type(result).__name__ if data is None else \
+            f"a {np.ndim(data)}D {type_.__name__}"
+        raise InvalidArgumentError(
+            f"{kind} writes a 1D {type_.__name__}; got {got}")
+    return data
+
+
 def _correlation_csv(result):
-    c = result.correlation
+    c = _csv_values(result, CorrelationResult, "correlation",
+                    "correlation_csv")
     return _csv("x_m,re,im,abs2", result.grid.coordinates(), c.real, c.imag,
                 c.real * c.real + c.imag * c.imag)
 
 
 def _ports_csv(result):
+    i_plus = _csv_values(result, PortIntensities, "i_plus", "ports_csv")
     return _csv("x_m,i_plus,i_minus,diff,sum", result.grid.coordinates(),
-                result.i_plus, result.i_minus, result.diff,
-                result.i_plus + result.i_minus)
+                i_plus, result.i_minus, result.diff, i_plus + result.i_minus)
 
 
 def _image_pgm(result):
@@ -587,10 +600,13 @@ class OutputBundle:
 def export(result, kind, path):
     """Write one result file; returns the path written.
 
-    correlation_csv: columns x_m, re, im, abs2 (abs2 = re^2 + im^2).
-    ports_csv: columns x_m, i_plus, i_minus, diff, sum.
-    image_pgm: binary P5, min-max normalized to 0..255; 2D images are
-    written top row first (descending y); constant data maps to zeros.
+    correlation_csv: a 1D CorrelationResult; columns x_m, re, im, abs2
+    (abs2 = re^2 + im^2).
+    ports_csv: a PortIntensities; columns x_m, i_plus, i_minus, diff, sum.
+    image_pgm: either result or an array; binary P5, min-max normalized
+    to 0..255; 2D images are written top row first (descending y);
+    constant data maps to zeros. Any other result raises
+    InvalidArgumentError before the file is opened.
     Each CSV number is exactly Python's "%.17g" (17 significant digits,
     trailing zeros dropped): numpy writes most, and Python itself nan,
     +-inf, three-digit exponents, rounding near-ties and values that

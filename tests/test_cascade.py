@@ -1,22 +1,19 @@
-"""Path ledgers, cascade composition, and the two-arm geometry helpers."""
+"""Path ledgers and the two-arm geometry helpers."""
 
 import math
 import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavecorr import (ComplexField, InterferometerSpec, MediumSegment,
-                      OpticsContext, PathLedger, cascade_propagate,
-                      double_slit, effective_diffraction_length,
-                      imaging_positions, ledger, make_grid, uniform, vacuum)
+from wavecorr import (InterferometerSpec, MediumSegment, OpticsContext,
+                      PathLedger, effective_diffraction_length,
+                      imaging_positions, ledger, uniform, vacuum)
 from wavecorr.cascade import equal_path_mismatch
 from wavecorr.interferometer import _ROUNDING_ULPS
 from wavecorr.errors import (DegenerateGeometryError, EqualPathWarning,
                              InvalidArgumentError, UnequalPathError)
-from wavecorr.propagation import propagate
 
 CTX = OpticsContext(589.3e-9)
 
@@ -54,6 +51,15 @@ def test_negative_index_cancels_exactly():
     assert led.diffraction_length == 0.0
 
 
+def test_cascade_keeps_propagate_for_the_tracer():
+    # perfbench's tracer wraps propagate where cascade imports it
+    import wavecorr
+    from wavecorr import cascade, propagation
+    assert cascade.propagate is propagation.propagate
+    assert not hasattr(wavecorr, "cascade_propagate")
+    assert not hasattr(cascade, "cascade_propagate")
+
+
 def test_ledger_addition_identity_and_commutativity():
     a = PathLedger(0.1, 0.2)
     b = PathLedger(0.3, -0.05)
@@ -71,67 +77,6 @@ def test_ledger_matches_componentwise_sums(pairs):
                                              rel=1e-12)
     assert led.diffraction_length == pytest.approx(sum(l / n for l, n in pairs),
                                                    rel=1e-12)
-
-
-# ----------------------------------------------------------------- cascade
-
-def _probe_field(n=512, half=2e-3, sigma=3e-4):
-    g = make_grid(0.0, half, n)
-    x = g.coordinates()
-    return ComplexField(g, np.exp(-x * x / (2 * sigma * sigma)))
-
-
-def test_zero_zbar_chain_is_pure_phase():
-    # 2 * 0.1 / 2.0 and 0.05 / 1.0 cancel in the diffraction total, so the
-    # whole cascade collapses to the delta kernel times exp(i k0 Z)
-    f = _probe_field()
-    chain = [MediumSegment(0.1, 2.0), MediumSegment(0.05, -1.0)]
-    assert ledger(chain).diffraction_length == 0.0
-    out = cascade_propagate(CTX, f, chain)
-    want = f.values * np.exp(1j * CTX.k0 * (0.2 - 0.05))
-    assert np.allclose(out.values, want, rtol=1e-14)
-
-
-def test_consecutive_segments_coalesce():
-    f = _probe_field()
-    merged = cascade_propagate(CTX, f, [vacuum(0.008), vacuum(0.012)])
-    hop = propagate(CTX, propagate(CTX, f, 0.008, 0.008), 0.012, 0.012)
-    single = propagate(CTX, f, 0.02, 0.02)
-    scale = np.abs(single.values).max()
-    assert np.abs(merged.values - single.values).max() <= 1e-12 * scale
-    assert np.abs(merged.values - hop.values).max() <= 1e-9 * scale
-
-
-def test_object_applied_in_place():
-    f = _probe_field()
-    slit = double_slit(125e-6, 300e-6)
-    x = f.grid.coordinates()
-
-    out = cascade_propagate(CTX, f, [slit, vacuum(0.02)])
-    want = propagate(CTX, ComplexField(f.grid, f.values * slit.sample(x)),
-                     0.02, 0.02)
-    assert np.allclose(out.values, want.values, rtol=0, atol=1e-14)
-
-    out2 = cascade_propagate(CTX, f, [vacuum(0.02), slit])
-    want2 = propagate(CTX, f, 0.02, 0.02).values * slit.sample(x)
-    assert np.allclose(out2.values, want2, rtol=0, atol=1e-14)
-
-
-def test_chain_validation():
-    f = _probe_field(n=64)
-    with pytest.raises(InvalidArgumentError):
-        cascade_propagate(CTX, f, ())
-    with pytest.raises(InvalidArgumentError):
-        cascade_propagate(CTX, f, ("propagate please",))
-
-
-def test_cascade_rejects_2d_objects():
-    from wavecorr import raster_to_transmittance
-
-    f = _probe_field(n=64)
-    mask = raster_to_transmittance(np.full((2, 2), 255, dtype=np.uint8), 1e-3)
-    with pytest.raises(InvalidArgumentError):
-        cascade_propagate(CTX, f, [mask, vacuum(0.01)])
 
 
 # --------------------------------------------------------------- geometry

@@ -19,7 +19,7 @@ from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
                       run_coherent, run_ensemble, sample_source, uniform,
                       vacuum)
 from wavecorr import _kernels, ensemble
-from wavecorr.ensemble import _BATCH, _draw_values, propagation_matrices
+from wavecorr.ensemble import _draw_values, propagation_matrices
 from wavecorr.interferometer import _object_nodes
 from wavecorr.errors import (InvalidArgumentError, ResolutionError,
                              StatisticsWarning)
@@ -116,30 +116,26 @@ def test_sample_source_frozen_draw_convention():
     assert np.array_equal(got.values, sigma * (a[0] + 1j * a[1]))
 
 
-def test_batched_draws_are_the_per_realization_streams():
-    # a block that starts off zero and crosses a batch boundary: row k is
-    # what a fresh Philox(key, counter=(start + k) << 64) draws, unscaled
-    config = make_config(n=3 * _BATCH, seed=2 ** 64 - 5,
+def test_draw_values_are_the_per_realization_streams():
+    # at a seed near 2**64 and indices up to 2**63 - 1, realization i is
+    # what a fresh Philox(key, counter=i << 64) draws, unscaled
+    config = make_config(n=2 ** 63 - 1, seed=2 ** 64 - 5,
                          source_grid=make_grid(0.0, 0.005, 33))
-    start, stop = _BATCH - 7, _BATCH + 9
-    got = _draw_values(config, start, stop)
-    assert got.shape == (stop - start, 33)
-    for k, i in enumerate(range(start, stop)):
+    for i in (0, 121, 2 ** 63 - 2):
+        got = _draw_values(config, i)
+        assert got.shape == (33,)
         bitgen = np.random.Philox(key=2 ** 64 - 5, counter=i << 64)
         a = np.random.Generator(bitgen).standard_normal((2, 33))
-        assert np.array_equal(got[k], a[0] + 1j * a[1])
+        assert np.array_equal(got, a[0] + 1j * a[1])
 
 
 def test_draw_values_are_the_sample_source_rows(monkeypatch):
-    # a block that starts off zero, unscaled: sample_source's rows once
-    # scaled
+    # unscaled: sample_source's rows once scaled
     config = make_config(n=170, seed=2 ** 63 + 11,
                          source_grid=make_grid(0.0, 0.005, 33))
-    start, stop = 91, 137
-    want = np.stack([sample_source(config, i).values
-                     for i in range(start, stop)])
-    got = _draw_values(config, start, stop) * ensemble._sigma(config)
-    assert np.array_equal(got, want)
+    for i in range(91, 137):
+        got = _draw_values(config, i) * ensemble._sigma(config)
+        assert np.array_equal(got, sample_source(config, i).values)
 
     # a run draws no realization at any n: n < p = M = 38, p <= n <=
     # n_source and n > n_source on 256 cells all take the row-space draw
@@ -166,7 +162,7 @@ def test_draws_are_circular_in_every_cell():
     # 1-4, and 1 for real draws (imaginary part zeroed)
     config = make_config(n=2048, seed=1,
                          source_grid=make_grid(0.0, 0.005, 64))
-    s = _draw_values(config, 0, 2048)
+    s = np.stack([_draw_values(config, i) for i in range(2048)])
     ratio = np.abs((s * s).mean(axis=0)) / (np.abs(s) ** 2).mean(axis=0)
     assert ratio.max() <= 0.2
 
@@ -243,7 +239,8 @@ def test_standard_error_matches_the_sample_variance():
         corr_sum = np.zeros(DET_GRID.n_samples, dtype=np.complex128)
         abs2_sum = np.zeros(DET_GRID.n_samples)
         for start in range(0, n, 256):
-            src = _draw_values(config, start, start + 256) * sigma
+            src = np.stack([_draw_values(config, i)
+                            for i in range(start, start + 256)]) * sigma
             e_o = (src @ mats.source_to_object.T * mats.t_object) \
                 @ mats.object_to_detector.T
             c = np.conj(_reference_field(config, src)) * e_o
@@ -483,12 +480,12 @@ def _z(samples, target):
 
 def test_bartlett_draw_convention_is_frozen(monkeypatch):
     # a compatibility contract like sample_source's: one fresh
-    # Philox(key, counter=1 << 128) draws the factor L, then Z (r x
-    # n_source) row by row, real and imaginary parts interleaved, r =
-    # min(n, p) and p = min(M, n_source), with M = 38 object nodes here:
-    # p = M on 64 cells and p = n_source on 33. For n >= p, L is V: the
-    # p gammas of its diagonal, then its entries below it in
-    # tril_indices order; for n < p, L is A (p x n), row by row
+    # Philox(key, counter=1 << 128) draws the factor L (p x r, lower
+    # trapezoidal), then Z (r x n_source) row by row, real and imaginary
+    # parts interleaved, r = min(n, p) and p = min(M, n_source), with M =
+    # 38 object nodes here: p = M on 64 cells and p = n_source on 33. L
+    # takes the r gammas of its diagonal, then its entries below it in
+    # tril_indices(p, -1, r) order
     seed = 2 ** 64 - 9
     philox, draw = np.random.Philox, ensemble._row_space_draws
     for n, n_src, p in ((5000, 64, 38), (5000, 33, 33), (20, 64, 38)):
@@ -510,22 +507,20 @@ def test_bartlett_draw_convention_is_frozen(monkeypatch):
             run_ensemble(config)
         gen = np.random.Generator(philox(key=seed, counter=1 << 128))
         r = min(n, p)
-        if n >= p:
-            want = np.diag(np.sqrt(2.0 * gen.standard_gamma(
-                n - np.arange(p))) + 0j)
-            want[np.tril_indices(p, -1)] = gen.standard_normal(
-                p * (p - 1)).view(np.complex128)
-        else:
-            want = gen.standard_normal((p, 2 * n)).view(np.complex128)
+        want = np.zeros((p, r), dtype=np.complex128)
+        want[range(r), range(r)] = np.sqrt(2.0 * gen.standard_gamma(
+            n - np.arange(r)))
+        want[np.tril_indices(p, -1, r)] = gen.standard_normal(
+            r * (2 * p - r - 1)).view(np.complex128)
         want_z = gen.standard_normal((r, 2 * n_src)).view(np.complex128)
         assert len(draws) == 1
         got_p, got, got_z = draws[0]
         assert got_p == p
         assert np.array_equal(got, want)
         assert np.array_equal(got_z, want_z)
-        # the run consumed exactly the normals rebuilt here, p (p - 1) +
-        # 2 p n_source after the p gammas or 2 n (p + n_source): its one
-        # generator stands where the rebuilt one does
+        # the run consumed exactly the normals rebuilt here, r (2 p - r -
+        # 1) + 2 r n_source after the r gammas: its one generator stands
+        # where the rebuilt one does
         assert len(bitgens) == 1
         assert np.array_equal(bitgens[0].random_raw(4),
                               gen.bit_generator.random_raw(4))
@@ -539,11 +534,12 @@ def test_row_space_moment_matches_the_dense_moments(n):
     # across columns; on the diagonal, E|K_ml - 2 n B_ml|^2 = 4 n |B_m|^2.
     # B has M = 3 < 6 rows, M = 8 > 6, and a zero row and two equal ones
     # (p = 3, 6 and 4), so n takes n < p, p <= n <= n_source and n >
-    # n_source. Every estimate lies within 3.62 standard errors here
-    # (3.84 over seeds 4000-11999), and each mean |K_ml - 2 n B_ml|^2
-    # within 7.4 % of its target; Z drawn without its projection off B's
-    # row space reads 14.7 standard errors or more at every n, and A
-    # drawn real (its variance kept) 17 or more at n = 1 and 2
+    # n_source. Every estimate lies within 3.81 standard errors here
+    # (4.23 over seeds 4000-11999), and each mean |K_ml - 2 n B_ml|^2
+    # within 8.1 % of its target; Z drawn without its projection off B's
+    # row space reads 19.7 standard errors or more at every n, and L's
+    # entries below its diagonal drawn real (their variance kept) 28.8
+    # or more
     n_src = 6
     source = make_grid(0.0, 0.005, n_src)
     rng = np.random.default_rng(6)
@@ -618,8 +614,8 @@ def test_bartlett_runs_match_brute_force_within_six_sigma():
     # at the imaging point and defocused, from n < p = M = 38 through
     # n_source to the scenario cap, where the standard error is 1/23 of
     # n = 2000's and any bias of the draw would show. The worst point
-    # reads 1.7-2.8 standard errors here; over seeds 0-19, at most 3.41
-    # at n = 5, 2.92 at 200 and 2.93 above n_source
+    # reads 1.8-3.1 standard errors here; over seeds 0-19, at most 3.71
+    # at n = 5, 2.92 at 200 and 2.91 above n_source
     for z_o1 in (REF.diffraction_length, 0.242):
         spec = InterferometerSpec(CTX, z_o1, REF.optical_path - z_o1,
                                   REF_SEGMENTS, SLIT, 0.01)
@@ -631,17 +627,18 @@ def test_bartlett_runs_match_brute_force_within_six_sigma():
                           <= 6 * res.standard_error)
 
 
-@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("n", [20, 200, 2000])
 def test_bartlett_standard_error_is_calibrated(n):
     # z = (mean - E[mean]) / standard_error, with E[mean] exact on the
     # run's own nodes: 2 sigma^2 sum_c conj(A_r[j, c]) A_o[j, c] over the
     # dense arms. A calibrated standard error gives E|z|^2 = Var(Re z) +
     # Var(Im z) = 1. Pooled over 40 seeds and the 64 points it read
-    # 0.940-1.047 at n = 2000 and 0.939-1.060 at n = 200 (p <= n <=
-    # n_source) over ten disjoint seed sets (seeds 0-399, std 0.034 and
-    # 0.036); a standard error 10 % too large reads 0.83, 10 % too small
-    # 1.23. At n = 5 the mean is far from Gaussian and the pooled value
-    # spreads over 0.863-1.118 (std 0.065), too wide for this bound
+    # 0.940-1.047 at n = 2000, 0.939-1.060 at n = 200 (p <= n <=
+    # n_source) and 0.922-1.033 at n = 20 (n < p = M = 38) over ten
+    # disjoint seed sets (seeds 0-399, std 0.034, 0.036 and 0.036); a
+    # standard error 10 % too large reads 0.83, 10 % too small 1.23. At
+    # n = 5 the mean is far from Gaussian and the pooled value spreads
+    # over 0.863-1.118 (std 0.065), too wide for this bound
     config = make_config(n=n)
     mats = propagation_matrices(config)
     a_o = mats.object_to_detector @ (mats.t_object[:, None]

@@ -14,7 +14,7 @@ import pytest
 from wavecorr import (CorrelationResult, PortIntensities,
                       builtin_scenarios, config_from_dict, export, make_grid,
                       read_pgm, run_scenario)
-from wavecorr.errors import ScenarioValidationError
+from wavecorr.errors import InvalidArgumentError, ScenarioValidationError
 from wavecorr.scenario import (_CSV_EXPONENTS, FIELDS, MAX_REALIZATIONS,
                                OBJECT_KINDS, Transmittance, _csv,
                                _csv_block)
@@ -395,6 +395,27 @@ def test_csv_bytes_are_those_of_savetxt(tmp_path):
                fmt="%.17g", delimiter=",", comments="",
                header="x_m,i_plus,i_minus,diff,sum")
     assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("result, kind", [
+    (CorrelationResult(make_grid(0.0, 1e-3, 4), np.ones((4, 4), complex),
+                       0.0, 1.0), "correlation_csv"),
+    (CorrelationResult(make_grid(0.0, 1e-3, 4), np.ones(4, complex), 0.0,
+                       1.0), "ports_csv"),
+    (np.ones(4, complex), "correlation_csv"),
+    (PortIntensities(make_grid(0.0, 1e-3, 4), *np.ones((4, 4, 4))),
+     "ports_csv"),
+    (np.ones(4), "ports_csv")],
+    ids=["2d-correlation-as-csv", "correlation-as-ports", "array-as-csv",
+         "2d-ports-as-csv", "array-as-ports"])
+def test_export_rejects_a_result_its_kind_cannot_write(tmp_path, result,
+                                                        kind):
+    # a 2D result would be written as rows of several n + 1 columns under
+    # the 1D header, and the others raised a bare AttributeError
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidArgumentError, match=kind):
+        export(result, kind, str(path))
+    assert not path.exists()
 
 
 def percent_csv(header, table):
