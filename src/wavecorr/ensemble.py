@@ -34,8 +34,8 @@ The two intensities are not sampled: each is a linear-Gaussian
 expectation the run writes down exactly on its own nodes. With S =
 sum_k s_k s_k^H, E[S] = 2 n I, so
 
-* intensity_o = Re rowsum((H2 Ybar) * conj(H2)), Ybar = 2 B B^H and
-  B = sigma t * h1 (M x n_src), one product per run;
+* intensity_o = 2 rowsum |H2 R^H|^2, B = sigma t * h1 (M x n_src)
+  and B^H = Q R the QR the draw takes (below): E[B S B^H] = 2 n R^H R;
 * intensity_r = 2 sigma^2 n_src |scale|^2 at every point: the reference
   kernel has constant modulus |scale| (its amplitude times dx_s), and
   this is the closed form I_s k0 W / (2 pi |Zbar|) on the source grid.
@@ -84,14 +84,14 @@ vectors, and with them the sample. The distribution is unchanged, but a
 run's bits can differ between BLAS and LAPACK builds.
 
 A run has two stages. The geometry (_geometry) is what the spec and
-the two grids fix: h1, H2, the plan, B, its QR basis (Q, and R^H = B
-Q) and both intensities, so the intensities and the standard error
-come before any draw. The draw stage is the rest: L, Z, G, the plan
-applied to G's rows and the mean. Once the geometry is built the run
-holds H2, Q, R^H, the plan and the two intensities; h1 (B^T, written
-over it), B^H and R go while it is built. At 512 source cells and 1024
-detector points (M = 38) the plan on G's rows sets the traced peak,
-2.4 MiB at every n, and the geometry stage peaks at 1.6 MiB.
+the two grids fix: h1, H2, the plan, B, its QR (Q, and R^H = B Q) and
+both intensities, so the intensities and the standard error come
+before any draw. The draw stage is the rest: L, Z, G, the plan applied
+to G's rows and the mean. Once the geometry is built the run holds H2,
+Q, R^H, the plan and the two intensities; h1 (B^H, written over it)
+and R go while it is built. At 512 source cells and 1024 detector
+points (M = 38) the plan on G's rows sets the traced peak, 2.4 MiB at
+every n, and the geometry stage peaks at 1.6 MiB.
 
 run_coherent is the contrast experiment: a single deterministic field
 (plane wave or pinhole) through both arms, no averaging.
@@ -299,29 +299,23 @@ def _geometry(config):
     """The _Geometry of config's spec and grids; config's n_realizations
     and master_seed are not read.
 
-    B^T = sigma t * h1 is written over h1, and one conj(B^T) = B^H feeds
-    both Ybar and the QR. B^T, B^H and R are not kept, and each draw
+    B^H is written over h1 for the QR, and the object intensity is read
+    from R: 2 B B^H = 2 R^H R. B^H and R are not kept, and each draw
     forms its own Q^H.
     """
     mats = propagation_matrices(config)
     plan, scale = _reference_arm(config)
     sigma = _sigma(config)
-    h2, b_t = mats.object_to_detector, mats.source_to_object.T
-    b_t *= sigma * mats.t_object
+    h2, b_h = mats.object_to_detector, mats.source_to_object.T
+    b_h *= sigma * mats.t_object
     del mats
-    b_h = np.conjugate(b_t)
-    y_bar = 2.0 * (b_t.T @ b_h)
-    # h1 goes before the QR and B^H after it: neither is held beside
-    # the QR's copy and Q, or beside H2 Ybar
-    del b_t
     # B^H = Q R, so B Q = R^H
-    q, r = np.linalg.qr(b_h)
+    q, r = np.linalg.qr(np.conjugate(b_h, out=b_h))
     del b_h
     r_h = np.conjugate(r.T)
-    # the float views pair real with real and imaginary with imaginary
-    # parts: Re((H2 Ybar) * conj(H2)) summed over the nodes
-    i_o = np.einsum("jk,jk->j", (h2 @ y_bar).view(np.float64),
-                    h2.view(np.float64))
+    # 2 |H2 R^H|^2 summed over R's rows, as squares of the float view
+    h2_r = (h2 @ r_h).view(np.float64)
+    i_o = 2.0 * np.einsum("jk,jk->j", h2_r, h2_r)
     i_r = np.full(config.detector_grid.n_samples,
                   2.0 * sigma ** 2 * config.source_grid.n_samples
                   * abs(scale) ** 2)

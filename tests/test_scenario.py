@@ -3,10 +3,12 @@
 import copy
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from wavecorr.errors import InvalidArgumentError, ScenarioValidationError
 from wavecorr.scenario import (_CSV_EXPONENTS, FIELDS, MAX_REALIZATIONS,
                                OBJECT_KINDS, Transmittance, _csv,
                                _csv_block)
+
+_spec = importlib.util.spec_from_file_location(
+    "builtin_manifest", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "builtin_manifest.py"))
+builtin_manifest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(builtin_manifest)
 
 BUILTIN_NAMES = ["fig2_amplitude", "fig2_phase", "fig3_incoherent",
                  "fig3_coherent", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e"]
@@ -513,6 +521,46 @@ def test_builtin_csv_bytes_are_the_percent_operator(builtin_outputs, name):
     table = np.loadtxt(builtin_outputs / f"{name}.csv", delimiter=",",
                        skiprows=1, ndmin=2)
     assert raw == percent_csv(header, table)
+
+
+def test_builtin_outputs_match_their_manifest(builtin_outputs):
+    # every column within 1e-12 of its peak on every 64th row (the
+    # largest offset reads 1.2e-16, fig3_incoherent's sum), the image
+    # within one grey level, and fig3_incoherent's sampled columns
+    # within 6 standard errors of their expectation on every row: the
+    # worst reads 1.99 (abs2) and 1.77 (re and the ports)
+    assert builtin_manifest.check(builtin_outputs)[0] == []
+
+
+def _move_csv_value(path, col, row, by):
+    """Add by to one value of a builtin CSV, in place."""
+    columns = builtin_manifest._columns(path)
+    columns[col][row] += by
+    np.savetxt(path, np.column_stack(list(columns.values())), fmt="%.17g",
+               delimiter=",", header=",".join(columns), comments="")
+
+
+def test_builtin_manifest_check_finds_moved_outputs(builtin_outputs,
+                                                    tmp_path):
+    # a pinned row 2e-12 of its peak off, an unpinned row of the sample
+    # 12 standard errors off, and one pixel of the image 2 levels off
+    out = shutil.copytree(builtin_outputs, tmp_path / "out")
+    peak = np.abs(builtin_manifest._columns(
+        out / "fig4c_correlation.csv")["re"]).max()
+    _move_csv_value(out / "fig4c_correlation.csv", "re", 64, 2e-12 * peak)
+    _, se = builtin_manifest.sampled_columns()[
+        "fig3_incoherent_correlation.csv"]["im"]
+    _move_csv_value(out / "fig3_incoherent_correlation.csv", "im", 5,
+                    12 * se[5])
+    image = bytearray((out / "fig2_amplitude_image.pgm").read_bytes())
+    image[-512 * 512 + 16 * 512 + 16] ^= 2
+    (out / "fig2_amplitude_image.pgm").write_bytes(bytes(image))
+    failures, moved = builtin_manifest.check(out)
+    assert [line.split(":")[0] for line in failures] == [
+        "fig2_amplitude_image.pgm", "fig3_incoherent_correlation.csv im",
+        "fig4c_correlation.csv re"]
+    assert {"fig2_amplitude_image.pgm", "fig4c_correlation.csv"} <= set(
+        moved)
 
 
 def test_pgm_export_constant_data(tmp_path):
