@@ -29,7 +29,7 @@ spacing ratio times the squared extent and are carried with their
 rounding error (Dekker's exact product). All three chirps depend on
 their index k only through beta k^2, and the chirp of -beta is the exact
 conjugate of that of beta, so a plan builds one table over 0 <= k <= K,
-K < N + m the largest |k| the kernel's taps reach, and takes about 2K +
+K < N + m the largest |k| the kernel's taps reach, and takes about K +
 R N + R m complex exponentials in all for R runs. A double slit or a
 pair of holes is two mirror-image runs of one count and one cell width,
 so it is one plan of two rows and one table.
@@ -93,7 +93,7 @@ entry (j, i) of a group is
 so the block is Toeplitz between two diagonal factors. chirp_matrix
 reads T through a sliding-window view of the taps, folds the weights
 (kernel scale, node widths) into Q, and writes the block in two passes
-of products: about 2K + R N + R m exponentials for a group, where the
+of products: about K + R N + R m exponentials for a group, where the
 elementwise definition takes N R m, one per entry. Its phases are the
 plan's: at the ensemble benchmark's geometry (512 source cells over 1 cm
 onto a double slit's 38 nodes, phases up to 505 rad) the source-to-node
@@ -105,18 +105,42 @@ elementwise (medians in one process on one x86-64 vCPU).
 fresnel_steps(t) is the exact alternative to the quadrature for an
 object that is constant between edges: the kernel integral over one
 piece is a difference of the Fresnel integral F(t) = C(t) + i S(t) at
-the piece's two edges (Abramowitz and Stegun 7.3). It evaluates F
-through the auxiliary function
+the piece's two edges (Abramowitz and Stegun 7.3). Each edge gives its
+tail H(|t|), where
 
-    G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)),  t >= 0,
+    H(t) = (1 + i)/2 - F(t) = exp(i pi t^2 / 2) G(t),  t >= 0,
 
-which is g(t) + i f(t) in the auxiliary functions f and g of A&S
-7.3.5-6 and decays as i / (pi t). fresnel_g evaluates it in two closed
-forms joined at t = 6, with numpy alone:
+and G = g + i f in the auxiliary functions f and g of A&S 7.3.5-6, which
+decays as i / (pi t). _fresnel_tail takes H in two closed forms joined at
+t = 16, with numpy alone:
 
-* from t = 6 up, the asymptotic series of f and g (A&S 7.3.27-28), 12
-  terms each in u = (pi t^2)^-2 by real Horner; at t = 6 the first term
-  left out is below 1e-19 of G.
+* below t = 16, a 10-term Taylor polynomial of H itself about the
+  nearest of 2,305 centres c_j, uniform in (t + 1)^2 with 8 ((c_j + 1)^2
+  - 1) = j: one gather of the centre's coefficients and a complex Horner
+  in h = t - c_j, with no exponential and no phase. The cells are 1/16
+  wide at t = 0 and narrow as 1 / (16 (t + 1)), so pi c h, which sets
+  the terms' decay, stays below pi/32 in every cell. H' = -exp(i pi t^2
+  / 2), so the coefficients follow from the exponential's own two-term
+  recurrence; each anchor H(c_j) is exp(i pi c_j^2 / 2) G(c_j), with G
+  from fresnel_g, and the anchor at 0 is (1 + i)/2 exactly. The table
+  (369 KB of coefficients) is built on first use, in about 1.5 ms.
+* from t = 16 up, exp(i pi t^2 / 2), with t^2 exact and reduced modulo 4
+  before it is scaled, times the asymptotic series of f and g (A&S
+  7.3.27-28) in 5 terms each; at t = 16 the first term left out is below
+  1e-19 of G.
+
+Against mpmath, H is within 1.2e-15 (relative) from 0 to 1e5, both sides
+of every cell boundary and of t = 16 included; steps from 0 are within
+2.5e-16 and steps 0.01 wide within 1e-14 (relative) of it. A step table
+of 27 x 512 edges took 56-60 ns per point below t = 16, against 166-169
+ns with fresnel_g and one complex exponential per point, and 115 ns
+above, against 134 ns (interleaved medians on one x86-64 vCPU).
+
+fresnel_g(t) evaluates G in two closed forms joined at t = 6:
+
+* from t = 6 up, the asymptotic series of f and g, 12 terms each in u =
+  (pi t^2)^-2 by real Horner; at t = 6 the first term left out is below
+  1e-19 of G.
 * below t = 6, a 20-term Taylor polynomial about the nearest of the
   centres c = 0, 1/8, ..., 6, in h = t - c with |h| <= 1/16: one gather
   of the centre's coefficients and a complex Horner. G' = -1 - i pi t G,
@@ -130,6 +154,7 @@ The joins are the cell boundaries (k + 1/2)/8 and t = 6. Against
 the joins included. A negative or NaN t raises InvalidArgumentError.
 """
 
+import functools
 import itertools
 import math
 
@@ -145,6 +170,15 @@ _ASYMPTOTIC_TERMS = 12
 # _FRESNEL_STEP apart (an exact power of two, so t / step is exact)
 _FRESNEL_STEP = 0.125
 _TAYLOR_TERMS = 20
+# fresnel_steps: below _TAIL_T each edge's tail (1 + i)/2 - F(t) is a
+# Taylor polynomial of _TAIL_TERMS terms about the nearest centre, the
+# centres _TAIL_STEP apart in (t + 1)^2 (an exact power of two); from
+# _TAIL_T up it is the exact phase times the asymptotic G in this many
+# terms, the first one left out below 1e-19 of G there
+_TAIL_T = 16.0
+_TAIL_STEP = 0.125
+_TAIL_TERMS = 10
+_TAIL_ASYMPTOTIC = 5
 # bytes of the buffer a chirp-z plan's apply runs its FFT rows through, a
 # chunk of rows at a time, and of the longest row a plan keeps in one
 # block. Of 64 KiB to 1 MiB in powers of two, 256 KiB ran chirp_sum's
@@ -214,7 +248,7 @@ def chirp_matrix(x_out, x_in, weights, alpha, counts, steps):
     node i of run r is P_r(j) T(jj - ii) Q_r(i), with the group's
     _lattice_chirps and the weights folded into Q. T is Toeplitz, so the
     group's block is written in two passes, T times Q and then times P:
-    about 2K + R N + R m exponentials for the largest tap K < N + m,
+    about K + R N + R m exponentials for the largest tap K < N + m,
     where the definition takes N R m.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
@@ -515,7 +549,16 @@ def _chirp_table(beta, kmax):
     e_hi = np.multiply(1j, hi)
     del hi
     np.exp(e_hi, out=e_hi)
-    e = np.exp(np.multiply(1j, lo))
+    # exp(1j * lo) from two Taylor terms each, cos lo = 1 - lo**2 / 2 and
+    # sin lo = lo - lo**3 / 6: for |lo| below 2**-17 these are np.exp's
+    # bits (2e6 draws in each binade from 2**-60 up), and |lo| is at most
+    # half an ulp of hi, so they hold for every |hi| below 2**36 rad
+    e = np.empty_like(e_hi)
+    sq = lo * lo
+    e.real = 1.0 - 0.5 * sq
+    sq *= lo
+    sq /= 6.0
+    e.imag = lo - sq
     e *= e_hi
     return lo, e_hi, e
 
@@ -532,23 +575,15 @@ def fresnel_steps(t):
     C(t) + i S(t) = Integral_0^t exp(i pi s^2 / 2) ds: an edges-major
     table, one row per edge, gives its steps as differences of rows.
 
-    Each edge is split as F(t) = sgn(t) (1 + i)/2 - sgn(t) exp(i pi t^2/2)
-    G(|t|), and the constants and the decaying tails are differenced
-    apart: the constants cancel exactly between edges of one sign, so a
-    difference of two far-out edges keeps its relative accuracy. The
-    phase pi t^2 / 2 is taken with t^2 exact, reduced modulo 4 before it
-    is scaled, so a phase of 1.6e8 rad (t = 1e4) keeps the accuracy of
-    one below 2 pi.
+    Each edge is split as F(t) = sgn(t) ((1 + i)/2 - H(|t|)), with H the
+    decaying tail of _fresnel_tail, and the constants and the tails are
+    differenced apart: the constants cancel exactly between edges of one
+    sign, so a difference of two far-out edges keeps its relative
+    accuracy. A NaN edge gives NaN steps.
     """
     t = np.asarray(t, dtype=np.float64)
     sign = np.sign(t)
-    sq = t * t
-    hi, lo = _split(t)
-    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    # sq mod 4, bitwise as np.fmod gives it but cheaper: sq / 4 and
-    # 4 floor(sq / 4) are exact, and so is their difference (Sterbenz)
-    tail = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
-    tail *= fresnel_g(np.abs(t))
+    tail = _fresnel_tail(np.abs(t))
     tail *= sign
     # -diff(tail) plus the constants' difference (1 + i)/2 diff(sign),
     # added to each part on its own: the same bits as the complex product
@@ -557,6 +592,61 @@ def fresnel_steps(t):
     steps.real += half
     steps.imag += half
     return steps
+
+
+def _fresnel_tail(t):
+    """H(t) = (1 + i)/2 - F(t) = exp(i pi t^2 / 2) G(t) for t >= 0, any
+    shape: _tail_near below _TAIL_T, and from there up (and at NaN) the
+    exact phase times _TAIL_ASYMPTOTIC terms of the asymptotic G.
+
+    t is taken in chunks of _WORKSPACE bytes of output, so that on a long
+    table the Horner's operands stay in cache: on four edges of 32,768
+    points (t up to 23) that took 63 against 128 ns per point.
+    """
+    out = np.empty(t.shape, dtype=np.complex128)
+    flat, tails = t.reshape(-1), out.reshape(-1)
+    step = _WORKSPACE // 16
+    for a in range(0, flat.shape[0], step):
+        chunk, tail = flat[a:a + step], tails[a:a + step]
+        near = chunk < _TAIL_T
+        if near.all():
+            _tail_near(chunk, tail)
+            continue
+        tail[near] = _tail_near(chunk[near])
+        far = ~near
+        tf = chunk[far]
+        tail[far] = _fresnel_phase(tf) * _fresnel_g_far(tf, _TAIL_ASYMPTOTIC)
+    return out
+
+
+def _tail_near(t, out=None):
+    """H(t) for 0 <= t < _TAIL_T, into out if given: the Taylor
+    polynomial of _tail_table about the nearest centre c_j, (c_j + 1)^2 =
+    1 + j _TAIL_STEP, in h = t - c_j, by complex Horner."""
+    centres, table = _tail_table()
+    j = t * (1.0 / _TAIL_STEP)
+    j += 2.0 / _TAIL_STEP
+    j *= t
+    j = np.rint(j, out=j).astype(np.intp)
+    # complex, so that each Horner step is one complex product
+    h = np.subtract(t, centres.take(j)).astype(np.complex128)
+    acc = table[-1].take(j, out=out)
+    for k in range(_TAIL_TERMS - 2, -1, -1):
+        acc *= h
+        acc += table[k].take(j)
+    return acc
+
+
+def _fresnel_phase(t):
+    """exp(i pi t^2 / 2), with t^2 exact and reduced modulo 4 before it
+    is scaled, so a phase of 1.6e8 rad (t = 1e4) keeps the accuracy of
+    one below 2 pi."""
+    sq = t * t
+    hi, lo = _split(t)
+    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    # sq mod 4, bitwise as np.fmod gives it but cheaper: sq / 4 and
+    # 4 floor(sq / 4) are exact, and so is their difference (Sterbenz)
+    return np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
 
 
 def fresnel_g(t):
@@ -570,7 +660,7 @@ def fresnel_g(t):
         raise InvalidArgumentError("fresnel_g needs t >= 0, not NaN")
     g = np.empty(t.shape, dtype=np.complex128)
     far = t >= _FRESNEL_T
-    g[far] = _fresnel_g_far(t[far])
+    g[far] = _fresnel_g_far(t[far], _ASYMPTOTIC_TERMS)
     near = ~far
     tn = t[near]
     # the nearest centre c = i * step and the offset h = t - c, both exact
@@ -585,9 +675,9 @@ def fresnel_g(t):
     return g
 
 
-def _fresnel_g_far(t):
-    """fresnel_g for t >= _FRESNEL_T: G = g + i f in the auxiliary functions
-    f and g, from their asymptotic series (A&S 7.3.27-28),
+def _fresnel_g_far(t, terms):
+    """G for large t, G = g + i f in the auxiliary functions f and g, from
+    `terms` terms each of their asymptotic series (A&S 7.3.27-28),
 
         f ~ (1 / (pi t)) sum_m (-1)^m (4m - 1)!! u^m,
         g ~ (1 / (pi^2 t^3)) sum_m (-1)^m (4m + 1)!! u^m,  u = (pi t^2)^-2.
@@ -595,9 +685,9 @@ def _fresnel_g_far(t):
     r = 1.0 / (np.pi * t)
     w = r / t
     u = w * w
-    f = np.full(t.shape, _ASYMPTOTIC_F[-1])
-    g = np.full(t.shape, _ASYMPTOTIC_G[-1])
-    for m in range(_ASYMPTOTIC_TERMS - 2, -1, -1):
+    f = np.full(t.shape, _ASYMPTOTIC_F[terms - 1])
+    g = np.full(t.shape, _ASYMPTOTIC_G[terms - 1])
+    for m in range(terms - 2, -1, -1):
         f *= u
         f += _ASYMPTOTIC_F[m]
         g *= u
@@ -620,7 +710,7 @@ def _taylor_table():
     march cheap at import.
     """
     ipi = 1j * np.pi
-    a0 = complex(_fresnel_g_far(np.array([_FRESNEL_T]))[0])
+    a0 = complex(_fresnel_g_far(np.array([_FRESNEL_T]), _ASYMPTOTIC_TERMS)[0])
     rows = []
     for j in range(round(_FRESNEL_T / _FRESNEL_STEP), -1, -1):
         b = -ipi * (j * _FRESNEL_STEP)  # -i pi c
@@ -634,9 +724,39 @@ def _taylor_table():
     return np.array(rows[::-1]).T.copy()
 
 
+@functools.cache
+def _tail_table():
+    """(centres, coefficients): the centres c_j = sqrt(1 + j _TAIL_STEP)
+    - 1 of _tail_near's cells, from 0 to _TAIL_T, and the Taylor
+    coefficients of H about each, a (_TAIL_TERMS, centres) array.
+
+    H' = -E with E(t) = exp(i pi t^2 / 2), and E' = i pi t E, so about c
+    the coefficients of E follow from e_0 = E(c) by (k + 1) e_{k+1} =
+    i pi (c e_k + e_{k-1}), and those of H are a_{k+1} = -e_k / (k + 1).
+    Each anchor a_0 = H(c) is E(c) G(c), with G(c) from fresnel_g: G is
+    smooth, so its march keeps the anchors' accuracy, where a march of H
+    itself, each cell's polynomial giving the next anchor down, drifts
+    by 9.5e-14 (relative) over the top 384 cells.
+    """
+    j = np.arange(round(_TAIL_T * (_TAIL_T + 2.0) / _TAIL_STEP) + 1)
+    c = np.sqrt(1.0 + j * _TAIL_STEP) - 1.0
+    e = _fresnel_phase(c)
+    table = np.empty((_TAIL_TERMS, c.size), dtype=np.complex128)
+    table[0] = e * fresnel_g(c)
+    ipi = 1j * np.pi
+    previous = 0.0
+    for k in range(1, _TAIL_TERMS):
+        table[k] = -e / k
+        e, previous = ipi * (c * e + previous) / k, e
+    return c, table
+
+
 # (-1)^m (4m - 1)!! and (-1)^m (4m + 1)!!, products exact as Python ints
 _ASYMPTOTIC_F = np.array([(-1) ** m * math.prod(range(1, 4 * m, 2))
                           for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
 _ASYMPTOTIC_G = np.array([(-1) ** m * math.prod(range(1, 4 * m + 2, 2))
                           for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
+# built at import (under 1 ms): built on first use instead, it left the
+# chaotic_ensemble benchmark, which never reads it, 5-7 % slower in 16 of
+# 16 runs; only its allocations at import differed
 _TAYLOR = _taylor_table()

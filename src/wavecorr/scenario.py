@@ -647,6 +647,34 @@ def _ensemble_ports(corr, est):
     return ports
 
 
+def _setup(config, base_dir=None):
+    """(spec, detector grid, EnsembleConfig) that a checked config runs,
+    the EnsembleConfig None outside ensemble mode; a raster given by path
+    is read from base_dir, as _build_object reads it."""
+    segments = tuple(MediumSegment(l, n)
+                     for l, n in config.reference_segments)
+    obj = _build_object(config.object_descriptor, base_dir)
+    try:
+        spec = InterferometerSpec(
+            ctx=OpticsContext(config.wavelength), z_o1=config.z_o1,
+            z_o2=config.z_o2, reference_segments=segments, object=obj,
+            source_width=config.source_width,
+            source_intensity=config.source_intensity)
+    except UnequalPathError as exc:
+        raise ScenarioValidationError("z_o1", str(exc)) from exc
+    grid = make_grid(config.grid_center, config.grid_half_width,
+                     config.grid_n_samples)
+    econfig = None
+    if config.mode == "ensemble":
+        n_real, seed = config.ensemble_settings
+        source_grid = make_grid(0.0, config.source_width / 2,
+                                _SOURCE_SAMPLES)
+        econfig = EnsembleConfig(
+            spec=spec, source_grid=source_grid, detector_grid=grid,
+            n_realizations=n_real, master_seed=seed)
+    return spec, grid, econfig
+
+
 def run_scenario(config, out_dir=None, echo=print):
     """Execute a scenario (path to a JSON file, or a ScenarioConfig).
 
@@ -679,17 +707,7 @@ def run_scenario(config, out_dir=None, echo=print):
             raise ScenarioValidationError(f"outputs[{i}].path",
                                           "written by an earlier output")
 
-    segments = tuple(MediumSegment(l, n)
-                     for l, n in config.reference_segments)
-    obj = _build_object(config.object_descriptor, base_dir)
-    try:
-        spec = InterferometerSpec(
-            ctx=OpticsContext(config.wavelength), z_o1=config.z_o1,
-            z_o2=config.z_o2, reference_segments=segments, object=obj,
-            source_width=config.source_width,
-            source_intensity=config.source_intensity)
-    except UnequalPathError as exc:
-        raise ScenarioValidationError("z_o1", str(exc)) from exc
+    spec, grid, econfig = _setup(config, base_dir)
     led, z_eff = spec.reference_ledger, spec.z_eff
     # the detector distance of the imaging position; negative when Z < Zbar
     z_o2_img = led.optical_path - led.diffraction_length
@@ -703,8 +721,6 @@ def run_scenario(config, out_dir=None, echo=print):
     else:
         echo(f"Z_eff = {z_eff * 100:.4g} cm")
 
-    grid = make_grid(config.grid_center, config.grid_half_width,
-                     config.grid_n_samples)
     is_2d = spec.object.ndim == 2
     sources = [_source(kind, config.mode, is_2d) for kind, _ in config.outputs]
     results = {}
@@ -716,12 +732,7 @@ def run_scenario(config, out_dir=None, echo=print):
             bg = background_intensity(spec, grid)
             results["ports"] = detector_ports(corr, bg)
     elif config.mode == "ensemble":
-        n_real, seed = config.ensemble_settings
-        source_grid = make_grid(0.0, config.source_width / 2,
-                                _SOURCE_SAMPLES)
-        est = run_ensemble(EnsembleConfig(
-            spec=spec, source_grid=source_grid, detector_grid=grid,
-            n_realizations=n_real, master_seed=seed))
+        est = run_ensemble(econfig)
         corr = CorrelationResult(grid, est.correlation_mean, z_eff,
                                  prefactor=None)
         results["correlation"] = corr

@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location(
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-NAMES = [name for name, _, _ in bench_record.end_to_end_specs()]
+NAMES = [name for name, _, _ in bench_record.metric_specs()]
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +74,48 @@ def test_records_condense_to_quartiles_raw_times_and_pairs(tmp_path):
     assert pairs["wall_s"]["wins"] == 4
     assert pairs["wall_s"]["pairs"] == 5
     assert pairs["wall_s"]["base_iqr"] == pytest.approx(0.01)
+
+
+def _write_layers(checkout, seed, self_s):
+    # a --trace 1 record: per-layer metrics, unscaled, and no set-up
+    record = {
+        "machine": {"seed": seed, "tiny": False, "git_commit": "abc"},
+        "metrics": {"interferometer.correlation_analytic_2d.self_s": self_s,
+                    "interferometer.correlation_analytic_2d.calls": 11.0,
+                    "not.in.benchmark": 1.0},
+    }
+    path = os.path.join(checkout, ".perfbench_out",
+                        f"w-seed{seed}-trace1.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+
+
+def test_per_layer_records_condense_and_pair(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for seed in (1, 2, 3):
+        _write_record(base, seed, 0.1, cal=0.058)
+        _write_record(change, seed, 0.1, cal=0.058)
+        _write_layers(base, seed, 0.010 + 0.001 * seed)
+        _write_layers(change, seed, 0.020 if seed == 2 else 0.008)
+    out = tmp_path / "BENCH_w.json"
+    assert bench_record.main(["w", f"parent={base}", f"change={change}",
+                              "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    self_s = "interferometer.correlation_analytic_2d.self_s"
+    layers = bench["labels"]["parent"]["layers"]
+    # the metrics BENCHMARK.json names, unscaled, per seed and condensed
+    assert set(layers["metrics"]) == {
+        self_s, "interferometer.correlation_analytic_2d.calls"}
+    assert layers["metrics"][self_s]["unit"] == "s"
+    assert layers["metrics"][self_s]["median"] == pytest.approx(0.012)
+    assert layers["runs"]["3"][self_s] == pytest.approx(0.013)
+    pairs = bench["pairs"]["change"]["layers"]
+    assert pairs["seeds"] == ["1", "2", "3"]
+    assert pairs[self_s]["wins"] == 2
+    assert pairs[self_s]["median"] == pytest.approx(0.008)
+    assert pairs[self_s]["base_iqr"] == pytest.approx(0.001)
+    # the end-to-end block is as it is without them
+    assert bench["pairs"]["change"]["wall_s"]["pairs"] == 3
 
 
 def test_a_checkout_without_records_is_an_error(tmp_path, capsys):

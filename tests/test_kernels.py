@@ -506,15 +506,56 @@ def _mp_step(lo, hi):
 
 # fresnel_g's joins, each Taylor cell's upper boundary (i + 1/2) step and
 # the asymptotic series' start, and the floats just below them
-_JOINS = [(i + 0.5) * _kernels._FRESNEL_STEP
-          for i in range(round(_kernels._FRESNEL_T / _kernels._FRESNEL_STEP))]
-_JOINS.append(_kernels._FRESNEL_T)
-_BRANCHES = [b for join in _JOINS for b in (np.nextafter(join, 0.0), join)]
+_G_JOINS = [(i + 0.5) * _kernels._FRESNEL_STEP
+            for i in range(round(_kernels._FRESNEL_T / _kernels._FRESNEL_STEP))]
+_G_JOINS.append(_kernels._FRESNEL_T)
+_G_BRANCHES = [b for join in _G_JOINS
+               for b in (np.nextafter(join, 0.0), join)]
+
+# fresnel_steps' joins: the boundaries of the tail's Taylor cells, where
+# 8 ((t + 1)^2 - 1) = j + 1/2, and the far series' start _TAIL_T; each
+# with a point 1e-13 of it either side (the cell index is rounded from
+# t, so a float next to a boundary can fall in either cell) and, for
+# _TAIL_T, the float just below it
+_JOINS = [math.sqrt(1.0 + (j + 0.5) / 8.0) - 1.0
+          for j in range(_kernels._tail_table()[0].size - 1)]
+_JOINS.append(_kernels._TAIL_T)
+_BRANCHES = [b for join in _JOINS
+             for b in (join * (1.0 - 1e-13), join, join * (1.0 + 1e-13))]
+_BRANCHES.append(np.nextafter(_kernels._TAIL_T, 0.0))
+
+
+def _mp_tail(t):
+    """H(t) = (1 + i)/2 - F(t) at 30 digits; t a float."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        return complex((1 + 1j) / 2 - mpmath.fresnelc(t)
+                       - 1j * mpmath.fresnels(t))
+
+
+def test_fresnel_tail_matches_mpmath_at_every_join():
+    # both sides of every cell boundary and of _TAIL_T, and beyond it
+    t = np.concatenate([_BRANCHES, [0.0, 1e-300, _kernels._TAIL_T + 1e-3],
+                        np.logspace(1.3, 5, 38)])
+    want = np.array([_mp_tail(v) for v in t])
+    got = _kernels._fresnel_tail(t)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    # the points either side of the boundaries reach every cell
+    near = t[t < _kernels._TAIL_T]
+    cells = np.rint((near * 8.0 + 16.0) * near).astype(int)
+    assert set(cells) == set(range(_kernels._tail_table()[0].size))
+
+
+def test_tail_table_anchor_at_zero_is_exact():
+    centres, table = _kernels._tail_table()
+    assert centres[0] == 0.0 and centres[-1] == _kernels._TAIL_T
+    assert table[0, 0] == 0.5 + 0.5j
+    assert _kernels._fresnel_tail(np.zeros(3)).tolist() == [0.5 + 0.5j] * 3
 
 
 def test_fresnel_g_matches_mpmath_from_zero_to_1e5():
     t = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 8.0, 161)[1:],
-                        np.logspace(-4, 5, 91), _BRANCHES])
+                        np.logspace(-4, 5, 91), _G_BRANCHES])
     want = np.array([_mp_g(v) for v in t])
     got = _kernels.fresnel_g(t)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
@@ -567,20 +608,28 @@ def test_fresnel_g_rejects_negative_and_nan_arguments():
 
 
 def test_steps_across_the_asymptotic_join_match_mpmath():
-    edges = np.array([-6.1, -6.0, -5.9, 5.9, 6.0, 6.1])
+    edges = np.array([-16.1, -16.0, -15.9, -6.1, -6.0, -5.9, 5.9, 6.0, 6.1,
+                      15.9, 16.0, 16.1])
     got = _kernels.fresnel_steps(edges)
     want = np.array([_mp_step(a, b) for a, b in zip(edges, edges[1:])])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def _steps_with_fmod(t):
-    """fresnel_steps with t^2 reduced modulo 4 by np.fmod."""
+    """fresnel_steps with the far branch's t^2 reduced modulo 4 by
+    np.fmod."""
     sign = np.sign(t)
-    sq = t * t
-    hi, lo = _kernels._split(t)
+    a = np.abs(t)
+    far = a >= _kernels._TAIL_T
+    tail = np.empty(t.shape, dtype=np.complex128)
+    tail[~far] = _kernels._tail_near(a[~far])
+    af = a[far]
+    sq = af * af
+    hi, lo = _kernels._split(af)
     sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
     turn = np.exp(0.5j * np.pi * (np.fmod(sq, 4.0) + sq_lo))
-    tail = sign * turn * _kernels.fresnel_g(np.abs(t))
+    tail[far] = turn * _kernels._fresnel_g_far(af, _kernels._TAIL_ASYMPTOTIC)
+    tail = sign * tail
     return (0.5 + 0.5j) * np.diff(sign, axis=0) - np.diff(tail, axis=0)
 
 
@@ -601,15 +650,23 @@ def test_floor_reduction_leaves_raster_steps_bitwise_unchanged():
             assert got.tobytes() == _steps_with_fmod(t).tobytes()
 
 
+def test_long_tables_take_the_tail_in_chunks_bitwise():
+    # 21,000 points, more than one chunk of the workspace, with both
+    # branches in every chunk: the bits of each block of columns alone
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-40.0, 40.0, (3, 7000))
+    assert t.size > _kernels._WORKSPACE // 16
+    got = _kernels.fresnel_steps(t)
+    want = np.concatenate([_kernels.fresnel_steps(t[:, i:i + 1000])
+                           for i in range(0, 7000, 1000)], axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
 def _steps_as_one_complex_expression(t):
-    """fresnel_steps with the tail as the product sign * turn * G and the
+    """fresnel_steps with the tail as the product sign * H and the
     constants as the complex (1 + i)/2 diff(sign)."""
     sign = np.sign(t)
-    sq = t * t
-    hi, lo = _kernels._split(t)
-    sq_lo = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    turn = np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
-    tail = sign * turn * _kernels.fresnel_g(np.abs(t))
+    tail = sign * _kernels._fresnel_tail(np.abs(t))
     return (0.5 + 0.5j) * np.diff(sign, axis=0) - np.diff(tail, axis=0)
 
 

@@ -5,11 +5,12 @@
 
 Each LABEL=CHECKOUT names a checkout in which `perfbench/run.py
 --workload <workload> --seed S --trace 0` has run, once per seed; its
-records are CHECKOUT/.perfbench_out/<workload>-seed*-trace0.json. Smoke
-records (run with --tiny) are skipped, and so are records its current
-code did not make: those of another commit than the checkout's HEAD and
-those older than its newest src/wavecorr/*.py. Each skipped record is
-printed with the reason. For each label the output holds:
+records are CHECKOUT/.perfbench_out/<workload>-seed*-trace0.json. Runs
+with --trace 1 there, whose records end in -trace1.json, are read too.
+Smoke records (run with --tiny) are skipped, and so are records its
+current code did not make: those of another commit than the checkout's
+HEAD and those older than its newest src/wavecorr/*.py. Each skipped
+record is printed with the reason. For each label the output holds:
 
 - the machine the records ran on and the commit each names, with the
   sha256 of the checkout's src/wavecorr sources and whether they differ
@@ -17,12 +18,17 @@ printed with the reason. For each label the output holds:
 - for each end-to-end metric of BENCHMARK.json, its value per seed and
   the median and quartiles over the seeds, scaled to the calibration's
   reference speed as run.py prints them and raw (unscaled);
-- per seed and per op, the output digests and the failures by class.
+- per seed and per op, the output digests and the failures by class;
+- with --trace 1 records, under "layers", each per-layer metric of
+  BENCHMARK.json that they all report, per seed and as the median and
+  quartiles over the seeds, unscaled as run.py reports them.
 
 The first label is the base. For each other label, every seed it shares
 with the base is a pair, and each metric states the pairs the label
 wins, both medians and the base's interquartile range: a claimed gain
 should win nearly every pair, by more than that range in the median.
+The per-layer metrics are paired the same way, under "layers", over the
+seeds both labels ran with --trace 1.
 """
 
 import argparse
@@ -37,11 +43,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end_specs():
-    """(name, unit, better) of each end-to-end metric in BENCHMARK.json."""
+def metric_specs(kind="end_to_end"):
+    """(name, unit, better) of each metric of BENCHMARK.json's list kind,
+    "end_to_end" or "per_layer"."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["unit"], m["better"]) for m in spec[kind]]
 
 
 def raw_metrics(record):
@@ -101,13 +108,13 @@ def head_commit(checkout):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def load_records(checkout, workload):
-    """({seed: record}, skipped) of the checkout's full-size trace-0
-    records that its current code made; skipped lists (path, reason) for
-    each record of another commit than HEAD or older than the newest
-    src/wavecorr/*.py."""
+def load_records(checkout, workload, trace=0):
+    """({seed: record}, skipped) of the checkout's full-size records of
+    that --trace level that its current code made; skipped lists (path,
+    reason) for each record of another commit than HEAD or older than the
+    newest src/wavecorr/*.py."""
     pattern = os.path.join(checkout, ".perfbench_out",
-                           f"{workload}-seed*-trace0.json")
+                           f"{workload}-seed*-trace{trace}.json")
     head = head_commit(checkout)
     sources = glob.glob(os.path.join(checkout, "src", "wavecorr", "*.py"))
     newest = max(map(os.path.getmtime, sources), default=0.0)
@@ -127,8 +134,10 @@ def load_records(checkout, workload):
     return dict(sorted(records.items())), skipped
 
 
-def condense(checkout, records, specs):
-    """One label's block of the output."""
+def condense(checkout, records, specs, layer_records=None,
+             layer_specs=()):
+    """One label's block of the output; layer_records are the label's
+    --trace 1 records, {seed: record}, if it has any."""
     machine = {}
     for record in records.values():
         for key, value in record["machine"].items():
@@ -155,7 +164,7 @@ def condense(checkout, records, specs):
             "scaled": quartiles([r["metrics"][name] for r in runs.values()]),
             "raw": quartiles([r["raw"][name] for r in runs.values()]),
         }
-    return {
+    out = {
         "commits": sorted({r["commit"] or "" for r in runs.values()}),
         "source_sha256": sha,
         "source_differs_from_commit": dirty,
@@ -165,17 +174,42 @@ def condense(checkout, records, specs):
         "metrics": metrics,
         "runs": runs,
     }
+    if layer_records:
+        # the metrics every record reports, per seed
+        names = [(name, unit) for name, unit, _ in layer_specs
+                 if all(name in r["metrics"] for r in layer_records.values())]
+        values = {str(seed): {name: r["metrics"][name] for name, _ in names}
+                  for seed, r in layer_records.items()}
+        out["layers"] = {
+            "metrics": {name: {"unit": unit, **quartiles(
+                [v[name] for v in values.values()])} for name, unit in names},
+            "runs": values,
+        }
+    return out
 
 
-def compare(base, other, specs):
-    """Per metric: the pairs other wins against base, seed by seed."""
-    seeds = [s for s in other["runs"] if s in base["runs"]]
+def compare(base, other, specs, layer_specs=()):
+    """Per metric: the pairs other wins against base, seed by seed; the
+    per-layer metrics both report are paired under "layers"."""
+    out = _pairs({s: r["metrics"] for s, r in base["runs"].items()},
+                 {s: r["metrics"] for s, r in other["runs"].items()}, specs)
+    if "layers" in base and "layers" in other:
+        both = [spec for spec in layer_specs
+                if spec[0] in base["layers"]["metrics"]
+                and spec[0] in other["layers"]["metrics"]]
+        out["layers"] = _pairs(base["layers"]["runs"],
+                               other["layers"]["runs"], both)
+    return out
+
+
+def _pairs(base, other, specs):
+    """compare's counts over two {seed: {metric: value}}."""
+    seeds = [s for s in other if s in base]
     out = {"seeds": seeds}
     if not seeds:
         return out
     for name, _, better in specs:
-        pairs = [(base["runs"][s]["metrics"][name],
-                  other["runs"][s]["metrics"][name]) for s in seeds]
+        pairs = [(base[s][name], other[s][name]) for s in seeds]
         base_q = quartiles([b for b, _ in pairs])
         out[name] = {
             "pairs": len(pairs),
@@ -195,7 +229,8 @@ def main(argv=None):
     p.add_argument("--out", help="output path (default: "
                    "BENCH_<workload>.json at the repository root)")
     args = p.parse_args(argv)
-    specs = end_to_end_specs()
+    specs = metric_specs()
+    layer_specs = metric_specs("per_layer")
     labels = {}
     for item in args.runs:
         label, sep, checkout = item.partition("=")
@@ -206,10 +241,15 @@ def main(argv=None):
             print(f"{label}: skipped {os.path.relpath(path)}: {reason}")
         if not records:
             p.error(f"no {args.workload} records under {checkout}")
-        labels[label] = condense(checkout, records, specs)
+        layers, skipped = load_records(checkout, args.workload, trace=1)
+        for path, reason in skipped:
+            print(f"{label}: skipped {os.path.relpath(path)}: {reason}")
+        labels[label] = condense(checkout, records, specs, layers,
+                                 layer_specs)
     names = list(labels)
     bench = {"workload": args.workload, "base": names[0], "labels": labels,
-             "pairs": {name: compare(labels[names[0]], labels[name], specs)
+             "pairs": {name: compare(labels[names[0]], labels[name], specs,
+                                     layer_specs)
                        for name in names[1:]}}
     out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(out, "w") as fh:

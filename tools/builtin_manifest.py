@@ -33,9 +33,7 @@ import tempfile
 
 import numpy as np
 
-from wavecorr import (EnsembleConfig, InterferometerSpec, MediumSegment,
-                      OpticsContext, builtin_scenarios, ensemble, make_grid,
-                      read_pgm, scenario)
+from wavecorr import builtin_scenarios, ensemble, read_pgm, scenario
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "builtin_manifest.json")
@@ -72,22 +70,6 @@ def expectation(config):
     return mean, i_o, i_r
 
 
-def _ensemble_config(config):
-    """The EnsembleConfig run_scenario builds for an ensemble scenario."""
-    segments = tuple(MediumSegment(l, n)
-                     for l, n in config.reference_segments)
-    spec = InterferometerSpec(
-        OpticsContext(config.wavelength), config.z_o1, config.z_o2,
-        segments, scenario._build_object(config.object_descriptor),
-        config.source_width, config.source_intensity)
-    return EnsembleConfig(
-        spec, make_grid(0.0, config.source_width / 2,
-                        scenario._SOURCE_SAMPLES),
-        make_grid(config.grid_center, config.grid_half_width,
-                  config.grid_n_samples),
-        *config.ensemble_settings)
-
-
 def sampled_columns():
     """file -> column -> (expectation, standard error) of
     fig3_incoherent's sampled columns; abs2's standard error is that of
@@ -99,7 +81,7 @@ def sampled_columns():
     """
     config = next(c for c in builtin_scenarios()
                   if c.name == "fig3_incoherent")
-    econfig = _ensemble_config(config)
+    econfig = scenario._setup(config)[2]
     mean, i_o, i_r = expectation(econfig)
     se = np.sqrt(i_o * i_r / econfig.n_realizations)
     re, bg = mean.real, i_o + i_r
