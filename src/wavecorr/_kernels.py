@@ -121,9 +121,11 @@ t = 16, with numpy alone:
   wide at t = 0 and narrow as 1 / (16 (t + 1)), so pi c h, which sets
   the terms' decay, stays below pi/32 in every cell. H' = -exp(i pi t^2
   / 2), so the coefficients follow from the exponential's own two-term
-  recurrence; each anchor H(c_j) is exp(i pi c_j^2 / 2) G(c_j), with G
-  from fresnel_g, and the anchor at 0 is (1 + i)/2 exactly. The table
-  (369 KB of coefficients) is built on first use, in about 1.5 ms.
+  recurrence. Each anchor H(c_j) is exp(i pi c_j^2 / 2) G(c_j): G is
+  the asymptotic series below in 12 terms from c_j = 6 up and, below 6,
+  G's own 12-term Taylor polynomial marched down from centre to centre
+  by G' = -1 - i pi t G; the anchor at 0 is (1 + i)/2 exactly. The table
+  (369 KB of coefficients) is built on first use, in 2.0-3.4 ms.
 * from t = 16 up, exp(i pi t^2 / 2), with t^2 exact and reduced modulo 4
   before it is scaled, times the asymptotic series of f and g (A&S
   7.3.27-28) in 5 terms each; at t = 16 the first term left out is below
@@ -133,25 +135,8 @@ Against mpmath, H is within 1.2e-15 (relative) from 0 to 1e5, both sides
 of every cell boundary and of t = 16 included; steps from 0 are within
 2.5e-16 and steps 0.01 wide within 1e-14 (relative) of it. A step table
 of 27 x 512 edges took 56-60 ns per point below t = 16, against 166-169
-ns with fresnel_g and one complex exponential per point, and 115 ns
-above, against 134 ns (interleaved medians on one x86-64 vCPU).
-
-fresnel_g(t) evaluates G in two closed forms joined at t = 6:
-
-* from t = 6 up, the asymptotic series of f and g, 12 terms each in u =
-  (pi t^2)^-2 by real Horner; at t = 6 the first term left out is below
-  1e-19 of G.
-* below t = 6, a 20-term Taylor polynomial about the nearest of the
-  centres c = 0, 1/8, ..., 6, in h = t - c with |h| <= 1/16: one gather
-  of the centre's coefficients and a complex Horner. G' = -1 - i pi t G,
-  so the coefficients follow from G(c) by a two-term recurrence. The
-  table is built when the module loads (under 1 ms), by marching the
-  polynomials from the asymptotic G(6) down to 0; the march lands on
-  G(0) = (1 + i)/2 to the last bit.
-
-The joins are the cell boundaries (k + 1/2)/8 and t = 6. Against
-50-digit mpmath, fresnel_g is within 5e-16 (relative) for t in [0, 1e5],
-the joins included. A negative or NaN t raises InvalidArgumentError.
+ns with a Taylor table of G and one complex exponential per point, and
+115 ns above, against 134 ns (interleaved medians on one x86-64 vCPU).
 """
 
 import functools
@@ -160,16 +145,12 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
-# fresnel_g: the asymptotic series runs from _FRESNEL_T up, with this many
-# terms; at t = 6 the first one it leaves out is below 1e-19 of G
+# _tail_table's anchors: G from the asymptotic series in this many terms
+# from _FRESNEL_T up, where the first one it leaves out is below 1e-19 of
+# G; below it, G's Taylor polynomials of _ANCHOR_TERMS terms, marched down
 _FRESNEL_T = 6.0
 _ASYMPTOTIC_TERMS = 12
-# below _FRESNEL_T, Taylor polynomials of this many terms about centres
-# _FRESNEL_STEP apart (an exact power of two, so t / step is exact)
-_FRESNEL_STEP = 0.125
-_TAYLOR_TERMS = 20
+_ANCHOR_TERMS = 12
 # fresnel_steps: below _TAIL_T each edge's tail (1 + i)/2 - F(t) is a
 # Taylor polynomial of _TAIL_TERMS terms about the nearest centre, the
 # centres _TAIL_STEP apart in (t + 1)^2 (an exact power of two); from
@@ -649,32 +630,6 @@ def _fresnel_phase(t):
     return np.exp(0.5j * np.pi * (sq - 4.0 * np.floor(sq * 0.25) + sq_lo))
 
 
-def fresnel_g(t):
-    """G(t) = exp(-i pi t^2 / 2) ((1 + i)/2 - F(t)) for t >= 0, any shape.
-
-    Raises InvalidArgumentError for a negative or NaN t, which the table
-    would otherwise index from its far end.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if not (t >= 0).all():
-        raise InvalidArgumentError("fresnel_g needs t >= 0, not NaN")
-    g = np.empty(t.shape, dtype=np.complex128)
-    far = t >= _FRESNEL_T
-    g[far] = _fresnel_g_far(t[far], _ASYMPTOTIC_TERMS)
-    near = ~far
-    tn = t[near]
-    # the nearest centre c = i * step and the offset h = t - c, both exact
-    i = np.rint(tn * (1.0 / _FRESNEL_STEP))
-    h = tn - i * _FRESNEL_STEP
-    i = i.astype(np.intp)
-    acc = _TAYLOR[-1].take(i)
-    for k in range(_TAYLOR_TERMS - 2, -1, -1):
-        acc *= h
-        acc += _TAYLOR[k].take(i)
-    g[near] = acc
-    return g
-
-
 def _fresnel_g_far(t, terms):
     """G for large t, G = g + i f in the auxiliary functions f and g, from
     `terms` terms each of their asymptotic series (A&S 7.3.27-28),
@@ -698,32 +653,6 @@ def _fresnel_g_far(t, terms):
     return out
 
 
-def _taylor_table():
-    """Taylor coefficients of G about c = 0, step, ..., _FRESNEL_T, as a
-    (_TAYLOR_TERMS, centres) array.
-
-    G' = -1 - i pi t G, so the coefficients a_k of G(c + h) follow from
-    a_0 = G(c) by (k + 1) a_{k+1} = -[k == 0] - i pi (c a_k + a_{k-1}).
-    The table is seeded with the asymptotic G(_FRESNEL_T) and marched
-    down, each centre's polynomial giving G at the next centre below; the
-    march ends at G(0) = (1 + i)/2. Python complex scalars keep the
-    march cheap at import.
-    """
-    ipi = 1j * np.pi
-    a0 = complex(_fresnel_g_far(np.array([_FRESNEL_T]), _ASYMPTOTIC_TERMS)[0])
-    rows = []
-    for j in range(round(_FRESNEL_T / _FRESNEL_STEP), -1, -1):
-        b = -ipi * (j * _FRESNEL_STEP)  # -i pi c
-        a = [a0, b * a0 - 1]
-        for k in range(1, _TAYLOR_TERMS - 1):
-            a.append((b * a[k] - ipi * a[k - 1]) / (k + 1))
-        rows.append(a)
-        a0 = 0j
-        for ak in reversed(a):
-            a0 = a0 * -_FRESNEL_STEP + ak
-    return np.array(rows[::-1]).T.copy()
-
-
 @functools.cache
 def _tail_table():
     """(centres, coefficients): the centres c_j = sqrt(1 + j _TAIL_STEP)
@@ -733,17 +662,42 @@ def _tail_table():
     H' = -E with E(t) = exp(i pi t^2 / 2), and E' = i pi t E, so about c
     the coefficients of E follow from e_0 = E(c) by (k + 1) e_{k+1} =
     i pi (c e_k + e_{k-1}), and those of H are a_{k+1} = -e_k / (k + 1).
-    Each anchor a_0 = H(c) is E(c) G(c), with G(c) from fresnel_g: G is
-    smooth, so its march keeps the anchors' accuracy, where a march of H
-    itself, each cell's polynomial giving the next anchor down, drifts
-    by 9.5e-14 (relative) over the top 384 cells.
+    Each anchor a_0 = H(c) is E(c) G(c). G(c) is the asymptotic G in
+    _ASYMPTOTIC_TERMS terms from c = _FRESNEL_T up; below it, G's own
+    Taylor polynomial in _ANCHOR_TERMS terms is marched down from centre
+    to centre, starting at G(_FRESNEL_T), and G(0) is (1 + i)/2 exactly.
+    G' = -1 - i pi t G, so about c its coefficients follow from g_0 =
+    G(c) by (k + 1) g_{k+1} = -[k == 0] - i pi (c g_k + g_{k-1}). G is
+    smooth, so the march keeps the anchors' accuracy, where a march of H
+    itself drifts by 9.5e-14 (relative) over the top 384 cells. G is
+    within 7.1e-16 (relative) of 50-digit mpmath at every centre, H
+    within 1.1e-15; a march up from G(0) drifted to 4.9e-15 by t = 6,
+    and marches down of 10 and 11 terms to 4.0e-14 and 1.4e-15, where 14
+    terms gain nothing.
     """
     j = np.arange(round(_TAIL_T * (_TAIL_T + 2.0) / _TAIL_STEP) + 1)
     c = np.sqrt(1.0 + j * _TAIL_STEP) - 1.0
+    g = np.empty(c.size, dtype=np.complex128)
+    top = int(np.searchsorted(c, _FRESNEL_T))
+    g[top:] = _fresnel_g_far(c[top:], _ASYMPTOTIC_TERMS)
+    # the march, in Python scalars: c[top] is _FRESNEL_T exactly
+    ipi = 1j * np.pi
+    cs = c[:top + 1].tolist()
+    g0 = complex(g[top])
+    for i in range(top, 1, -1):
+        b = -ipi * cs[i]
+        a = [g0, b * g0 - 1]
+        for k in range(1, _ANCHOR_TERMS - 1):
+            a.append((b * a[k] - ipi * a[k - 1]) / (k + 1))
+        h = cs[i - 1] - cs[i]
+        g0 = 0j
+        for ak in reversed(a):
+            g0 = g0 * h + ak
+        g[i - 1] = g0
+    g[0] = 0.5 + 0.5j
     e = _fresnel_phase(c)
     table = np.empty((_TAIL_TERMS, c.size), dtype=np.complex128)
-    table[0] = e * fresnel_g(c)
-    ipi = 1j * np.pi
+    table[0] = e * g
     previous = 0.0
     for k in range(1, _TAIL_TERMS):
         table[k] = -e / k
@@ -756,7 +710,3 @@ _ASYMPTOTIC_F = np.array([(-1) ** m * math.prod(range(1, 4 * m, 2))
                           for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
 _ASYMPTOTIC_G = np.array([(-1) ** m * math.prod(range(1, 4 * m + 2, 2))
                           for m in range(_ASYMPTOTIC_TERMS)], dtype=np.float64)
-# built at import (under 1 ms): built on first use instead, it left the
-# chaotic_ensemble benchmark, which never reads it, 5-7 % slower in 16 of
-# 16 runs; only its allocations at import differed
-_TAYLOR = _taylor_table()

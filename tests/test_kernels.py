@@ -11,11 +11,16 @@ overlap-save blocks must match the explicit sum too, and the workspace's
 chunks of rows or blocks must give the bits of one at a time.
 chirp_matrix, its dense counterpart, must match fresnel_kernel to the
 rounding of the phases.
-fresnel_g and fresnel_steps must match mpmath and scipy's Fresnel
-integrals, across every join of fresnel_g's pieces too.
+fresnel_steps must match mpmath and scipy's Fresnel integrals, across
+every join of the tail's pieces too, and the tail table's anchors, G
+marched down from its asymptotic series, must match mpmath at every
+centre.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -25,10 +30,10 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
+import wavecorr
 from wavecorr import _kernels, grid, transmittance
 from wavecorr._kernels import chirp_matrix, chirp_sum
 from wavecorr.propagation import fresnel_kernel, kernel_scale
-from wavecorr.errors import InvalidArgumentError
 
 
 def _case(n_out, runs, seed):
@@ -488,14 +493,6 @@ def test_fft_size_is_the_next_5_smooth_length():
 
 # ------------------------------------------------------ Fresnel integrals
 
-def _mp_g(t):
-    """G(t) = exp(-i pi t^2/2) ((1 + i)/2 - F(t)) at 50 digits; t a float."""
-    with mpmath.workdps(50):
-        t = mpmath.mpf(t)
-        f = mpmath.fresnelc(t) + 1j * mpmath.fresnels(t)
-        return complex(mpmath.expjpi(-t * t / 2) * ((1 + 1j) / 2 - f))
-
-
 def _mp_step(lo, hi):
     """F(hi) - F(lo) at 50 digits; lo and hi floats."""
     with mpmath.workdps(50):
@@ -503,14 +500,6 @@ def _mp_step(lo, hi):
         return complex((mpmath.fresnelc(hi) - mpmath.fresnelc(lo))
                        + 1j * (mpmath.fresnels(hi) - mpmath.fresnels(lo)))
 
-
-# fresnel_g's joins, each Taylor cell's upper boundary (i + 1/2) step and
-# the asymptotic series' start, and the floats just below them
-_G_JOINS = [(i + 0.5) * _kernels._FRESNEL_STEP
-            for i in range(round(_kernels._FRESNEL_T / _kernels._FRESNEL_STEP))]
-_G_JOINS.append(_kernels._FRESNEL_T)
-_G_BRANCHES = [b for join in _G_JOINS
-               for b in (np.nextafter(join, 0.0), join)]
 
 # fresnel_steps' joins: the boundaries of the tail's Taylor cells, where
 # 8 ((t + 1)^2 - 1) = j + 1/2, and the far series' start _TAIL_T; each
@@ -553,12 +542,52 @@ def test_tail_table_anchor_at_zero_is_exact():
     assert _kernels._fresnel_tail(np.zeros(3)).tolist() == [0.5 + 0.5j] * 3
 
 
-def test_fresnel_g_matches_mpmath_from_zero_to_1e5():
-    t = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 8.0, 161)[1:],
-                        np.logspace(-4, 5, 91), _G_BRANCHES])
-    want = np.array([_mp_g(v) for v in t])
-    got = _kernels.fresnel_g(t)
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+def test_tail_table_anchors_match_mpmath_at_every_centre():
+    # row 0 is H(c_j) = exp(i pi c_j^2 / 2) G(c_j), G asymptotic from
+    # c_j = 6 up and marched down below; a march up from G(0), or one of
+    # 10 terms, drifts to 4.9e-15 and 4.0e-14
+    centres, table = _kernels._tail_table()
+    exact = []
+    with mpmath.workdps(50):
+        for c in centres:
+            c = mpmath.mpf(c)
+            h = (1 + 1j) / 2 - mpmath.fresnelc(c) - 1j * mpmath.fresnels(c)
+            exact.append((complex(h), complex(mpmath.expjpi(-c * c / 2) * h)))
+    h, g = np.array(exact).T
+    # G times the table's own phase: the march's error and one product's
+    phase = _kernels._fresnel_phase(centres)
+    assert np.max(np.abs(table[0] - phase * g) / np.abs(g)) <= 1e-15
+    # H itself, whose phase alone is within 9.6e-16 of the exact one
+    assert np.max(np.abs(table[0] - h) / np.abs(h)) <= 1.5e-15
+
+
+_LAZY_TABLE = """
+import sys
+import numpy as np
+import wavecorr
+from wavecorr import _kernels, cli
+from wavecorr.scenario import builtin_scenarios
+info = _kernels._tail_table.cache_info
+sizes = [info().currsize]
+for config in builtin_scenarios():
+    cli.main(["run-builtin", config.name, "--out", sys.argv[1]])
+sizes.append(info().currsize)
+_kernels.fresnel_steps(np.array([[0.0, 3.0], [1.0, 20.0]]))
+_kernels.fresnel_steps(np.array([[0.5], [2.0]]))
+print(*sizes, info().currsize, info().misses)
+"""
+
+
+def test_tail_table_is_built_on_first_use_only(tmp_path):
+    # the table takes a few ms to build: not at import, and not by a run
+    # that takes no Fresnel integral (every builtin), then once
+    root = os.path.dirname(os.path.dirname(wavecorr.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_TABLE, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 1 1"
 
 
 def test_fresnel_steps_match_scipy():
@@ -591,20 +620,6 @@ def test_far_same_sign_steps_keep_their_relative_accuracy():
     table = _kernels.fresnel_steps(np.array([[1e3], [1e3 + 0.5], [1e3 + 1.0]]))
     want = [_mp_step(1e3, 1e3 + 0.5), _mp_step(1e3 + 0.5, 1e3 + 1.0)]
     assert np.max(np.abs(table[:, 0] - want) / np.abs(want)) <= 1e-13
-
-
-def test_taylor_table_march_lands_on_g_of_zero():
-    # the table is marched down from the asymptotic G(6); G(0) = (1 + i)/2
-    assert _kernels._TAYLOR[0, 0] == 0.5 + 0.5j
-    assert _kernels.fresnel_g(0.0) == 0.5 + 0.5j
-
-
-def test_fresnel_g_rejects_negative_and_nan_arguments():
-    # a negative t would index the table from its far end
-    for bad in (-1e-300, -0.5, -7.0, np.nan, [1.0, -1.0, 2.0], [3.0, np.nan]):
-        with pytest.raises(InvalidArgumentError):
-            _kernels.fresnel_g(bad)
-    assert _kernels.fresnel_g(-0.0) == 0.5 + 0.5j
 
 
 def test_steps_across_the_asymptotic_join_match_mpmath():
