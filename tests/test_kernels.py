@@ -14,7 +14,7 @@ rounding of the phases.
 fresnel_steps must match mpmath and scipy's Fresnel integrals, across
 every join of the tail's pieces too, and the tail table's anchors, G
 marched down from its asymptotic series, must match mpmath at every
-centre.
+centre. A NaN edge gives NaN steps, and only the two next to it.
 """
 
 import math
@@ -620,6 +620,26 @@ def test_far_same_sign_steps_keep_their_relative_accuracy():
     table = _kernels.fresnel_steps(np.array([[1e3], [1e3 + 0.5], [1e3 + 1.0]]))
     want = [_mp_step(1e3, 1e3 + 0.5), _mp_step(1e3 + 0.5, 1e3 + 1.0)]
     assert np.max(np.abs(table[:, 0] - want) / np.abs(want)) <= 1e-13
+
+
+def test_a_nan_edge_gives_nan_steps_and_leaves_the_others():
+    # a NaN edge takes the far branch, so it indexes no cell of the
+    # table; only the two steps either side of it are NaN
+    edges = np.array([[-3.0, 0.5, 2.0], [np.nan, 1.0, 20.0],
+                      [1.0, np.nan, -0.0], [4.0, 7.0, np.nan]])
+    got = _kernels.fresnel_steps(edges)
+    nan = np.isnan(edges)
+    assert (np.isnan(got.real) == (nan[:-1] | nan[1:])).all()
+    assert (np.isnan(got.imag) == np.isnan(got.real)).all()
+    fine = ~np.isnan(got)
+    want = np.array([[_mp_step(a, b) if ok else 0j
+                      for a, b, ok in zip(lo, hi, row)]
+                     for lo, hi, row in zip(edges[:-1], edges[1:], fine)])
+    assert np.max(np.abs(got[fine] - want[fine]) / np.abs(want[fine])) <= 1e-13
+    # -0.0 is an edge at 0, bit for bit
+    plus = _kernels.fresnel_steps(np.array([[0.0], [2.0], [-1.0]]))
+    minus = _kernels.fresnel_steps(np.array([[-0.0], [2.0], [-1.0]]))
+    assert plus.tobytes() == minus.tobytes()
 
 
 def test_steps_across_the_asymptotic_join_match_mpmath():
